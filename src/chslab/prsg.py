@@ -6,6 +6,11 @@ next to ``t`` untouched copies of the shared state; the ideal experiment hands
 out ``ell`` copies of an independent state instead. Both sides reduce to exact
 finite mixtures of (phased) type states, so every distance in the eight-step
 hybrid chain between them is computed exactly, with no sampling.
+
+The reports build those mixtures block by block over sectors of register
+values (``sectors``). ``hybrid_state`` and ``_multikey_xi`` build the same
+mixtures as PureState ensembles; they are the independent route that the
+tests compare the sector blocks against.
 """
 
 from __future__ import annotations
@@ -14,15 +19,22 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import xor
 
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import exact_moment
-from .qla import DensityOperator, PureState, gram_trace_distance, support_projector, tensor
+from .qla import DensityOperator, PureState, support_projector, tensor
 from .reporting import ExperimentReport
+from .sectors import (
+    SectorMixture,
+    SectorSpace,
+    arrangements,
+    indicator_mixture,
+    sector_trace_distance,
+)
 from .tolerances import ATOL_CHAIN, ATOL_IDENTITY, REL_RANK_CUTOFF
 from .typestates import (
     TypeVector,
@@ -301,32 +313,143 @@ def hybrid_state(
 
 
 # ---------------------------------------------------------------------------
+# Sector-block hybrids
+# ---------------------------------------------------------------------------
+#
+# Every register has width n, so each hybrid and chain state is block diagonal
+# over sectors (see ``sectors``). On every sector each state is
+# weight(o) * [key(o) = key(o')] over orderings o, o':
+# - keyed groups: averaging the key's sign outer products over all keys leaves
+#   the indicator that the XOR of the group's lam-bit prefixes agrees;
+# - split or product states: the key is the sorted multiset in the first
+#   registers, and the weight 1/(d_A d_B) of |A>|B> (for a split of a type,
+#   the split count cancels against d_A d_B to the type's own 1/d).
+# The weights below are normalized by the exact member counts, so the traces
+# of the blocks summing to 1 checks the weights.
+
+
+def _fold(values: np.ndarray, positions, shift: int) -> np.ndarray:
+    """(..., 1) XOR of the prefixes at the given positions of every ordering."""
+    return np.bitwise_xor.reduce(values[..., list(positions)] >> shift, axis=-1)[..., None]
+
+
+def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> list[np.ndarray]:
+    """Per shape group, which sectors are ell-fold lam-prefix collision-free.
+
+    The vectorized form of ``is_l_fold_prefix_cf`` over every type at once.
+    """
+    subsets = np.array(list(itertools.combinations(range(space.size), p.ell)), dtype=np.int64)
+    budgets.check_subset_pairs(
+        len(subsets) * len(subsets), f"is_l_fold_prefix_cf(t={space.size}, ell={p.ell})"
+    )
+    masks = []
+    for group in space.groups:
+        prefixes = group.elements() >> (p.n - p.lam)
+        folds = np.sort(np.bitwise_xor.reduce(prefixes[:, subsets], axis=-1), axis=1)
+        masks.append(np.all(folds[:, 1:] != folds[:, :-1], axis=1))
+    if not any(mask.any() for mask in masks):
+        raise ValueError(
+            f"empty conditioned set: no {p.ell}-fold {p.lam}-prefix "
+            f"collision-free types of size {space.size} exist"
+        )
+    return masks
+
+
+def _sector_hybrid(
+    index: int, p: PrsParams, space: SectorSpace, cf: list[np.ndarray] | None = None
+) -> SectorMixture:
+    """Hybrid ``index`` in sector form; ``cf`` is needed for hybrids 2 and 3."""
+    N, ell, t, size = space.N, p.ell, p.t, space.size
+    shift = p.n - p.lam
+    if index in (2, 3):
+        cf_of = {group: mask[:, None] for group, mask in zip(space.groups, cf)}
+        n = sum(int(mask.sum()) for mask in cf)
+    else:
+        n = {
+            1: math.comb(N + size - 1, size),
+            4: math.comb(N + size - 1, size),
+            5: math.comb(N, size),
+            6: math.comb(N, size) * math.comb(size, ell),
+            7: math.comb(N, ell) * math.comb(N, t),
+            8: math.comb(N + ell - 1, ell) * math.comb(N + t - 1, t),
+        }[index]
+    if n == 0:
+        raise ValueError(f"hybrid {index} is empty: no admissible types over {N} strings")
+
+    def describe(group):
+        values = group.values()
+        first = values[..., :ell]
+        keys = _fold(values, range(ell), shift) if index <= 2 else np.sort(first, axis=-1)
+        distinct = group.shape == (1,) * size
+        if index in (2, 3):
+            return keys, cf_of[group] / (n * group.dim)
+        if index <= 5:
+            return keys, (distinct if index == 5 else True) / (n * group.dim)
+        d_a, d_b = arrangements(first), arrangements(values[..., ell:])
+        if index == 6:
+            allowed = distinct
+        elif index == 7:
+            allowed = (d_a == math.factorial(ell)) & (d_b == math.factorial(t))
+        else:
+            allowed = True
+        return keys, allowed / (n * d_a * d_b)
+
+    return indicator_mixture(space, describe)
+
+
+def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
+    """Multi-key chain state xi_j in sector form.
+
+    The first j ell-register groups hold independent ell-copy moments (key:
+    each group's sorted multiset), the remaining p - j groups are keyed (key:
+    each group's prefix fold), and the common copies follow.
+    """
+    N, ell, shift = space.N, p.ell, p.n - p.lam
+    groups = [range(g * ell, (g + 1) * ell) for g in range(p.p)]
+    keyed_size = space.size - j * ell
+    n = math.comb(N + ell - 1, ell) ** j * math.comb(N + keyed_size - 1, keyed_size)
+
+    def describe(group):
+        values = group.values()
+        keys = [np.sort(values[..., g], axis=-1) for g in groups[:j]]
+        keys += [_fold(values, g, shift) for g in groups[j:]]
+        weight = 1.0 / (n * arrangements(values[..., j * ell :]))
+        for g in groups[:j]:
+            weight = weight / arrangements(values[..., g])
+        return np.concatenate(keys, axis=-1), weight
+
+    return indicator_mixture(space, describe)
+
+
+def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
+    """Sector form of ``hybrid_state(spec)``: the same operator, block by block."""
+    p = spec.params
+    space = SectorSpace(1 << p.n, p.ell + p.t, budgets)
+    cf = _conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
+    return _sector_hybrid(spec.index, p, space, cf)
+
+
+def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
+    """Sector form of the multi-key chain state xi_j (``_multikey_xi``)."""
+    if not 0 <= j <= params.p:
+        raise ValueError(f"chain index {j} out of range 0..{params.p}")
+    space = SectorSpace(1 << params.n, params.p * params.ell + params.t, budgets)
+    return _sector_chain(j, params, space)
+
+
+# ---------------------------------------------------------------------------
 # Trace-distance reports
 # ---------------------------------------------------------------------------
 
 _CONSECUTIVE = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
 
 
-@lru_cache(maxsize=None)
-def _lam_free_pair_td(n: int, ell: int, t: int, i: int, j: int, budgets: Budgets) -> float:
-    """Trace distance between hybrids i and j that do not depend on the key length."""
-    params = PrsParams(lam=1, n=n, ell=ell, t=t)
-    a = _exact_hybrid(HybridSpec(i, params), budgets)
-    b = _exact_hybrid(HybridSpec(j, params), budgets)
-    return gram_trace_distance(a, b)
-
-
-_REAL_IDEAL_CACHE: dict[tuple[int, int, int, int], float] = {}
-
-
 def _real_ideal_td(lam: int, n: int, ell: int, t: int, budgets: Budgets = DEFAULT_BUDGETS) -> float:
-    key = (lam, n, ell, t)
-    if key not in _REAL_IDEAL_CACHE:
-        params = PrsParams(lam=lam, n=n, ell=ell, t=t)
-        real = _exact_hybrid(HybridSpec(1, params), budgets)
-        ideal = _exact_hybrid(HybridSpec(8, params), budgets)
-        _REAL_IDEAL_CACHE[key] = gram_trace_distance(real, ideal)
-    return _REAL_IDEAL_CACHE[key]
+    params = PrsParams(lam=lam, n=n, ell=ell, t=t)
+    space = SectorSpace(1 << n, ell + t, budgets)
+    return sector_trace_distance(
+        _sector_hybrid(1, params, space), _sector_hybrid(8, params, space)
+    )
 
 
 def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
@@ -344,21 +467,16 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     flags: dict[str, bool] = {}
     notes: list[str] = []
 
-    h1 = _exact_hybrid(HybridSpec(1, params), budgets)
-    cache_key = (lam, n, ell, t)
-    if cache_key not in _REAL_IDEAL_CACHE:
-        h8 = _exact_hybrid(HybridSpec(8, params), budgets)
-        _REAL_IDEAL_CACHE[cache_key] = gram_trace_distance(h1, h8)
-        del h8
-    quantities["td_real_ideal"] = _REAL_IDEAL_CACHE[cache_key]
+    space = SectorSpace(1 << n, ell + t, budgets)
+    h1 = _sector_hybrid(1, params, space)
+    h8 = _sector_hybrid(8, params, space)
+    quantities["td_real_ideal"] = sector_trace_distance(h1, h8)
 
-    chain_available = True
     try:
-        h2 = _exact_hybrid(HybridSpec(2, params), budgets)
+        cf = _conditioned_sectors(space, params, budgets)
     except ValueError as err:
         if "empty conditioned set" not in str(err):
             raise
-        chain_available = False
         notes.append(
             f"hybrid chain unavailable: {err}; only the direct real/ideal distance is reported"
         )
@@ -366,18 +484,12 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
         for i, j in _CONSECUTIVE:
             quantities[f"td_h{i}_h{j}"] = None
         quantities["sum_consecutive"] = None
-
-    if chain_available:
-        quantities["td_h1_h2"] = gram_trace_distance(h1, h2)
-        del h1
-        h3 = _exact_hybrid(HybridSpec(3, params), budgets)
-        quantities["td_h2_h3"] = gram_trace_distance(h2, h3)
-        del h2
-        h4 = _exact_hybrid(HybridSpec(4, params), budgets)
-        quantities["td_h3_h4"] = gram_trace_distance(h3, h4)
-        del h3, h4
-        for i, j in _CONSECUTIVE[3:]:
-            quantities[f"td_h{i}_h{j}"] = _lam_free_pair_td(n, ell, t, i, j, budgets)
+    else:
+        previous = h1
+        for i, j in _CONSECUTIVE:
+            current = h8 if j == 8 else _sector_hybrid(j, params, space, cf)
+            quantities[f"td_h{i}_h{j}"] = sector_trace_distance(previous, current)
+            previous = current
         step_sum = sum(quantities[f"td_h{i}_h{j}"] for i, j in _CONSECUTIVE)
         quantities["sum_consecutive"] = step_sum
         flags["td_le_sum_of_steps"] = quantities["td_real_ideal"] <= step_sum + ATOL_CHAIN
@@ -404,7 +516,10 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
 
 
 def _multikey_xi(j: int, params: PrsParams, budgets: Budgets) -> DensityOperator:
-    """Chain state with the first j key slots replaced by independent states."""
+    """Ensemble form of chain state xi_j, the reference for ``multikey_mixture``.
+
+    The first j key slots are replaced by independent states.
+    """
     lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
     N = 1 << n
     keyed_groups = p - j
@@ -435,19 +550,22 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
     sigma, one fixed convention for the whole artifact.
     """
     lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
-    xis = [_multikey_xi(j, params, budgets) for j in range(p + 1)]
+    space = SectorSpace(1 << n, p * ell + t, budgets)
+    real = previous = _sector_chain(0, params, space)
     quantities: dict[str, float] = {}
     flags: dict[str, bool] = {}
     step_sum = 0.0
     all_links_ok = True
     for j in range(p):
-        td_j = gram_trace_distance(xis[j], xis[j + 1])
+        current = _sector_chain(j + 1, params, space)
+        td_j = sector_trace_distance(previous, current)
+        previous = current
         single = _real_ideal_td(lam, n, ell, (p - j - 1) * ell + t, budgets)
         quantities[f"td_xi{j}_xi{j + 1}"] = td_j
         quantities[f"single_key_td_j{j}"] = single
         all_links_ok &= td_j <= single + ATOL_CHAIN
         step_sum += td_j
-    td_total = gram_trace_distance(xis[0], xis[p])
+    td_total = sector_trace_distance(real, previous)
     quantities["td_real_ideal"] = td_total
     quantities["sum_links"] = step_sum
     flags["links_le_single_key"] = bool(all_links_ok)

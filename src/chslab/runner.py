@@ -75,6 +75,30 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
 }
 
 
+def _checked_value(experiment: str, name: str, kind: type, value):
+    """``value`` as ``kind``, without rounding, truncating or reinterpreting it.
+
+    An int parameter takes an int, an integral float, or a string of an int
+    (the form ``chs-lab sweep`` passes from the command line); booleans and
+    anything non-integral are rejected.
+    """
+    if kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(
+        f"{experiment} parameter {name!r} must be {kind.__name__}, got {value!r}"
+    )
+
+
 def validate_params(experiment: str, params: dict) -> dict:
     if experiment not in SCHEMAS:
         raise ValueError(f"unknown experiment {experiment!r}; choose from {sorted(SCHEMAS)}")
@@ -85,7 +109,7 @@ def validate_params(experiment: str, params: dict) -> dict:
     resolved = {}
     for name, (kind, default) in schema.items():
         if name in params:
-            resolved[name] = kind(params[name])
+            resolved[name] = _checked_value(experiment, name, kind, params[name])
         elif default is None:
             raise ValueError(f"{experiment} requires parameter {name!r}")
         else:

@@ -150,6 +150,17 @@ def test_two_parameter_rate_fit_describes_the_sweep():
     assert ratios.max() < 1.6 and ratios.min() > 1 / 1.6
 
 
+def test_real_ideal_distance_is_recomputed_under_each_budget():
+    # A value computed under the default budgets must not answer a later call
+    # whose budget forbids the enumeration.
+    assert _real_ideal_td(2, 3, 1, 1) == pytest.approx(0.14583333333333334, abs=1e-12)
+    with pytest.raises(BudgetExceeded):
+        _real_ideal_td(2, 3, 1, 1, Budgets(max_type_count=10))
+    single_key_report(PrsParams(lam=2, n=3, ell=1, t=1))
+    with pytest.raises(BudgetExceeded):
+        single_key_report(PrsParams(lam=2, n=3, ell=1, t=1), Budgets(max_type_count=10))
+
+
 def test_multikey_reduces_to_single_key():
     report = multi_key_report(PrsParams(lam=2, n=3, ell=1, t=1, p=1))
     assert report.quantities["td_real_ideal"] == pytest.approx(

@@ -20,6 +20,31 @@ def test_validate_params():
         validate_params("prsg-td", {"lam": 2})
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"lam": 2.7, "n": 3},
+        {"lam": 2, "n": 3, "ell": True},
+        {"lam": 2, "n": False},
+        {"lam": "2.5", "n": 3},
+        {"lam": "two", "n": 3},
+        {"lam": None, "n": 3},
+    ],
+)
+def test_validate_params_rejects_instead_of_coercing(params):
+    with pytest.raises(ValueError, match="must be int"):
+        validate_params("prsg-td", params)
+
+
+def test_validate_params_accepts_integral_values():
+    # Integral strings are what ``chs-lab sweep`` passes for fixed parameters.
+    resolved = validate_params("prsg-td", {"lam": "2", "n": 3.0, "t": "1"})
+    assert resolved == {"lam": 2, "n": 3, "ell": 1, "t": 1}
+    assert all(type(value) is int for value in resolved.values())
+    with pytest.raises(ValueError, match="must be str"):
+        validate_params("commit-binding", {"lam": 1, "n": 2, "adversary": 3})
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     config = ExperimentConfig(
         "prsg-td",
