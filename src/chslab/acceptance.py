@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from . import prsg
-from .budgets import DEFAULT_BUDGETS
 from .commitments import (
     CommitmentParams,
     accept_probability,
@@ -27,7 +26,7 @@ from .commitments import (
 )
 from .haar import HaarSampler, exact_moment, sample_haar, symmetric_projector
 from .pgm import PgmParams, overlap_bound_report
-from .prsg import HybridSpec, PrsParams, multi_key_report, single_key_report
+from .prsg import HybridSpec, PrsParams, hybrid_state, multi_key_report, single_key_report
 from .qla import (
     DensityOperator,
     fidelity,
@@ -180,11 +179,11 @@ def hybrid_equivalences() -> CriterionResult:
         worst23, worst56 = 0.0, 0.0
         for lam, n, ell, t in ((2, 3, 1, 1), (2, 3, 1, 2), (3, 3, 1, 1), (3, 4, 2, 1)):
             params = PrsParams(lam=lam, n=n, ell=ell, t=t)
-            h2 = prsg._exact_hybrid(HybridSpec(2, params), DEFAULT_BUDGETS)
-            h3 = prsg._exact_hybrid(HybridSpec(3, params), DEFAULT_BUDGETS)
+            h2 = hybrid_state(HybridSpec(2, params))
+            h3 = hybrid_state(HybridSpec(3, params))
             worst23 = max(worst23, gram_trace_distance(h2, h3))
-            h5 = prsg._exact_hybrid(HybridSpec(5, params), DEFAULT_BUDGETS)
-            h6 = prsg._exact_hybrid(HybridSpec(6, params), DEFAULT_BUDGETS)
+            h5 = hybrid_state(HybridSpec(5, params))
+            h6 = hybrid_state(HybridSpec(6, params))
             worst56 = max(worst56, gram_trace_distance(h5, h6))
         ok = worst23 < ATOL_IDENTITY and worst56 < ATOL_IDENTITY
         return ok, (

@@ -17,7 +17,7 @@ import sys
 
 from .budgets import Budgets
 from .reporting import format_float
-from .runner import SCHEMAS, ExperimentConfig, run, sweep
+from .runner import ALIASES, SCHEMAS, ExperimentConfig, run, schema_of, sweep
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -42,11 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chs-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for experiment in SCHEMAS:
-        p = sub.add_parser(experiment, help=f"run the {experiment} experiment")
+        aliases = [alias for alias, target in ALIASES.items() if target == experiment]
+        p = sub.add_parser(experiment, aliases=aliases, help=f"run the {experiment} experiment")
         _add_schema_flags(p, experiment)
         _add_common(p)
     p_sweep = sub.add_parser("sweep", help="run one experiment across a parameter axis")
-    p_sweep.add_argument("experiment", choices=sorted(SCHEMAS))
+    p_sweep.add_argument("experiment", choices=sorted([*SCHEMAS, *ALIASES]))
     p_sweep.add_argument("--axis", required=True, help="parameter to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     for name in sorted({n for schema in SCHEMAS.values() for n in schema}):
@@ -93,9 +94,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         experiment = args.experiment
-        params = _merge_config_file(args, SCHEMAS[experiment])
-        axis_kind = SCHEMAS[experiment][args.axis][0]
-        values = [axis_kind(v) for v in args.values.split(",") if v != ""]
+        params = _merge_config_file(args, schema_of(experiment))
+        values = [v for v in args.values.split(",") if v != ""]
         base = ExperimentConfig(
             experiment=experiment,
             params=params,
@@ -105,12 +105,16 @@ def main(argv: list[str] | None = None) -> int:
             format="csv",
             budgets=_budgets(args),
         )
-        reports, table = sweep(base, args.axis, values)
+        try:
+            reports, table = sweep(base, args.axis, values)
+        except ValueError as err:
+            sys.stderr.write(f"chs-lab sweep: {err}\n")
+            return 2
         sys.stdout.write(table)
         return 0 if all(r.passed() for r in reports) else 1
 
     experiment = args.command
-    params = _merge_config_file(args, SCHEMAS[experiment])
+    params = _merge_config_file(args, schema_of(experiment))
     config = ExperimentConfig(
         experiment=experiment,
         params=params,

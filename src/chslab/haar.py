@@ -19,6 +19,12 @@ from .qla import DensityOperator, PureState
 from .typestates import enumerate_types, type_state
 
 
+def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by ``(seed, stream)``, each taken modulo 2^64."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 @dataclass(frozen=True)
 class HaarSampler:
     """Counter-based seeded sampler with one substream per trial.
@@ -32,9 +38,7 @@ class HaarSampler:
     rng_seed: int
 
     def generator(self, trial: int) -> np.random.Generator:
-        key = np.array([self.rng_seed & 0xFFFFFFFFFFFFFFFF, trial & 0xFFFFFFFFFFFFFFFF],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return rng_for(self.rng_seed, trial)
 
     def statevector(self, trial: int) -> np.ndarray:
         return haar_statevector(self.n_qubits, self.generator(trial))

@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 
 import numpy as np
 
@@ -38,11 +35,9 @@ from .sectors import (
 from .tolerances import ATOL_CHAIN, ATOL_IDENTITY, REL_RANK_CUTOFF
 from .typestates import (
     TypeVector,
-    apply_phase,
-    distinct_orderings,
     is_l_fold_prefix_cf,
-    sample_type,
-    sample_type_conditioned,
+    keyed_members,
+    split_members,
     type_state,
 )
 
@@ -98,76 +93,6 @@ def generate(k: int, lam: int, theta: PureState) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _type_state_coeff(elements: tuple[int, ...]) -> float:
-    norm = math.factorial(len(elements))
-    for mult in Counter(elements).values():
-        norm //= math.factorial(mult)
-    return math.sqrt(1.0 / norm)
-
-
-def _keyed_type_members(
-    n: int,
-    lam: int,
-    groups: tuple[tuple[int, ...], ...],
-    n_registers: int,
-    types,
-    type_weight: float,
-):
-    """Mixture over (type, key per group) of the group-phased type state.
-
-    Every key phases the lam-bit prefixes of its group's registers, so an
-    ordering picks up the sign of <key, XOR of its group prefixes>. Keys that
-    produce the same state up to global phase are merged exactly (the sign
-    patterns are integers, so no tolerance is involved).
-    """
-    shift = n - lam
-    parity = np.array([z.bit_count() & 1 for z in range(1 << lam)], dtype=np.int64)
-    key_vectors = np.array(
-        list(itertools.product(range(1 << lam), repeat=len(groups))), dtype=np.int64
-    )
-    n_keys = len(key_vectors)
-    shape = (n,) * n_registers
-    members = []
-    for elements in types:
-        orderings = distinct_orderings(elements)
-        coeff = _type_state_coeff(elements)
-        signs = np.ones((n_keys, len(orderings)), dtype=np.int64)
-        for g, positions in enumerate(groups):
-            folds = np.array(
-                [reduce(xor, (v[i] >> shift for i in positions), 0) for v in orderings],
-                dtype=np.int64,
-            )
-            signs *= 1 - 2 * parity[key_vectors[:, g : g + 1] & folds[None, :]]
-        canonical = signs * signs[:, :1]
-        merged = Counter(tuple(row) for row in canonical.tolist())
-        for pattern, count in sorted(merged.items()):
-            amps = {v: coeff * s for v, s in zip(orderings, pattern)}
-            members.append(
-                (type_weight * count / n_keys, PureState._unchecked(shape, amps))
-            )
-    return members
-
-
-def _split_members(n: int, types, ell: int, type_weight: float):
-    """Mixture over (type, ell-subset of positions) of |X><X| (x) |T\\X><T\\X|."""
-    members = []
-    for elements in types:
-        t_total = len(elements)
-        splits = Counter()
-        for positions in itertools.combinations(range(t_total), ell):
-            keep = set(positions)
-            first = tuple(elements[i] for i in positions)
-            rest = tuple(x for i, x in enumerate(elements) if i not in keep)
-            splits[(first, rest)] += 1
-        n_splits = math.comb(t_total, ell)
-        for (first, rest), count in sorted(splits.items()):
-            state = type_state(TypeVector(first, n, n))
-            if rest:
-                state = state.tensor(type_state(TypeVector(rest, n, n)))
-            members.append((type_weight * count / n_splits, state))
-    return members
-
-
 def _product_members(n: int, first_types, second_types, weight: float):
     members = []
     for a in first_types:
@@ -191,37 +116,63 @@ def _prefix_cf_types(N: int, size: int, n: int, lam: int, ell: int, budgets: Bud
     return out
 
 
-def _exact_hybrid(spec: HybridSpec, budgets: Budgets) -> DensityOperator:
+def _hybrid_size(index: int, p: PrsParams, cf_count: int) -> int:
+    """How many equally likely choices hybrid ``index`` averages over.
+
+    Hybrids 2 and 3 average over the ``cf_count`` prefix collision-free types;
+    the others over all types, collision-free types, or pairs of them.
+    """
+    N, ell, t, size = 1 << p.n, p.ell, p.t, p.ell + p.t
+    return {
+        1: math.comb(N + size - 1, size),
+        2: cf_count,
+        3: cf_count,
+        4: math.comb(N + size - 1, size),
+        5: math.comb(N, size),
+        6: math.comb(N, size) * math.comb(size, ell),
+        7: math.comb(N, ell) * math.comb(N, t),
+        8: math.comb(N + ell - 1, ell) * math.comb(N + t - 1, t),
+    }[index]
+
+
+def _empty_hybrid(index: int, p: PrsParams) -> ValueError:
+    """The error for a hybrid with nothing to average over, the same on every route."""
+    if index in (2, 3):
+        condition = f"{p.ell}-fold {p.lam}-prefix collision-free"
+    else:
+        condition = f"collision-free {p.n}-bit"
+    return ValueError(
+        f"empty conditioned set: no {condition} types of size {p.ell + p.t} exist"
+    )
+
+
+def hybrid_state(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> DensityOperator:
+    """Ensemble realizing one of the eight hybrid distributions exactly.
+
+    Enumerates every (type, key) or (type, split) choice with its exact
+    probability; the reference the sector route (``hybrid_mixture``) is
+    checked against.
+    """
     p = spec.params
     N = 1 << p.n
     size = p.ell + p.t
     shape = (p.n,) * size
+    cf_types = (
+        _prefix_cf_types(N, size, p.n, p.lam, p.ell, budgets) if spec.index in (2, 3) else []
+    )
+    if _hybrid_size(spec.index, p, len(cf_types)) == 0:
+        raise _empty_hybrid(spec.index, p)
     if spec.index in (1, 2):
-        if spec.index == 1:
-            types = _all_types(N, size, budgets)
-        else:
-            types = _prefix_cf_types(N, size, p.n, p.lam, p.ell, budgets)
-            if not types:
-                raise ValueError(
-                    f"empty conditioned set: no {p.ell}-fold {p.lam}-prefix "
-                    f"collision-free types of size {size} exist"
-                )
-        members = _keyed_type_members(
-            p.n, p.lam, (tuple(range(p.ell)),), size, types, 1.0 / len(types)
-        )
+        types = _all_types(N, size, budgets) if spec.index == 1 else cf_types
+        members = keyed_members(p.n, p.lam, (tuple(range(p.ell)),), types, 1.0 / len(types))
     elif spec.index in (3, 4, 5):
         if spec.index == 3:
-            types = _prefix_cf_types(N, size, p.n, p.lam, p.ell, budgets)
-            if not types:
-                raise ValueError(
-                    f"empty conditioned set: no {p.ell}-fold {p.lam}-prefix "
-                    f"collision-free types of size {size} exist"
-                )
+            types = cf_types
         elif spec.index == 4:
             types = _all_types(N, size, budgets)
         else:
             types = list(itertools.combinations(range(N), size))
-        members = _split_members(p.n, types, p.ell, 1.0 / len(types))
+        members = split_members(p.n, types, p.ell, 1.0 / len(types))
     elif spec.index == 6:
         firsts = list(itertools.combinations(range(N), p.ell))
         members = []
@@ -239,77 +190,6 @@ def _exact_hybrid(spec: HybridSpec, budgets: Budgets) -> DensityOperator:
         seconds = _all_types(N, p.t, budgets)
         members = _product_members(p.n, firsts, seconds, 1.0 / (len(firsts) * len(seconds)))
     return DensityOperator(shape, ensemble=tuple(members))
-
-
-def _sampled_hybrid(spec: HybridSpec, rng: np.random.Generator, trials: int, budgets: Budgets):
-    p = spec.params
-    N = 1 << p.n
-    size = p.ell + p.t
-    cf_pred = lambda T: is_l_fold_prefix_cf(T, p.ell, budgets)
-    members = []
-    weight = 1.0 / trials
-    for _ in range(trials):
-        if spec.index in (1, 2):
-            if spec.index == 1:
-                T = sample_type(N, size, rng, prefix_bits=p.lam)
-            else:
-                T = sample_type_conditioned(N, size, cf_pred, rng, prefix_bits=p.lam)
-            k = int(rng.integers(0, 1 << p.lam))
-            members.append((weight, apply_phase(k, p.lam, type_state(T), range(p.ell))))
-        elif spec.index in (3, 4, 5):
-            if spec.index == 3:
-                T = sample_type_conditioned(N, size, cf_pred, rng, prefix_bits=p.lam)
-            elif spec.index == 4:
-                T = sample_type(N, size, rng, prefix_bits=p.lam)
-            else:
-                T = TypeVector(
-                    tuple(int(x) for x in rng.choice(N, size=size, replace=False)), p.n, p.lam
-                )
-            keep = set(int(i) for i in rng.choice(size, size=p.ell, replace=False))
-            first = tuple(T.elements[i] for i in sorted(keep))
-            rest = tuple(x for i, x in enumerate(T.elements) if i not in keep)
-            state = type_state(TypeVector(first, p.n, p.n))
-            if rest:
-                state = state.tensor(type_state(TypeVector(rest, p.n, p.n)))
-            members.append((weight, state))
-        else:
-            if spec.index == 6:
-                first = tuple(sorted(int(x) for x in rng.choice(N, size=p.ell, replace=False)))
-                remaining = np.array([x for x in range(N) if x not in first])
-                second = tuple(
-                    sorted(int(x) for x in rng.choice(remaining, size=p.t, replace=False))
-                )
-            elif spec.index == 7:
-                first = tuple(sorted(int(x) for x in rng.choice(N, size=p.ell, replace=False)))
-                second = tuple(sorted(int(x) for x in rng.choice(N, size=p.t, replace=False)))
-            else:
-                first = sample_type(N, p.ell, rng).elements
-                second = sample_type(N, p.t, rng).elements if p.t else ()
-            state = type_state(TypeVector(first, p.n, p.n))
-            if second:
-                state = state.tensor(type_state(TypeVector(second, p.n, p.n)))
-            members.append((weight, state))
-    return DensityOperator((p.n,) * size, ensemble=tuple(members))
-
-
-def hybrid_state(
-    spec: HybridSpec,
-    exact: bool = True,
-    rng: np.random.Generator | None = None,
-    trials: int = 1000,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> DensityOperator:
-    """Ensemble realizing one of the eight hybrid distributions.
-
-    Exact mode enumerates every (type, key) or (type, split) choice with its
-    exact probability; sampled mode draws ``trials`` independent realizations
-    and is only meant for regimes where enumeration exceeds the budgets.
-    """
-    if exact:
-        return _exact_hybrid(spec, budgets)
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    return _sampled_hybrid(spec, rng, trials, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +227,6 @@ def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> 
         prefixes = group.elements() >> (p.n - p.lam)
         folds = np.sort(np.bitwise_xor.reduce(prefixes[:, subsets], axis=-1), axis=1)
         masks.append(np.all(folds[:, 1:] != folds[:, :-1], axis=1))
-    if not any(mask.any() for mask in masks):
-        raise ValueError(
-            f"empty conditioned set: no {p.ell}-fold {p.lam}-prefix "
-            f"collision-free types of size {space.size} exist"
-        )
     return masks
 
 
@@ -359,22 +234,13 @@ def _sector_hybrid(
     index: int, p: PrsParams, space: SectorSpace, cf: list[np.ndarray] | None = None
 ) -> SectorMixture:
     """Hybrid ``index`` in sector form; ``cf`` is needed for hybrids 2 and 3."""
-    N, ell, t, size = space.N, p.ell, p.t, space.size
+    ell, t, size = p.ell, p.t, space.size
     shift = p.n - p.lam
+    n = _hybrid_size(index, p, sum(int(mask.sum()) for mask in cf or ()))
+    if n == 0:
+        raise _empty_hybrid(index, p)
     if index in (2, 3):
         cf_of = {group: mask[:, None] for group, mask in zip(space.groups, cf)}
-        n = sum(int(mask.sum()) for mask in cf)
-    else:
-        n = {
-            1: math.comb(N + size - 1, size),
-            4: math.comb(N + size - 1, size),
-            5: math.comb(N, size),
-            6: math.comb(N, size) * math.comb(size, ell),
-            7: math.comb(N, ell) * math.comb(N, t),
-            8: math.comb(N + ell - 1, ell) * math.comb(N + t - 1, t),
-        }[index]
-    if n == 0:
-        raise ValueError(f"hybrid {index} is empty: no admissible types over {N} strings")
 
     def describe(group):
         values = group.values()
@@ -460,7 +326,8 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     consecutive-hybrid distance and the claimed decay rates for the steps that
     are not exact equalities. When no prefix collision-free type exists the
     conditioned hybrids 2 and 3 are undefined and the chain fields are left
-    out, with a note.
+    out, with a note; so are they when fewer than ell + t strings exist, which
+    empties hybrids 5 to 7.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     quantities: dict[str, float] = {}
@@ -472,13 +339,13 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     h8 = _sector_hybrid(8, params, space)
     quantities["td_real_ideal"] = sector_trace_distance(h1, h8)
 
-    try:
-        cf = _conditioned_sectors(space, params, budgets)
-    except ValueError as err:
-        if "empty conditioned set" not in str(err):
-            raise
+    cf = _conditioned_sectors(space, params, budgets)
+    cf_count = sum(int(mask.sum()) for mask in cf)
+    empty = [i for i in range(2, 8) if _hybrid_size(i, params, cf_count) == 0]
+    if empty:
         notes.append(
-            f"hybrid chain unavailable: {err}; only the direct real/ideal distance is reported"
+            f"hybrid chain unavailable: {_empty_hybrid(empty[0], params)}; "
+            "only the direct real/ideal distance is reported"
         )
         # keep the quantity schema stable: the chain fields exist but are empty
         for i, j in _CONSECUTIVE:
@@ -529,7 +396,7 @@ def _multikey_xi(j: int, params: PrsParams, budgets: Budgets) -> DensityOperator
         groups = tuple(tuple(range(g * ell, (g + 1) * ell)) for g in range(keyed_groups))
         types = _all_types(N, keyed_size, budgets)
         if groups:
-            members = _keyed_type_members(n, lam, groups, keyed_size, types, 1.0 / len(types))
+            members = keyed_members(n, lam, groups, types, 1.0 / len(types))
             keyed = DensityOperator((n,) * keyed_size, ensemble=tuple(members))
         else:
             keyed = exact_moment(N, keyed_size, budgets)
@@ -597,7 +464,7 @@ def impossibility_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) 
     budgets.check_dense_dim(N**size, "impossibility_attack")
     types = _all_types(N, size, budgets)
     phase_targets = tuple(range(t, t + ell))
-    members = _keyed_type_members(n, lam, (phase_targets,), size, types, 1.0 / len(types))
+    members = keyed_members(n, lam, (phase_targets,), types, 1.0 / len(types))
     rho0 = DensityOperator((n,) * size, ensemble=tuple(members)).to_dense(budgets)
     rho1 = np.kron(
         exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1),

@@ -16,19 +16,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import commitments, pgm, prsg, typestates
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .haar import sample_haar
+from .haar import rng_for, sample_haar
 from .reporting import ExperimentReport, combined_csv
 
 PARALLELISM_ENV = "CHS_LAB_PARALLELISM"
-
-
-def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,6 @@ class ExperimentConfig:
 # Parameter schemas: name -> (type, default); default None means required.
 SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
     "prsg-td": {"lam": (int, None), "n": (int, None), "ell": (int, 1), "t": (int, 0)},
-    "hybrid-scan": {"lam": (int, None), "n": (int, None), "ell": (int, 1), "t": (int, 0)},
     "multikey-td": {
         "lam": (int, None),
         "n": (int, None),
@@ -99,10 +91,21 @@ def _checked_value(experiment: str, name: str, kind: type, value):
     )
 
 
+# Other names an experiment runs under; its report carries the name it was run as.
+ALIASES = {"hybrid-scan": "prsg-td"}
+
+
+def schema_of(experiment: str) -> dict[str, tuple[type, object]]:
+    name = ALIASES.get(experiment, experiment)
+    if name not in SCHEMAS:
+        raise ValueError(
+            f"unknown experiment {experiment!r}; choose from {sorted([*SCHEMAS, *ALIASES])}"
+        )
+    return SCHEMAS[name]
+
+
 def validate_params(experiment: str, params: dict) -> dict:
-    if experiment not in SCHEMAS:
-        raise ValueError(f"unknown experiment {experiment!r}; choose from {sorted(SCHEMAS)}")
-    schema = SCHEMAS[experiment]
+    schema = schema_of(experiment)
     unknown = set(params) - set(schema)
     if unknown:
         raise ValueError(f"unknown parameters for {experiment}: {sorted(unknown)}")
@@ -176,23 +179,23 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch one experiment; the report is not yet serialized."""
     params = validate_params(config.experiment, config.params)
     seed, budgets = config.seed, config.budgets
-    if config.experiment in ("prsg-td", "hybrid-scan"):
+    experiment = ALIASES.get(config.experiment, config.experiment)
+    if experiment == "prsg-td":
         report = prsg.single_key_report(prsg.PrsParams(**params), budgets)
-        report.experiment = config.experiment
-    elif config.experiment == "multikey-td":
+    elif experiment == "multikey-td":
         report = prsg.multi_key_report(prsg.PrsParams(**params), budgets)
-    elif config.experiment == "impossibility":
+    elif experiment == "impossibility":
         report = prsg.impossibility_attack(prsg.PrsParams(**params), budgets)
-    elif config.experiment == "commit-binding":
+    elif experiment == "commit-binding":
         report = _run_commit_binding(params, seed, budgets)
-    elif config.experiment == "commit-hiding":
+    elif experiment == "commit-hiding":
         rng = rng_for(seed)
         theta = sample_haar(params["n"], rng, budgets)
         cparams = commitments.CommitmentParams(
             lam=params["lam"], n=params["n"], p=params["p"], theta=theta
         )
         report = commitments.hiding_distance(cparams, params["t"], budgets)
-    elif config.experiment == "pgm":
+    elif experiment == "pgm":
         pparams = pgm.PgmParams(n=params["n"], m=params["m"])
         bound = pgm.overlap_bound_report(pparams, budgets)
         guess = pgm.guess_probability_report(pparams, budgets)
@@ -204,10 +207,11 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
             flags={**bound.flags, **guess.flags},
             notes=bound.notes + guess.notes,
         )
-    elif config.experiment == "typestats":
+    elif experiment == "typestats":
         report = _run_typestats(params, seed, config.trials, budgets)
     else:  # unreachable after validate_params
         raise ValueError(config.experiment)
+    report.experiment = config.experiment
     report.seed = seed
     return report
 
@@ -253,19 +257,19 @@ def sweep(
 ) -> tuple[list[ExperimentReport], str]:
     """One run per axis value; failures are marked and the sweep continues.
 
-    Report order follows the input values regardless of completion order. The
-    returned CSV combines all rows; it is also written to ``base.output_path``
-    when set.
+    Every config is validated before the first run starts, so bad input fails
+    the whole sweep with a ``ValueError``. Report order follows the input
+    values regardless of completion order. The returned CSV combines all rows;
+    it is also written to ``base.output_path`` when set.
     """
-    schema = SCHEMAS.get(base.experiment)
-    if schema is None:
-        raise ValueError(f"unknown experiment {base.experiment!r}")
-    if axis not in schema:
+    if axis not in schema_of(base.experiment):
         raise ValueError(f"axis {axis!r} is not a parameter of {base.experiment}")
     configs = [
         replace(base, params={**base.params, axis: value}, output_path=None)
         for value in values
     ]
+    for config in configs:
+        validate_params(config.experiment, config.params)
     degree = min(_parallelism(), max(len(configs), 1))
     if degree > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=degree) as pool:

@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from operator import xor
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -130,13 +131,17 @@ def type_state(T: TypeVector) -> PureState:
     collision-free type therefore carries ``1/sqrt(t!)`` on each of its ``t!``
     orderings, and a fully repeated type is a single basis state.
     """
-    t = T.total
-    coeff = math.sqrt(
-        reduce(lambda acc, mult: acc * math.factorial(mult), T.multiplicities().values(), 1)
-        / math.factorial(t)
+    coeff = complex(_amplitude(T.elements))
+    amps = {ordering: coeff for ordering in distinct_orderings(T.elements)}
+    return PureState((T.width,) * T.total, amps)
+
+
+def _amplitude(elements: tuple[int, ...]) -> float:
+    """A type state's amplitude on each ordering, ``sqrt(prod_i T_i! / t!)``."""
+    return math.sqrt(
+        reduce(lambda acc, mult: acc * math.factorial(mult), Counter(elements).values(), 1)
+        / math.factorial(len(elements))
     )
-    amps = {ordering: complex(coeff) for ordering in distinct_orderings(T.elements)}
-    return PureState((T.width,) * t, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -316,34 +321,85 @@ def permutation_average_verdict(
     return verdict
 
 
+def keyed_members(
+    width: int,
+    lam: int,
+    groups: tuple[tuple[int, ...], ...],
+    types: Iterable[tuple[int, ...]],
+    type_weight: float,
+) -> list[tuple[float, PureState]]:
+    """Mixture over (type, key per group) of the group-phased type state.
+
+    ``types`` are sorted element tuples of ``width``-bit strings, each weighted
+    ``type_weight``. Every key phases the lam-bit prefixes of its group's
+    registers, so an ordering picks up the sign of <key, XOR of its group
+    prefixes>. Keys that produce the same state up to global phase are merged
+    exactly (the sign patterns are integers, so no tolerance is involved).
+    """
+    shift = width - lam
+    parity = np.array([z.bit_count() & 1 for z in range(1 << lam)], dtype=np.int64)
+    key_vectors = np.array(
+        list(itertools.product(range(1 << lam), repeat=len(groups))), dtype=np.int64
+    )
+    n_keys = len(key_vectors)
+    members = []
+    for elements in types:
+        orderings = distinct_orderings(elements)
+        coeff = _amplitude(elements)
+        shape = (width,) * len(elements)
+        signs = np.ones((n_keys, len(orderings)), dtype=np.int64)
+        for g, positions in enumerate(groups):
+            folds = np.array(
+                [reduce(xor, (v[i] >> shift for i in positions), 0) for v in orderings],
+                dtype=np.int64,
+            )
+            signs *= 1 - 2 * parity[key_vectors[:, g : g + 1] & folds[None, :]]
+        canonical = signs * signs[:, :1]
+        merged = Counter(tuple(row) for row in canonical.tolist())
+        for pattern, count in sorted(merged.items()):
+            amps = {v: coeff * s for v, s in zip(orderings, pattern)}
+            members.append(
+                (type_weight * count / n_keys, PureState._unchecked(shape, amps))
+            )
+    return members
+
+
+def split_members(
+    width: int, types: Iterable[tuple[int, ...]], ell: int, type_weight: float
+) -> list[tuple[float, PureState]]:
+    """Mixture over (type, ell-subset of positions) of |X><X| (x) |T\\X><T\\X|."""
+    members = []
+    for elements in types:
+        t_total = len(elements)
+        splits = Counter()
+        for positions in itertools.combinations(range(t_total), ell):
+            keep = set(positions)
+            first = tuple(elements[i] for i in positions)
+            rest = tuple(x for i, x in enumerate(elements) if i not in keep)
+            splits[(first, rest)] += 1
+        n_splits = math.comb(t_total, ell)
+        for (first, rest), count in sorted(splits.items()):
+            state = type_state(TypeVector(first, width, width))
+            if rest:
+                state = state.tensor(type_state(TypeVector(rest, width, width)))
+            members.append((type_weight * count / n_splits, state))
+    return members
+
+
 def key_average(T: TypeVector, ell: int, lam: int, check: bool = True) -> DensityOperator:
     """Uniform mixture of the type state phase-twirled on its first ell registers."""
-    if check and not is_l_fold_prefix_cf(TypeVector(T.elements, T.width, lam), ell):
+    keyed = TypeVector(T.elements, T.width, lam)
+    if not 0 <= ell <= T.total:
+        raise ValueError(f"ell={ell} out of range for type size {T.total}")
+    if check and not is_l_fold_prefix_cf(keyed, ell):
         raise ValueError("type is not ell-fold prefix collision-free")
-    base = type_state(T)
-    members = []
-    n_keys = 1 << lam
-    for k in range(n_keys):
-        members.append((1.0 / n_keys, apply_phase(k, lam, base, range(ell))))
-    return DensityOperator.from_ensemble(members)
+    return DensityOperator.from_ensemble(
+        keyed_members(T.width, lam, (tuple(range(ell)),), [T.elements], 1.0)
+    )
 
 
 def split_average(T: TypeVector, ell: int) -> DensityOperator:
     """Uniform mixture of |X><X| (x) |T\\X><T\\X| over ell-position subsets of T."""
-    t = T.total
-    if not 1 <= ell <= t:
-        raise ValueError(f"ell={ell} out of range for type size {t}")
-    groups: Counter = Counter()
-    for positions in itertools.combinations(range(t), ell):
-        keep = set(positions)
-        first = tuple(T.elements[i] for i in positions)
-        rest = tuple(x for i, x in enumerate(T.elements) if i not in keep)
-        groups[(first, rest)] += 1
-    n_splits = math.comb(t, ell)
-    members = []
-    for (first, rest), count in sorted(groups.items()):
-        state = type_state(TypeVector(first, T.width, T.prefix_bits))
-        if rest:
-            state = state.tensor(type_state(TypeVector(rest, T.width, T.prefix_bits)))
-        members.append((count / n_splits, state))
-    return DensityOperator.from_ensemble(members)
+    if not 1 <= ell <= T.total:
+        raise ValueError(f"ell={ell} out of range for type size {T.total}")
+    return DensityOperator.from_ensemble(split_members(T.width, [T.elements], ell, 1.0))

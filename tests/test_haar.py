@@ -18,6 +18,12 @@ def test_sampler_deterministic_per_trial():
     assert np.array_equal(batch[1], b.statevector(5))
 
 
+def test_runner_streams_are_the_sampler_streams():
+    for seed, stream in ((0, 0), (99, 5), (2**64 + 3, 2**70 - 1), (-1, 7)):
+        a = HaarSampler(2, rng_seed=seed).generator(stream).standard_normal(8)
+        assert np.array_equal(a, rng_for(seed, stream).standard_normal(8))
+
+
 def test_sample_haar_norm_and_budget():
     rng = rng_for(1)
     state = sample_haar(3, rng)

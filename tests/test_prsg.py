@@ -10,6 +10,7 @@ from chslab.prsg import (
     PrsParams,
     _real_ideal_td,
     generate,
+    hybrid_mixture,
     hybrid_state,
     impossibility_attack,
     multi_key_report,
@@ -109,22 +110,24 @@ def test_empty_conditioned_set_raises_from_hybrid():
         hybrid_state(HybridSpec(2, PrsParams(lam=1, n=3, ell=1, t=2)))
 
 
-def test_sampled_mode_approaches_exact():
-    params = PrsParams(lam=2, n=3, ell=1, t=0)
-    rng = rng_for(12)
-    sampled = hybrid_state(HybridSpec(1, params), exact=False, rng=rng, trials=3000)
-    exact = hybrid_state(HybridSpec(1, params))
-    assert gram_trace_distance(sampled, exact) < 0.1
-    with pytest.raises(ValueError):
-        hybrid_state(HybridSpec(1, params), exact=False)
-
-
-def test_sampled_mode_covers_all_hybrids():
-    params = PrsParams(lam=2, n=3, ell=1, t=1)
-    rng = rng_for(13)
-    for index in range(1, 9):
-        state = hybrid_state(HybridSpec(index, params), exact=False, rng=rng, trials=40)
-        assert abs(sum(p for p, _ in state.ensemble) - 1.0) < 1e-9
+def test_fewer_strings_than_registers_reports_only_the_direct_distance():
+    # Three registers over two strings: no collision-free type of size 3 exists,
+    # so hybrids 5 to 7 are empty although hybrid 2 is not (t = 0).
+    params = PrsParams(lam=1, n=1, ell=3, t=0)
+    report = single_key_report(params)
+    expected = gram_trace_distance(
+        hybrid_state(HybridSpec(1, params)), hybrid_state(HybridSpec(8, params))
+    )
+    assert report.quantities["td_real_ideal"] == pytest.approx(expected, abs=1e-12)
+    assert report.quantities["td_h1_h2"] is None and report.quantities["sum_consecutive"] is None
+    assert any("chain unavailable" in note for note in report.notes)
+    hybrid_state(HybridSpec(2, params))
+    for index in (5, 6, 7):
+        with pytest.raises(ValueError, match="empty conditioned set") as ensemble:
+            hybrid_state(HybridSpec(index, params))
+        with pytest.raises(ValueError) as sector:
+            hybrid_mixture(HybridSpec(index, params))
+        assert str(sector.value) == str(ensemble.value)
 
 
 def test_two_parameter_rate_fit_describes_the_sweep():

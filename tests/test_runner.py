@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from chslab import runner
 from chslab.budgets import Budgets
 from chslab.cli import main
 from chslab.reporting import combined_csv, format_float
@@ -126,6 +127,31 @@ def test_sweep_marks_failures_and_continues():
     assert all(not r.passed() for r in reports)
     assert all("run failed" in note for r in reports for note in r.notes)
     assert "run_completed" in table
+
+
+def test_sweep_validates_every_config_before_running(monkeypatch):
+    started = []
+    monkeypatch.setattr(runner, "run", lambda config: started.append(config))
+    base = ExperimentConfig("prsg-td", {"n": 2}, seed=1)
+    with pytest.raises(ValueError, match="'lam' must be int, got 'x'"):
+        sweep(base, "lam", [1, "x"])
+    assert started == []
+
+
+def test_cli_sweep_rejects_bad_values_in_one_line(capsys):
+    code = main(["sweep", "prsg-td", "--axis", "lam", "--values", "1,x", "--n", "2"])
+    assert code != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "'lam' must be int" in captured.err
+
+
+def test_hybrid_scan_is_prsg_td_under_its_own_name():
+    params = {"lam": 2, "n": 3, "ell": 1, "t": 1}
+    alias = run(ExperimentConfig("hybrid-scan", params, seed=3))
+    report = run(ExperimentConfig("prsg-td", params, seed=3))
+    assert alias.experiment == "hybrid-scan"
+    assert alias.canonical_bytes().replace(b"hybrid-scan", b"prsg-td") == report.canonical_bytes()
 
 
 def test_sweep_axis_order_preserved():

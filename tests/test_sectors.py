@@ -6,6 +6,7 @@ those. Every sector-route quantity must agree with them to 1e-12.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,11 +92,12 @@ def test_multi_key_links_match_ensemble_route(lam, n, ell, t, p):
     )
 
 
-def _xor_prefix_permutation(N: int, size: int, n: int, lam: int, mask: int) -> np.ndarray:
-    """Basis permutation that XORs ``mask`` into the lam-bit prefix of every register."""
+def _relabelling(letters: np.ndarray, size: int) -> np.ndarray:
+    """Basis permutation that maps every register's value x to ``letters[x]``."""
+    N = len(letters)
     digits = np.indices((N,) * size).reshape(size, -1)
     radix = N ** np.arange(size - 1, -1, -1)
-    return (digits ^ (mask << (n - lam))).T @ radix
+    return letters[digits].T @ radix
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,36 +107,49 @@ def _xor_prefix_permutation(N: int, size: int, n: int, lam: int, mask: int) -> n
     ell=st.integers(1, 2),
     t=st.integers(0, 2),
     mask=st.integers(0, 7),
+    data=st.data(),
 )
-def test_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, mask):
+def test_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, mask, data):
     lam = max(1, n - lam_offset)
     N, size = 1 << n, ell + t
-    assume(N >= size and N**size <= 1024)
+    assume(N**size <= 1024)
     params = PrsParams(lam=lam, n=n, ell=ell, t=t)
     sector, dense, ensemble = {}, {}, {}
     for index in range(1, 9):
         try:
             ensemble[index] = hybrid_state(HybridSpec(index, params))
-        except ValueError:
-            with pytest.raises(ValueError, match="empty conditioned set"):
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
                 hybrid_mixture(HybridSpec(index, params))
             continue
         sector[index] = hybrid_mixture(HybridSpec(index, params))
         dense[index] = _sector_dense(sector[index], n)
         assert np.abs(dense[index] - ensemble[index].to_dense()).max() < ATOL
-    pairs = [(1, 8)] + (_CONSECUTIVE if 2 in sector else [])
+    chain = len(sector) == 8
+    pairs = [(1, 8)] + (_CONSECUTIVE if chain else [])
     for i, j in pairs:
         by_sector = sector_trace_distance(sector[i], sector[j])
         assert by_sector == pytest.approx(gram_trace_distance(ensemble[i], ensemble[j]), abs=ATOL)
         assert by_sector == pytest.approx(trace_distance(ensemble[i], ensemble[j]), abs=1e-10)
-    # XOR-relabelling the prefix of every register leaves the real state, and so
-    # the real/ideal distance, unchanged.
-    perm = _xor_prefix_permutation(N, size, n, lam, mask % (1 << lam))
-    relabelled = dense[1][np.ix_(perm, perm)]
-    assert np.abs(relabelled - dense[1]).max() < ATOL
-    ideal = dense[8]
-    real_ideal = 0.5 * np.abs(np.linalg.eigvalsh(relabelled - ideal)).sum()
-    assert real_ideal == pytest.approx(sector_trace_distance(sector[1], sector[8]), abs=1e-10)
+    report = single_key_report(params)
+    assert (report.quantities["td_h1_h2"] is not None) == chain
+    if chain:
+        assert report.flags["td_le_sum_of_steps"]
+    # Relabelling the values of every register, by XOR-ing a mask into the
+    # prefix or by permuting the suffixes under each prefix, leaves the real
+    # state, and so the real/ideal distance, unchanged.
+    suffixes = 1 << (n - lam)
+    by_prefix = [data.draw(st.permutations(range(suffixes))) for _ in range(1 << lam)]
+    xor_prefix = np.arange(N) ^ ((mask % (1 << lam)) << (n - lam))
+    permute_suffix = np.array(
+        [x - x % suffixes + by_prefix[x // suffixes][x % suffixes] for x in range(N)]
+    )
+    for letters in (xor_prefix, permute_suffix):
+        perm = _relabelling(letters, size)
+        relabelled = dense[1][np.ix_(perm, perm)]
+        assert np.abs(relabelled - dense[1]).max() < ATOL
+        real_ideal = 0.5 * np.abs(np.linalg.eigvalsh(relabelled - dense[8])).sum()
+        assert real_ideal == pytest.approx(report.quantities["td_real_ideal"], abs=1e-10)
 
 
 @settings(max_examples=15, deadline=None)
@@ -158,6 +173,8 @@ def test_multi_key_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, p):
         by_sector = sector_trace_distance(mixtures[j], mixtures[j + 1])
         assert by_sector == pytest.approx(gram_trace_distance(xis[j], xis[j + 1]), abs=ATOL)
         assert by_sector == pytest.approx(trace_distance(xis[j], xis[j + 1]), abs=1e-10)
+    report = multi_key_report(params)
+    assert report.flags["links_le_single_key"] and report.flags["td_le_sum_of_links"]
 
 
 @pytest.mark.parametrize("N, size", [(2, 1), (2, 5), (4, 3), (8, 4), (16, 3), (64, 3)])
