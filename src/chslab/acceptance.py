@@ -25,7 +25,7 @@ from .commitments import (
     honest_commit,
 )
 from .haar import HaarSampler, exact_moment, sample_haar, symmetric_projector
-from .pgm import PgmParams, overlap_bound_report
+from .pgm import PgmParams, pgm_report
 from .prsg import HybridSpec, PrsParams, hybrid_state, multi_key_report, single_key_report
 from .qla import (
     DensityOperator,
@@ -339,7 +339,7 @@ def pgm_bound() -> CriterionResult:
         details = []
         ok = True
         for n, m in ((1, 1), (2, 1), (2, 2), (3, 1)):
-            report = overlap_bound_report(PgmParams(n=n, m=m))
+            report = pgm_report(PgmParams(n=n, m=m))
             ok &= report.flags["q_le_bound"]
             ok &= report.flags["inv_sqrt_norm_matches_formula"]
             details.append(

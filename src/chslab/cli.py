@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .budgets import Budgets
+from .budgets import BudgetExceeded, Budgets
 from .reporting import format_float
 from .runner import ALIASES, SCHEMAS, ExperimentConfig, run, schema_of, sweep
 
@@ -124,7 +124,11 @@ def main(argv: list[str] | None = None) -> int:
         format=args.format,
         budgets=_budgets(args),
     )
-    report = run(config)
+    try:
+        report = run(config)
+    except (ValueError, BudgetExceeded) as err:
+        sys.stderr.write(f"chs-lab {experiment}: {err}\n")
+        return 2
     sys.stdout.write(report.to_json(include_timing=False))
     if args.timing:
         sys.stderr.write(f"wall clock: {format_float(report.duration_s)}s\n")

@@ -6,6 +6,9 @@ register here). Their unnormalized sum ``sigma`` is block diagonal over the
 first register's computational basis, with the blocks indexed by the
 remaining m-copy types; that structure gives the pseudo-inverse square root
 cheaply and pins its largest eigenvalue to a closed form.
+
+``pgm_report`` is the entry point: one report with the overlap quantity, its
+(m+1)/d cap, the inverse-root norm and the PGM success probability.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ def _phase_diagonal(x: int, params: PgmParams) -> np.ndarray:
     return np.kron(signs, np.ones(d**params.m))
 
 
+def _phase_state(moment: np.ndarray, x: int, params: PgmParams) -> DensityOperator:
+    """The dense (m+1)-copy moment with phase pattern x applied to the first copy."""
+    diag = _phase_diagonal(x, params)
+    conjugated = moment * np.outer(diag, diag)
+    return DensityOperator.from_dense(conjugated, (params.n,) * params.copies)
+
+
 def phase_ensemble_state(
     x: int, params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS
 ) -> DensityOperator:
@@ -59,9 +69,7 @@ def phase_ensemble_state(
         raise ValueError(f"label {x} does not fit in {params.n} bits")
     budgets.check_dense_dim(params.d ** params.copies, "phase_ensemble_state")
     moment = exact_moment(params.d, params.copies, budgets).to_dense(budgets)
-    diag = _phase_diagonal(x, params)
-    conjugated = moment * np.outer(diag, diag)
-    return DensityOperator.from_dense(conjugated, (params.n,) * params.copies)
+    return _phase_state(moment, x, params)
 
 
 def sigma_unnormalized(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> np.ndarray:
@@ -97,56 +105,27 @@ def sigma_unnormalized(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) ->
     return sigma
 
 
-def overlap_bound_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
-    """Q = E_x Tr(rho_x sigma^(-1/2) rho_x sigma^(-1/2)) against its (m+1)/d cap.
-
-    Also pins the largest eigenvalue of sigma^(-1/2) to the closed form
-    sqrt(C(d+m, m+1) (m+1) / d), which is the submultiplicativity ingredient
-    that yields the cap.
-    """
-    d, m = params.d, params.m
-    sigma = sigma_unnormalized(params, budgets)
-    inv_root = inv_sqrt_on_support(sigma, REL_RANK_CUTOFF)
-    q_total = 0.0
-    for x in range(d):
-        rho_x = phase_ensemble_state(x, params, budgets).to_dense(budgets)
-        sandwich = inv_root @ rho_x @ inv_root
-        q_total += float(np.real(np.trace(rho_x @ sandwich)))
-    q_mean = q_total / d
-    norm_measured = float(np.linalg.eigvalsh(inv_root).max())
-    norm_formula = math.sqrt(math.comb(d + m, m + 1) * (m + 1) / d)
-    quantities = {
-        "q_mean": q_mean,
-        "inv_sqrt_norm_measured": norm_measured,
-    }
-    bounds = {
-        "q_bound": (m + 1) / d,
-        "inv_sqrt_norm_formula": norm_formula,
-    }
-    flags = {
-        "q_le_bound": q_mean <= (m + 1) / d + ATOL_CHAIN,
-        "inv_sqrt_norm_matches_formula": abs(norm_measured - norm_formula) <= ATOL_CROSS_PATH,
-    }
-    return ExperimentReport(
-        experiment="pgm",
-        params={"n": params.n, "m": m},
-        quantities=quantities,
-        bounds=bounds,
-        flags=flags,
-    )
+def _trace_of_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr(a @ b) without forming the product."""
+    return float(np.real(np.einsum("ij,ji->", a, b)))
 
 
-def guess_probability_report(
-    params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS
-) -> ExperimentReport:
-    """Success probability of the pretty good measurement on the phase ensemble.
+def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
+    """The overlap Q = E_x Tr(rho_x S rho_x S), S = sigma^(-1/2), and the PGM success.
 
-    The POVM elements are sigma^(-1/2) rho_x sigma^(-1/2), completed on the
-    null space of sigma with weight I/d so they sum to the identity; the null
-    completion contributes nothing to any reported trace because every rho_x
-    is supported inside sigma. The source bound for arbitrary measurements is
-    stated as an equality with an unspecified constant, which is untestable as
-    written; it is treated as an upper bound with the fitted constant reported.
+    Q is tested against its (m+1)/d cap, and the largest eigenvalue of S is
+    pinned to the closed form sqrt(C(d+m, m+1) (m+1) / d), which is the
+    submultiplicativity ingredient that yields the cap.
+
+    The POVM elements are S rho_x S, completed on the null space of sigma with
+    weight I/d so they sum to the identity; the null completion contributes
+    nothing to any reported trace because every rho_x is supported inside
+    sigma. The source bound for arbitrary measurements is stated as an equality
+    with an unspecified constant, which is untestable as written; it is treated
+    as an upper bound with the fitted constant reported.
+
+    The moment, sigma, S and each rho_x are built once, and one Q feeds every
+    quantity, bound and flag that mentions it.
     """
     d, m = params.d, params.m
     dim = d ** params.copies
@@ -154,42 +133,50 @@ def guess_probability_report(
     inv_root = inv_sqrt_on_support(sigma, REL_RANK_CUTOFF)
     support, _ = support_projector(sigma, REL_RANK_CUTOFF)
     null_completion = (np.eye(dim) - support) / d
-    rhos = [phase_ensemble_state(x, params, budgets).to_dense(budgets) for x in range(d)]
+    moment = exact_moment(d, params.copies, budgets).to_dense(budgets)
     povm_sum = np.zeros((dim, dim), dtype=complex)
-    success = 0.0
-    for x, rho_x in enumerate(rhos):
-        element = inv_root @ rho_x @ inv_root + null_completion
+    overlap = success = 0.0
+    for x in range(d):
+        rho_x = _phase_state(moment, x, params).dense
+        sandwich = inv_root @ rho_x @ inv_root
+        overlap += _trace_of_product(rho_x, sandwich)
+        element = sandwich + null_completion
         povm_sum += element
-        success += float(np.real(np.trace(element @ rho_x)))
+        success += _trace_of_product(element, rho_x)
     completeness_error = float(np.abs(povm_sum - np.eye(dim)).max())
     if completeness_error > 1e-8:
         raise RuntimeError(
             f"POVM completeness violated by {completeness_error}; "
             "null-space completion is broken"
         )
+    q_mean = overlap / d
     guess = success / d
-    q_mean = sum(
-        float(np.real(np.trace(r @ inv_root @ r @ inv_root))) for r in rhos
-    ) / d
+    norm_measured = float(np.linalg.eigvalsh(inv_root).max())
+    norm_formula = math.sqrt(math.comb(d + m, m + 1) * (m + 1) / d)
     rate = math.sqrt(m / d + m**7 / d**3) if m else 0.0
     quantities = {
+        "q_mean": q_mean,
+        "inv_sqrt_norm_measured": norm_measured,
         "guess_probability": guess,
         "completeness_error": completeness_error,
-        "q_mean": q_mean,
         "fitted_constant": (guess / rate) if rate else float("nan"),
     }
     bounds = {
+        "q_bound": (m + 1) / d,
+        "inv_sqrt_norm_formula": norm_formula,
         "random_guess": 1.0 / d,
         "sqrt_q": math.sqrt(q_mean),
         "indistinguishability_rate": rate,
     }
     flags = {
+        "q_le_bound": q_mean <= (m + 1) / d + ATOL_CHAIN,
+        "inv_sqrt_norm_matches_formula": abs(norm_measured - norm_formula) <= ATOL_CROSS_PATH,
         "guess_ge_random": guess >= 1.0 / d - ATOL_CHAIN,
         "guess_le_sqrt_q": guess <= math.sqrt(q_mean) + ATOL_CHAIN,
         "povm_complete": completeness_error <= ATOL_STRUCTURAL,
     }
     return ExperimentReport(
-        experiment="pgm-guess",
+        experiment="pgm",
         params={"n": params.n, "m": m},
         quantities=quantities,
         bounds=bounds,

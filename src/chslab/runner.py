@@ -196,17 +196,7 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
         )
         report = commitments.hiding_distance(cparams, params["t"], budgets)
     elif experiment == "pgm":
-        pparams = pgm.PgmParams(n=params["n"], m=params["m"])
-        bound = pgm.overlap_bound_report(pparams, budgets)
-        guess = pgm.guess_probability_report(pparams, budgets)
-        report = ExperimentReport(
-            experiment="pgm",
-            params=params,
-            quantities={**bound.quantities, **guess.quantities},
-            bounds={**bound.bounds, **guess.bounds},
-            flags={**bound.flags, **guess.flags},
-            notes=bound.notes + guess.notes,
-        )
+        report = pgm.pgm_report(pgm.PgmParams(**params), budgets)
     elif experiment == "typestats":
         report = _run_typestats(params, seed, config.trials, budgets)
     else:  # unreachable after validate_params

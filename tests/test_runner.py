@@ -215,3 +215,131 @@ def test_cli_sweep(capsys):
 def test_cli_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["not-an-experiment"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prsg-td", "--lam", "3", "--n", "2"],
+        ["pgm", "--n", "0"],
+        ["prsg-td", "--lam", "2", "--n", "6", "--t", "3", "--max-type-count", "10"],
+    ],
+)
+def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"chs-lab {argv[0]}: ")
+    assert captured.err.count("\n") == 1
+
+
+# The public surface: exported names, experiment names, and the ordered report
+# keys (quantities, bounds, flags) of every CLI experiment at one small config.
+PUBLIC_NAMES = [
+    "BudgetExceeded", "Budgets", "DEFAULT_BUDGETS", "DensityOperator", "ExperimentReport",
+    "HaarSampler", "OrderedTuple", "PureState", "TypeVector", "apply_phase", "exact_moment",
+    "fidelity", "gram_trace_distance", "inv_sqrt_on_support", "is_l_fold_prefix_cf",
+    "key_average", "partial_trace", "sample_haar", "sample_type", "sample_type_conditioned",
+    "split_average", "symmetric_projector", "tensor", "trace_distance", "type_state",
+]
+PRSG_TD_KEYS = (
+    [
+        "td_real_ideal", "td_h1_h2", "td_h2_h3", "td_h3_h4", "td_h4_h5", "td_h5_h6",
+        "td_h6_h7", "td_h7_h8", "sum_consecutive",
+    ],
+    ["rate_h1_h2", "rate_h3_h4", "rate_h4_h5", "rate_h6_h7", "rate_h7_h8", "rate_total"],
+    ["td_le_sum_of_steps", "h2_h3_equivalent", "h5_h6_equivalent"],
+)
+REPORT_KEYS = [
+    ("prsg-td", {"lam": 2, "n": 3, "ell": 1, "t": 1}, PRSG_TD_KEYS),
+    ("hybrid-scan", {"lam": 2, "n": 3, "ell": 1, "t": 1}, PRSG_TD_KEYS),
+    (
+        "multikey-td",
+        {"lam": 2, "n": 3, "ell": 1, "t": 1, "p": 2},
+        (
+            [
+                "td_xi0_xi1", "single_key_td_j0", "td_xi1_xi2", "single_key_td_j1",
+                "td_real_ideal", "sum_links",
+            ],
+            ["rate_total"],
+            ["links_le_single_key", "td_le_sum_of_links"],
+        ),
+    ),
+    (
+        "impossibility",
+        {"lam": 1, "n": 2, "ell": 1, "t": 1},
+        (
+            ["tr_pi_rho0", "tr_pi_rho1", "advantage", "rank_rho0_measured", "rank_rho1_measured"],
+            ["rank_rho0_formula", "rank_rho1_formula", "rank_ratio"],
+            [
+                "tr_pi_rho0_is_one", "tr_pi_rho1_le_rank_ratio", "rank_rho0_le_formula",
+                "rank_rho1_matches_formula",
+            ],
+        ),
+    ),
+    (
+        "commit-binding",
+        {"lam": 1, "n": 2, "p": 2, "adversary": "half-angle"},
+        (
+            ["p0", "p1", "p0_plus_p1", "per_copy_fidelity"],
+            ["sum_binding_bound", "per_copy_fidelity_bound"],
+            ["p0_plus_p1_le_bound", "per_copy_fidelity_le_bound"],
+        ),
+    ),
+    (
+        "commit-hiding",
+        {"lam": 1, "n": 2, "p": 1, "t": 1},
+        (["td_hiding", "td_multikey_route", "route_difference"], ["rate_total"],
+         ["hiding_matches_multikey"]),
+    ),
+    (
+        "pgm",
+        {"n": 2, "m": 1},
+        (
+            [
+                "q_mean", "inv_sqrt_norm_measured", "guess_probability",
+                "completeness_error", "fitted_constant",
+            ],
+            [
+                "q_bound", "inv_sqrt_norm_formula", "random_guess", "sqrt_q",
+                "indistinguishability_rate",
+            ],
+            [
+                "q_le_bound", "inv_sqrt_norm_matches_formula", "guess_ge_random",
+                "guess_le_sqrt_q", "povm_complete",
+            ],
+        ),
+    ),
+    (
+        "typestats",
+        {"lam": 4, "ell": 1, "t": 3},
+        (
+            [
+                "cf_probability_estimate", "standard_error", "miss_probability",
+                "per_pair_collision_reading_literal", "per_pair_collision_reading_intended",
+                "cf_probability_exact",
+            ],
+            ["miss_rate_t2l_over_2lam", "fitted_constant"],
+            ["estimate_within_4_sigma_of_exact"],
+        ),
+    ),
+]
+
+
+def test_public_surface_is_pinned():
+    import chslab
+
+    assert chslab.__all__ == PUBLIC_NAMES
+    assert list(runner.SCHEMAS) == [
+        "prsg-td", "multikey-td", "impossibility", "commit-binding", "commit-hiding",
+        "pgm", "typestats",
+    ]
+    assert runner.ALIASES == {"hybrid-scan": "prsg-td"}
+    assert sorted(experiment for experiment, _, _ in REPORT_KEYS) == sorted(
+        [*runner.SCHEMAS, *runner.ALIASES]
+    )
+    for experiment, params, keys in REPORT_KEYS:
+        report = run(ExperimentConfig(experiment, params, seed=1, trials=200))
+        assert (list(report.quantities), list(report.bounds), list(report.flags)) == keys, (
+            experiment
+        )
