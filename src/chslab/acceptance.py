@@ -24,7 +24,13 @@ from .commitments import (
     commit_copy,
     honest_commit,
 )
-from .haar import HaarSampler, exact_moment, sample_haar, symmetric_projector
+from .haar import (
+    HaarSampler,
+    exact_moment,
+    sample_haar,
+    sampled_moment_distance,
+    symmetric_projector,
+)
 from .pgm import PgmParams, pgm_report
 from .prsg import HybridSpec, PrsParams, hybrid_state, multi_key_report, single_key_report
 from .qla import (
@@ -72,13 +78,8 @@ def haar_moment_oracle() -> CriterionResult:
         for N, t in ((2, 2), (4, 2), (4, 3)):
             n = N.bit_length() - 1
             vecs = HaarSampler(n, rng_seed=101).statevectors(samples)
-            power = vecs
-            for _ in range(t - 1):
-                power = np.einsum("bi,bj->bij", power, vecs).reshape(samples, -1)
-            mc = power.T @ power.conj() / samples
             exact = exact_moment(N, t).to_dense()
-            diff_vals = np.linalg.eigvalsh(0.5 * (mc + mc.conj().T) - exact)
-            worst_td = max(worst_td, 0.5 * float(np.abs(diff_vals).sum()))
+            worst_td = max(worst_td, sampled_moment_distance(vecs, t, exact))
             projector = symmetric_projector(N, t) / math.comb(N + t - 1, t)
             worst_proj = max(worst_proj, float(np.abs(exact - projector).max()))
         elapsed = time.perf_counter() - start

@@ -21,7 +21,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import exact_moment
-from .qla import DensityOperator, inv_sqrt_on_support, support_projector
+from .qla import DensityOperator, _support_eigh
 from .reporting import ExperimentReport
 from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_STRUCTURAL, REL_RANK_CUTOFF
 from .typestates import TypeVector, phase_sign, type_state
@@ -124,15 +124,17 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     with an unspecified constant, which is untestable as written; it is treated
     as an upper bound with the fitted constant reported.
 
-    The moment, sigma, S and each rho_x are built once, and one Q feeds every
-    quantity, bound and flag that mentions it.
+    The moment, sigma and each rho_x are built once; one eigendecomposition of
+    sigma gives S, the support projector and the norm of S (from the kept
+    eigenvalues), and one Q feeds every quantity, bound and flag that
+    mentions it.
     """
     d, m = params.d, params.m
     dim = d ** params.copies
     sigma = sigma_unnormalized(params, budgets)
-    inv_root = inv_sqrt_on_support(sigma, REL_RANK_CUTOFF)
-    support, _ = support_projector(sigma, REL_RANK_CUTOFF)
-    null_completion = (np.eye(dim) - support) / d
+    vals, vecs = _support_eigh(sigma, REL_RANK_CUTOFF)
+    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    null_completion = (np.eye(dim) - vecs @ vecs.conj().T) / d
     moment = exact_moment(d, params.copies, budgets).to_dense(budgets)
     povm_sum = np.zeros((dim, dim), dtype=complex)
     overlap = success = 0.0
@@ -151,7 +153,7 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
         )
     q_mean = overlap / d
     guess = success / d
-    norm_measured = float(np.linalg.eigvalsh(inv_root).max())
+    norm_measured = float(1.0 / np.sqrt(vals.min()))
     norm_formula = math.sqrt(math.comb(d + m, m + 1) * (m + 1) / d)
     rate = math.sqrt(m / d + m**7 / d**3) if m else 0.0
     quantities = {

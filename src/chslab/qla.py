@@ -342,29 +342,34 @@ def fidelity(
     return float(np.sqrt(vals).sum() ** 2)
 
 
+def _support_eigh(mat: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix with eigenvalue strictly above rel_tol * max.
+
+    One ``eigh``; the kept eigenvalues and their eigenvector columns span the
+    numerical support. A zero (or negative) matrix keeps nothing.
+    """
+    vals, vecs = np.linalg.eigh(mat)
+    mask = vals > rel_tol * vals.max()
+    return vals[mask], vecs[:, mask]
+
+
 def inv_sqrt_on_support(rho, rel_tol: float = REL_RANK_CUTOFF) -> np.ndarray:
     """Pseudo-inverse square root of a PSD matrix.
 
-    Eigenvalues at least ``rel_tol`` times the largest map to ``lambda**-0.5``;
+    Eigenvalues above ``rel_tol`` times the largest map to ``lambda**-0.5``;
     the rest map to zero, so the result acts only on the support.
     """
     mat = rho.to_dense() if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    vals, vecs = np.linalg.eigh(mat)
-    top = vals.max()
-    if top <= 0.0:
+    vals, vecs = _support_eigh(mat, rel_tol)
+    if not len(vals):
         raise ValueError("operator is zero (or negative); no support to invert on")
-    inv = np.where(vals >= rel_tol * top, 1.0 / np.sqrt(np.clip(vals, rel_tol * top, None)), 0.0)
-    return (vecs * inv) @ vecs.conj().T
+    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
 
 
 def support_projector(mat: np.ndarray, rel_tol: float = REL_RANK_CUTOFF) -> tuple[np.ndarray, int]:
-    """Projector onto the span of eigenvectors with eigenvalue > rel_tol * max."""
-    vals, vecs = np.linalg.eigh(mat)
-    top = float(vals.max())
-    mask = vals > rel_tol * top
-    rank = int(mask.sum())
-    kept = vecs[:, mask]
-    return kept @ kept.conj().T, rank
+    """Projector onto the span of eigenvectors with eigenvalue > rel_tol * max, and its rank."""
+    _, kept = _support_eigh(mat, rel_tol)
+    return kept @ kept.conj().T, kept.shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chslab import haar
 from chslab.budgets import BudgetExceeded, Budgets
-from chslab.haar import HaarSampler, exact_moment, haar_statevector, sample_haar, symmetric_projector
+from chslab.haar import (
+    HaarSampler,
+    exact_moment,
+    haar_statevector,
+    sample_haar,
+    sampled_moment_distance,
+    symmetric_projector,
+)
 from chslab.runner import rng_for
+
+CHUNK = haar._CHUNK_TRIALS
 
 
 def test_sampler_deterministic_per_trial():
@@ -16,6 +28,44 @@ def test_sampler_deterministic_per_trial():
     # batch order does not change the per-trial streams
     batch = a.statevectors(4, start_trial=4)
     assert np.array_equal(batch[1], b.statevector(5))
+    # single trials past the first chunk are rows of the batch, as is sample()
+    vec = a.statevector(CHUNK + 2)
+    assert np.array_equal(vec, b.statevectors(CHUNK + 3)[CHUNK + 2])
+    assert np.array_equal(a.sample(CHUNK + 2).dense(), vec)
+
+
+def _assert_rows_are_fresh_streams(n, seed, start, count):
+    vecs = HaarSampler(n, rng_seed=seed).statevectors(count, start_trial=start)
+    assert vecs.shape == (count, 1 << n)
+    for i, row in enumerate(vecs):
+        assert np.array_equal(row, haar_statevector(n, rng_for(seed, start + i)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", [0, 101, 2**64 + 3, -1])
+def test_batched_rows_are_bitwise_the_per_trial_streams(n, seed):
+    for count in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1):
+        _assert_rows_are_fresh_streams(n, seed, 0, count)
+    # the trial index wraps modulo 2^64 inside the batch
+    _assert_rows_are_fresh_streams(n, seed, 2**64 - 2, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(-(2**65), 2**65),
+    start=st.integers(-(2**65), 2**65),
+    count=st.integers(0, 40),
+)
+def test_batched_rows_match_streams_property(n, seed, start, count):
+    _assert_rows_are_fresh_streams(n, seed, start, count)
+
+
+def test_sampler_rejects_zero_qubits_and_budget_overflow():
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        HaarSampler(0, 1).statevectors(3)
+    with pytest.raises(BudgetExceeded, match="dense dimension 8192 exceeds budget 4096"):
+        HaarSampler(13, 1).statevector(0)
 
 
 def test_runner_streams_are_the_sampler_streams():
@@ -96,10 +146,7 @@ def test_monte_carlo_moment_error_halves_with_4x_samples():
 
     def mc_error(samples, seed):
         vecs = HaarSampler(2, rng_seed=seed).statevectors(samples)
-        power = np.einsum("bi,bj->bij", vecs, vecs).reshape(samples, -1)
-        mc = power.T @ power.conj() / samples
-        vals = np.linalg.eigvalsh(0.5 * (mc + mc.conj().T) - exact)
-        return 0.5 * np.abs(vals).sum()
+        return sampled_moment_distance(vecs, 2, exact)
 
     small = np.mean([mc_error(2000, s) for s in (55, 56, 57)])
     large = np.mean([mc_error(8000, s) for s in (58, 59, 60)])

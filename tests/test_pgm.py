@@ -132,13 +132,23 @@ def _counting(monkeypatch, name, calls):
 def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m):
     params = PgmParams(n=n, m=m)
     calls = []
-    for name in ("exact_moment", "sigma_unnormalized", "inv_sqrt_on_support", "_phase_diagonal"):
+    for name in ("exact_moment", "sigma_unnormalized", "_support_eigh", "_phase_diagonal"):
         _counting(monkeypatch, name, calls)
+    eighs = []
+    original_eigh = np.linalg.eigh
+
+    def counted_eigh(mat, *args, **kwargs):
+        eighs.append(mat.shape)
+        return original_eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     report = pgm_report(params)
     names = [name for name, _ in calls]
     assert names.count("exact_moment") == 1
     assert names.count("sigma_unnormalized") == 1
-    assert names.count("inv_sqrt_on_support") == 1
+    # sigma is eigendecomposed once: S, the support and the norm of S share it
+    assert names.count("_support_eigh") == 1
+    assert len(eighs) == 1
     assert [x for name, x in calls if name == "_phase_diagonal"] == list(range(params.d))
     # every flag that mentions Q tests the published q_mean
     q_mean = report.quantities["q_mean"]

@@ -11,6 +11,7 @@ from chslab.qla import (
     partial_trace,
     partial_trace_pure,
     random_density,
+    support_projector,
     tensor,
     trace_distance,
 )
@@ -214,6 +215,16 @@ def test_inv_sqrt_on_support():
     assert np.allclose(inv_sqrt_on_support(mat), np.diag([0.5, 0.0]))
     with pytest.raises(ValueError):
         inv_sqrt_on_support(np.zeros((2, 2)))
+
+
+def test_support_cutoff_is_strict_and_shared():
+    # an eigenvalue at exactly rel_tol * max lies outside the support of both
+    mat = np.diag([1.0, 0.25])
+    projector, rank = support_projector(mat, rel_tol=0.25)
+    assert rank == 1
+    assert np.allclose(projector, np.diag([1.0, 0.0]))
+    assert np.allclose(inv_sqrt_on_support(mat, rel_tol=0.25), np.diag([1.0, 0.0]))
+    assert support_projector(np.zeros((2, 2)))[1] == 0
 
 
 def test_dense_budget_enforced():
