@@ -32,7 +32,7 @@ from .qla import (
 )
 from .reporting import ExperimentReport
 from .tolerances import ATOL_CHAIN, ATOL_STRUCTURAL
-from .typestates import TypeVector, phase_sign, type_state
+from .typestates import TypeVector, enumerate_types, phase_sign, type_state
 
 
 @dataclass(frozen=True)
@@ -376,11 +376,10 @@ def hiding_distance(
     kept_dim = 1 << (n * size)
     budgets.check_dense_dim(kept_dim, "hiding_distance")
     count = math.comb(N + size - 1, size)
-    budgets.check_type_count(count, "hiding_distance")
     keep = list(range(t)) + [t + 2 * i for i in range(p)]
     side0 = np.zeros((kept_dim, kept_dim), dtype=complex)
-    for combo in itertools.combinations_with_replacement(range(N), size):
-        big = _commit_isometry_state(combo, n, lam, t, p)
+    for T in enumerate_types(N, size, budgets):
+        big = _commit_isometry_state(T.elements, n, lam, t, p)
         side0 += partial_trace_pure(big, keep, budgets) / count
     mixed = np.eye(1 << n) / (1 << n)
     side1 = exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1)

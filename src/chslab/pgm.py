@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .haar import exact_moment
 from .qla import DensityOperator, _support_eigh
 from .reporting import ExperimentReport
 from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_STRUCTURAL, REL_RANK_CUTOFF
-from .typestates import TypeVector, phase_sign, type_state
+from .typestates import enumerate_types, phase_sign, type_state
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def sigma_unnormalized(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) ->
         sigma = (d / C(d+m, m+1)) * sum_j sum_{m-types s}
                 ((s_j + 1) / (m+1)) |j><j| (x) |s><s|.
     """
-    d, m, n = params.d, params.m, params.n
+    d, m = params.d, params.m
     dim = d ** params.copies
     budgets.check_dense_dim(dim, "sigma_unnormalized")
     count = math.comb(d + m, m + 1)
@@ -89,9 +88,9 @@ def sigma_unnormalized(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) ->
     sigma = np.zeros((dim, dim), dtype=complex)
     rest_states = []
     if m:
-        for combo in combinations_with_replacement(range(d), m):
-            vec = type_state(TypeVector(combo, n, n)).dense(budgets)
-            rest_states.append((combo, np.outer(vec, vec.conjugate())))
+        for T in enumerate_types(d, m, budgets):
+            vec = type_state(T).dense(budgets)
+            rest_states.append((T.elements, np.outer(vec, vec.conjugate())))
     for j in range(d):
         block = np.zeros((block_dim, block_dim), dtype=complex)
         if m:

@@ -7,10 +7,10 @@ out ``ell`` copies of an independent state instead. Both sides reduce to exact
 finite mixtures of (phased) type states, so every distance in the eight-step
 hybrid chain between them is computed exactly, with no sampling.
 
-The reports build those mixtures block by block over sectors of register
-values (``sectors``). ``hybrid_state`` and ``_multikey_xi`` build the same
-mixtures as PureState ensembles; they are the independent route that the
-tests compare the sector blocks against.
+Every report, the rank attack included, builds those mixtures block by block
+over sectors of register values (``sectors``). ``hybrid_state`` and
+``_multikey_xi`` build the same mixtures as PureState ensembles; they are the
+independent route that the tests compare the sector blocks against.
 """
 
 from __future__ import annotations
@@ -23,18 +23,20 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import exact_moment
-from .qla import DensityOperator, PureState, support_projector, tensor
+from .qla import DensityOperator, PureState, tensor
 from .reporting import ExperimentReport
 from .sectors import (
     SectorMixture,
     SectorSpace,
     arrangements,
     indicator_mixture,
+    sector_support_overlap,
     sector_trace_distance,
 )
-from .tolerances import ATOL_CHAIN, ATOL_IDENTITY, REL_RANK_CUTOFF
+from .tolerances import ATOL_CHAIN, ATOL_IDENTITY
 from .typestates import (
     TypeVector,
+    enumerate_types,
     is_l_fold_prefix_cf,
     keyed_members,
     split_members,
@@ -103,19 +105,6 @@ def _product_members(n: int, first_types, second_types, weight: float):
     return members
 
 
-def _all_types(N: int, size: int, budgets: Budgets):
-    budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
-    return list(itertools.combinations_with_replacement(range(N), size))
-
-
-def _prefix_cf_types(N: int, size: int, n: int, lam: int, ell: int, budgets: Budgets):
-    out = []
-    for elements in _all_types(N, size, budgets):
-        if is_l_fold_prefix_cf(TypeVector(elements, n, lam), ell, budgets):
-            out.append(elements)
-    return out
-
-
 def _hybrid_size(index: int, p: PrsParams, cf_count: int) -> int:
     """How many equally likely choices hybrid ``index`` averages over.
 
@@ -149,47 +138,42 @@ def _empty_hybrid(index: int, p: PrsParams) -> ValueError:
 def hybrid_state(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> DensityOperator:
     """Ensemble realizing one of the eight hybrid distributions exactly.
 
-    Enumerates every (type, key) or (type, split) choice with its exact
-    probability; the reference the sector route (``hybrid_mixture``) is
-    checked against.
+    Enumerates every (type, key) or (type, split) choice with probability
+    ``1 / _hybrid_size``, which the ensemble checks by summing to one; the
+    reference the sector route (``hybrid_mixture``) is checked against.
     """
     p = spec.params
     N = 1 << p.n
     size = p.ell + p.t
-    shape = (p.n,) * size
-    cf_types = (
-        _prefix_cf_types(N, size, p.n, p.lam, p.ell, budgets) if spec.index in (2, 3) else []
-    )
-    if _hybrid_size(spec.index, p, len(cf_types)) == 0:
+    types = []
+    if spec.index in (1, 4):
+        types = [T.elements for T in enumerate_types(N, size, budgets)]
+    elif spec.index in (2, 3):
+        cf = enumerate_types(N, size, budgets, prefix_bits=p.lam)
+        types = [T.elements for T in cf if is_l_fold_prefix_cf(T, p.ell, budgets)]
+    elif spec.index == 5:
+        types = list(itertools.combinations(range(N), size))
+    count = _hybrid_size(spec.index, p, len(types))
+    if count == 0:
         raise _empty_hybrid(spec.index, p)
     if spec.index in (1, 2):
-        types = _all_types(N, size, budgets) if spec.index == 1 else cf_types
-        members = keyed_members(p.n, p.lam, (tuple(range(p.ell)),), types, 1.0 / len(types))
+        members = keyed_members(p.n, p.lam, (tuple(range(p.ell)),), types, 1.0 / count)
     elif spec.index in (3, 4, 5):
-        if spec.index == 3:
-            types = cf_types
-        elif spec.index == 4:
-            types = _all_types(N, size, budgets)
-        else:
-            types = list(itertools.combinations(range(N), size))
-        members = split_members(p.n, types, p.ell, 1.0 / len(types))
+        members = split_members(p.n, types, p.ell, 1.0 / count)
     elif spec.index == 6:
-        firsts = list(itertools.combinations(range(N), p.ell))
         members = []
-        weight = 1.0 / (len(firsts) * math.comb(N - p.ell, p.t))
-        for first in firsts:
-            remaining = [x for x in range(N) if x not in first]
-            seconds = list(itertools.combinations(remaining, p.t))
-            members.extend(_product_members(p.n, [first], seconds, weight))
+        for first in itertools.combinations(range(N), p.ell):
+            seconds = itertools.combinations([x for x in range(N) if x not in first], p.t)
+            members += _product_members(p.n, [first], seconds, 1.0 / count)
     elif spec.index == 7:
-        firsts = list(itertools.combinations(range(N), p.ell))
+        firsts = itertools.combinations(range(N), p.ell)
         seconds = list(itertools.combinations(range(N), p.t))
-        members = _product_members(p.n, firsts, seconds, 1.0 / (len(firsts) * len(seconds)))
+        members = _product_members(p.n, firsts, seconds, 1.0 / count)
     else:
-        firsts = _all_types(N, p.ell, budgets)
-        seconds = _all_types(N, p.t, budgets)
-        members = _product_members(p.n, firsts, seconds, 1.0 / (len(firsts) * len(seconds)))
-    return DensityOperator(shape, ensemble=tuple(members))
+        firsts = (T.elements for T in enumerate_types(N, p.ell, budgets))
+        seconds = [T.elements for T in enumerate_types(N, p.t, budgets)] if p.t else [()]
+        members = _product_members(p.n, firsts, seconds, 1.0 / count)
+    return DensityOperator((p.n,) * size, ensemble=tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +378,7 @@ def _multikey_xi(j: int, params: PrsParams, budgets: Budgets) -> DensityOperator
     parts: list[DensityOperator] = [exact_moment(N, ell, budgets) for _ in range(j)]
     if keyed_size:
         groups = tuple(tuple(range(g * ell, (g + 1) * ell)) for g in range(keyed_groups))
-        types = _all_types(N, keyed_size, budgets)
+        types = [T.elements for T in enumerate_types(N, keyed_size, budgets)]
         if groups:
             members = keyed_members(n, lam, groups, types, 1.0 / len(types))
             keyed = DensityOperator((n,) * keyed_size, ensemble=tuple(members))
@@ -457,23 +441,16 @@ def impossibility_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) 
     the attack measures the support projector of rho0. Acceptance of rho0 is
     exactly 1, and acceptance of rho1 is at most rank(rho0)/rank(rho1) because
     rho1 is maximally mixed on its support.
+
+    rho0 and rho1 are hybrids 1 and 8 with the register groups swapped: one
+    unitary on both, which keeps the ranks and carries Pi along, so the sector
+    blocks of hybrids 1 and 8 (generated copies first) give the same numbers.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
-    N = 1 << n
-    size = t + ell
-    budgets.check_dense_dim(N**size, "impossibility_attack")
-    types = _all_types(N, size, budgets)
-    phase_targets = tuple(range(t, t + ell))
-    members = keyed_members(n, lam, (phase_targets,), types, 1.0 / len(types))
-    rho0 = DensityOperator((n,) * size, ensemble=tuple(members)).to_dense(budgets)
-    rho1 = np.kron(
-        exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1),
-        exact_moment(N, ell, budgets).to_dense(budgets),
+    space = SectorSpace(1 << n, ell + t, budgets)
+    rank0, rank1, tr_rho0, tr_rho1 = sector_support_overlap(
+        _sector_hybrid(1, params, space), _sector_hybrid(8, params, space)
     )
-    projector, rank0 = support_projector(rho0, REL_RANK_CUTOFF)
-    rank1 = int((np.linalg.eigvalsh(rho1) > REL_RANK_CUTOFF / N**size).sum())
-    tr_rho0 = float(np.real(np.trace(projector @ rho0)))
-    tr_rho1 = float(np.real(np.trace(projector @ rho1)))
     rank0_formula = 2**lam * math.comb(2**n + ell + t - 1, ell + t)
     rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
     quantities = {

@@ -122,6 +122,8 @@ def validate_params(experiment: str, params: dict) -> dict:
 
 def _run_typestats(params: dict, seed: int, trials: int, budgets: Budgets) -> ExperimentReport:
     lam, m_suffix, ell, t = params["lam"], params["m_suffix"], params["ell"], params["t"]
+    if lam < 1 or ell < 1 or t < 1 or m_suffix < 0:
+        raise ValueError("need lam >= 1, ell >= 1, t >= 1, m_suffix >= 0")
     rng = rng_for(seed)
     estimate = typestates.estimate_cf_probability(lam, m_suffix, ell, t, trials, rng, budgets)
     stderr = math.sqrt(max(estimate * (1 - estimate), 1e-12) / trials)

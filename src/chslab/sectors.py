@@ -10,7 +10,8 @@ The mixtures built from this module have, on every sector, the form
 says, per ordering, which key it carries and which weight. The blocks of all
 sectors that share one multiplicity shape (``(2, 1)`` for ``{a, a, b}``) are
 stored as one ``(count, d, d)`` array, zero for the sectors a mixture does not
-touch, so a trace distance is one batched ``eigvalsh`` per shape.
+touch, so a trace distance is one batched ``eigvalsh`` per shape and a support
+projection one batched ``eigh`` per shape.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
+from .tolerances import REL_RANK_CUTOFF
 from .typestates import distinct_orderings
 
 
@@ -129,17 +131,38 @@ def indicator_mixture(space: SectorSpace, describe: Describe) -> SectorMixture:
     return SectorMixture(space, tuple(blocks))
 
 
+def _check_same_space(a: SectorMixture, b: SectorMixture) -> None:
+    spaces = [(m.space.N, m.space.size) for m in (a, b)]
+    if spaces[0] != spaces[1]:
+        raise ValueError(f"sector spaces differ: (N, size) = {spaces[0]} vs {spaces[1]}")
+
+
 def sector_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
     """Half the trace norm of ``a - b``, summed block by block."""
-    if (a.space.N, a.space.size) != (b.space.N, b.space.size):
-        raise ValueError(
-            f"sector spaces differ: N={a.space.N}, size={a.space.size} "
-            f"vs N={b.space.N}, size={b.space.size}"
-        )
+    _check_same_space(a, b)
     total = 0.0
     for x, y in zip(a.blocks, b.blocks):
         total += float(np.abs(np.linalg.eigvalsh(x - y)).sum())
     return 0.5 * total
+
+
+def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int, float, float]:
+    """Ranks of ``a`` and ``b``, then ``Tr(Pi a)`` and ``Tr(Pi b)`` for Pi onto a's support.
+
+    Eigenvalues count when strictly above ``REL_RANK_CUTOFF`` times the largest
+    over all blocks, as for the whole operator. Pi keeps the eigenvectors V of
+    a's blocks (one batched ``eigh`` per shape group); Tr(Pi b) sums Tr(V^T B V).
+    """
+    _check_same_space(a, b)
+    eigs = [np.linalg.eigh(x) for x in a.blocks]
+    vals = np.concatenate([w.ravel() for w, _ in eigs])
+    overlaps = np.concatenate(
+        [np.einsum("cij,cij->cj", v, y @ v).ravel() for (_, v), y in zip(eigs, b.blocks)]
+    )
+    vals_b = np.concatenate([np.linalg.eigvalsh(y).ravel() for y in b.blocks])
+    kept = vals > REL_RANK_CUTOFF * vals.max()
+    rank_b = int((vals_b > REL_RANK_CUTOFF * vals_b.max()).sum())
+    return int(kept.sum()), rank_b, float(vals[kept].sum()), float(overlaps[kept].sum())
 
 
 def arrangements(values: np.ndarray) -> np.ndarray:

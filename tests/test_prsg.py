@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chslab.budgets import BudgetExceeded, Budgets
+from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.haar import exact_moment
 from chslab.prsg import (
     HybridSpec,
@@ -16,9 +18,16 @@ from chslab.prsg import (
     multi_key_report,
     single_key_report,
 )
-from chslab.qla import DensityOperator, PureState, gram_trace_distance, trace_distance
+from chslab.qla import (
+    DensityOperator,
+    PureState,
+    gram_trace_distance,
+    support_projector,
+    trace_distance,
+)
 from chslab.runner import rng_for
-from chslab.typestates import apply_phase
+from chslab.tolerances import ATOL_CHAIN, REL_RANK_CUTOFF
+from chslab.typestates import apply_phase, enumerate_types, keyed_members
 
 
 def test_params_invariants():
@@ -200,5 +209,82 @@ def test_impossibility_attack_small_cases():
 
 
 def test_impossibility_attack_budget():
+    # C(67, 4) = 766,480 sectors exceed the type-enumeration budget.
     with pytest.raises(BudgetExceeded):
         impossibility_attack(PrsParams(lam=1, n=6, ell=2, t=2), Budgets(max_dense_dim=4096))
+
+
+def _dense_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS):
+    """The rank attack on dense N^(ell+t) matrices, common copies first.
+
+    The independent route for ``impossibility_attack``: rho0 from the keyed
+    PureState ensemble, rho1 from the Kronecker product of the exact moments,
+    one full-size support projector. Returns the measured quantities and the
+    four flags.
+    """
+    lam, n, ell, t = params.lam, params.n, params.ell, params.t
+    N = 1 << n
+    size = t + ell
+    budgets.check_dense_dim(N**size, "impossibility_attack")
+    types = [T.elements for T in enumerate_types(N, size, budgets)]
+    phase_targets = tuple(range(t, t + ell))
+    members = keyed_members(n, lam, (phase_targets,), types, 1.0 / len(types))
+    rho0 = DensityOperator((n,) * size, ensemble=tuple(members)).to_dense(budgets)
+    rho1 = np.kron(
+        exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1),
+        exact_moment(N, ell, budgets).to_dense(budgets),
+    )
+    projector, rank0 = support_projector(rho0, REL_RANK_CUTOFF)
+    rank1 = int((np.linalg.eigvalsh(rho1) > REL_RANK_CUTOFF / N**size).sum())
+    tr_rho0 = float(np.real(np.trace(projector @ rho0)))
+    tr_rho1 = float(np.real(np.trace(projector @ rho1)))
+    rank0_formula = 2**lam * math.comb(2**n + ell + t - 1, ell + t)
+    rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
+    quantities = {
+        "tr_pi_rho0": tr_rho0,
+        "tr_pi_rho1": tr_rho1,
+        "rank_rho0_measured": rank0,
+        "rank_rho1_measured": rank1,
+    }
+    flags = {
+        "tr_pi_rho0_is_one": abs(tr_rho0 - 1.0) <= ATOL_CHAIN,
+        "tr_pi_rho1_le_rank_ratio": tr_rho1 <= rank0 / rank1_formula + ATOL_CHAIN,
+        "rank_rho0_le_formula": rank0 <= rank0_formula,
+        "rank_rho1_matches_formula": rank1 == rank1_formula,
+    }
+    return quantities, flags
+
+
+# Every (lam, n, ell, t) whose dense matrices have at most 512 rows.
+_SMALL_ATTACKS = [
+    (lam, n, ell, size - ell)
+    for n in range(1, 10)
+    for size in range(1, 10)
+    if (1 << n) ** size <= 512
+    for lam in range(1, n + 1)
+    for ell in range(1, size + 1)
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=st.sampled_from(_SMALL_ATTACKS))
+def test_sector_rank_attack_matches_dense_reference(config):
+    params = PrsParams(*config)
+    quantities, flags = _dense_attack(params)
+    report = impossibility_attack(params)
+    for key in ("rank_rho0_measured", "rank_rho1_measured"):
+        assert type(report.quantities[key]) is int
+        assert report.quantities[key] == quantities[key], key
+    for key in ("tr_pi_rho0", "tr_pi_rho1"):
+        assert report.quantities[key] == pytest.approx(quantities[key], abs=1e-12), key
+    assert report.flags == flags
+
+
+def test_impossibility_attack_beyond_the_dense_dimension():
+    # N^(ell+t) = 32768 exceeds the default dense budget; the blocks do not.
+    params = PrsParams(lam=2, n=5, ell=1, t=2)
+    with pytest.raises(BudgetExceeded):
+        _dense_attack(params)
+    report = impossibility_attack(params)
+    assert report.quantities["rank_rho1_measured"] == report.bounds["rank_rho1_formula"]
+    assert all(report.flags.values())

@@ -233,6 +233,22 @@ def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["typestats", "--lam", "0"],
+        ["typestats", "--lam", "4", "--ell", "0"],
+        ["typestats", "--lam", "4", "--t", "0"],
+        ["typestats", "--lam", "4", "--m-suffix", "-5"],
+    ],
+)
+def test_cli_typestats_rejects_out_of_range_input_in_one_line(argv, capsys):
+    assert main([*argv, "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chs-lab typestats: need lam >= 1, ell >= 1, t >= 1, m_suffix >= 0\n"
+
+
 # The public surface: exported names, experiment names, and the ordered report
 # keys (quantities, bounds, flags) of every CLI experiment at one small config.
 PUBLIC_NAMES = [

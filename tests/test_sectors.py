@@ -26,7 +26,13 @@ from chslab.prsg import (
     single_key_report,
 )
 from chslab.qla import gram_trace_distance, trace_distance
-from chslab.sectors import SectorSpace, arrangements, sector_trace_distance
+from chslab.sectors import (
+    SectorMixture,
+    SectorSpace,
+    arrangements,
+    sector_support_overlap,
+    sector_trace_distance,
+)
 
 ATOL = 1e-12
 
@@ -224,3 +230,14 @@ def test_budgets_are_enforced_on_the_sector_route():
         single_key_report(PrsParams(lam=2, n=3, ell=1, t=2), Budgets(max_subset_pairs=8))
     with pytest.raises(BudgetExceeded, match="subset pairs"):
         hybrid_mixture(HybridSpec(3, params), Budgets(max_subset_pairs=3))
+
+
+def test_support_overlap_cuts_relative_to_the_largest_eigenvalue_of_all_blocks():
+    # The second sector's block holds only a tiny eigenvalue: one dense
+    # matrix's relative cutoff drops it, and so must the blocks.
+    space = SectorSpace(2, 1)
+    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),))
+    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),))
+    assert sector_support_overlap(a, b) == (1, 2, 1.0, 0.25)
+    with pytest.raises(ValueError, match="sector spaces differ"):
+        sector_support_overlap(a, SectorMixture(SectorSpace(2, 2), b.blocks))
