@@ -4,9 +4,10 @@
     chs-lab sweep <experiment> --axis NAME --values 1,2,3 [fixed params...]
     chs-lab acceptance
 
-Flags can also come from a JSON config file (--config FILE); explicit flags
-override file values. The environment variable CHS_LAB_PARALLELISM selects
-how many sweep runs execute in parallel (all cores when unset).
+The experiment's parameters can also come from a JSON object in a file
+(--config FILE); explicit flags override file values. A file that cannot be
+read, is not a JSON object or holds a key that is not a parameter of the
+experiment is refused with exit code 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=10_000, help="Monte-Carlo trial count")
     parser.add_argument("--out", type=str, default=None, help="report output path")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--config", type=str, default=None, help="JSON file with flag defaults")
+    parser.add_argument("--config", type=str, default=None, help="JSON object of parameters")
     parser.add_argument("--timing", action="store_true", help="print wall-clock duration")
     parser.add_argument("--max-dense-dim", type=int, default=None)
     parser.add_argument("--max-type-count", type=int, default=None)
@@ -57,11 +58,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace, names) -> dict:
+def _merge_config_file(args: argparse.Namespace, experiment: str) -> dict:
+    """Flag values over the ``--config`` file's; a bad file raises ``ValueError``."""
+    names = schema_of(experiment)
     from_file = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            from_file = json.load(handle)
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                from_file = json.load(handle)
+        except OSError as err:
+            raise ValueError(f"cannot read config {args.config!r}: {err.strerror or err}") from None
+        except ValueError as err:
+            raise ValueError(f"config {args.config!r} is not valid JSON: {err}") from None
+        if not isinstance(from_file, dict):
+            raise ValueError(f"config {args.config!r} must hold a JSON object of parameters")
+        unknown = sorted(set(from_file) - set(names))
+        if unknown:
+            raise ValueError(
+                f"config {args.config!r} has keys that are not {experiment} parameters: {unknown}"
+            )
     params = {}
     for name in names:
         flag_value = getattr(args, name, None)
@@ -94,18 +109,17 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         experiment = args.experiment
-        params = _merge_config_file(args, schema_of(experiment))
         values = [v for v in args.values.split(",") if v != ""]
-        base = ExperimentConfig(
-            experiment=experiment,
-            params=params,
-            seed=args.seed,
-            trials=args.trials,
-            output_path=args.out,
-            format="csv",
-            budgets=_budgets(args),
-        )
         try:
+            base = ExperimentConfig(
+                experiment=experiment,
+                params=_merge_config_file(args, experiment),
+                seed=args.seed,
+                trials=args.trials,
+                output_path=args.out,
+                format="csv",
+                budgets=_budgets(args),
+            )
             reports, table = sweep(base, args.axis, values)
         except ValueError as err:
             sys.stderr.write(f"chs-lab sweep: {err}\n")
@@ -114,17 +128,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if all(r.passed() for r in reports) else 1
 
     experiment = args.command
-    params = _merge_config_file(args, schema_of(experiment))
-    config = ExperimentConfig(
-        experiment=experiment,
-        params=params,
-        seed=args.seed,
-        trials=args.trials,
-        output_path=args.out,
-        format=args.format,
-        budgets=_budgets(args),
-    )
     try:
+        config = ExperimentConfig(
+            experiment=experiment,
+            params=_merge_config_file(args, experiment),
+            seed=args.seed,
+            trials=args.trials,
+            output_path=args.out,
+            format=args.format,
+            budgets=_budgets(args),
+        )
         report = run(config)
     except (ValueError, BudgetExceeded) as err:
         sys.stderr.write(f"chs-lab {experiment}: {err}\n")

@@ -1,11 +1,13 @@
 """Pretty good measurement for the phase-twirled copies of a Haar state.
 
-The ensemble member for label ``x`` is the exact (m+1)-copy Haar moment with
-the phase pattern ``x`` applied to the first copy (the prefix is the whole
-register here). Their unnormalized sum ``sigma`` is block diagonal over the
-first register's computational basis, with the blocks indexed by the
-remaining m-copy types; that structure gives the pseudo-inverse square root
-cheaply and pins its largest eigenvalue to a closed form.
+The ensemble member for label ``x`` is the exact (m+1)-copy Haar moment ``M``
+with the phase pattern ``x`` applied to the first copy (the prefix is the
+whole register here): ``rho_x = D_x M D_x`` for a +-1 diagonal ``D_x``. Their
+unnormalized sum ``sigma`` is block diagonal over the first register's
+computational basis, with the blocks indexed by the remaining m-copy types,
+and its inverse root has a closed-form largest eigenvalue. Every ``D_x``
+commutes with ``sigma``, so one sandwich ``S M S`` of the moment, with
+``S = sigma^(-1/2)``, gives every label's POVM element ``D_x (S M S) D_x``.
 
 ``pgm_report`` is the entry point: one report with the overlap quantity, its
 (m+1)/d cap, the inverse-root norm and the PGM success probability.
@@ -53,13 +55,6 @@ def _phase_diagonal(x: int, params: PgmParams) -> np.ndarray:
     return np.kron(signs, np.ones(d**params.m))
 
 
-def _phase_state(moment: np.ndarray, x: int, params: PgmParams) -> DensityOperator:
-    """The dense (m+1)-copy moment with phase pattern x applied to the first copy."""
-    diag = _phase_diagonal(x, params)
-    conjugated = moment * np.outer(diag, diag)
-    return DensityOperator.from_dense(conjugated, (params.n,) * params.copies)
-
-
 def phase_ensemble_state(
     x: int, params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS
 ) -> DensityOperator:
@@ -68,7 +63,8 @@ def phase_ensemble_state(
         raise ValueError(f"label {x} does not fit in {params.n} bits")
     budgets.check_dense_dim(params.d ** params.copies, "phase_ensemble_state")
     moment = exact_moment(params.d, params.copies, budgets).to_dense(budgets)
-    return _phase_state(moment, x, params)
+    diag = _phase_diagonal(x, params)
+    return DensityOperator.from_dense(moment * np.outer(diag, diag), (params.n,) * params.copies)
 
 
 def sigma_unnormalized(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> np.ndarray:
@@ -123,35 +119,34 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     with an unspecified constant, which is untestable as written; it is treated
     as an upper bound with the fitted constant reported.
 
-    The moment, sigma and each rho_x are built once; one eigendecomposition of
-    sigma gives S, the support projector and the norm of S (from the kept
-    eigenvalues), and one Q feeds every quantity, bound and flag that
-    mentions it.
+    Every D_x commutes with sigma, hence with S and the null completion, so
+    S rho_x S = D_x A D_x for the one sandwich A = S M S: each label has
+    overlap Tr(M A) and success Tr(M A) + Tr(null_completion M), and the POVM
+    elements sum to A o (signs^T signs) + (I - P), with o the entrywise
+    product and row x of signs the diagonal of D_x. The moment is built and
+    validated once, one eigendecomposition of sigma gives S, its support
+    projector P and its norm, and one Q feeds every check that mentions it.
     """
     d, m = params.d, params.m
     dim = d ** params.copies
     sigma = sigma_unnormalized(params, budgets)
     vals, vecs = _support_eigh(sigma, REL_RANK_CUTOFF)
     inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    null_completion = (np.eye(dim) - vecs @ vecs.conj().T) / d
-    moment = exact_moment(d, params.copies, budgets).to_dense(budgets)
-    povm_sum = np.zeros((dim, dim), dtype=complex)
-    overlap = success = 0.0
-    for x in range(d):
-        rho_x = _phase_state(moment, x, params).dense
-        sandwich = inv_root @ rho_x @ inv_root
-        overlap += _trace_of_product(rho_x, sandwich)
-        element = sandwich + null_completion
-        povm_sum += element
-        success += _trace_of_product(element, rho_x)
+    null_projector = np.eye(dim) - vecs @ vecs.conj().T
+    moment = DensityOperator.from_dense(
+        exact_moment(d, params.copies, budgets).to_dense(budgets), (params.n,) * params.copies
+    ).dense
+    sandwich = inv_root @ moment @ inv_root
+    signs = np.stack([_phase_diagonal(x, params) for x in range(d)])
+    povm_sum = sandwich * (signs.T @ signs) + null_projector
     completeness_error = float(np.abs(povm_sum - np.eye(dim)).max())
     if completeness_error > 1e-8:
         raise RuntimeError(
             f"POVM completeness violated by {completeness_error}; "
             "null-space completion is broken"
         )
-    q_mean = overlap / d
-    guess = success / d
+    q_mean = _trace_of_product(moment, sandwich)
+    guess = q_mean + _trace_of_product(null_projector, moment) / d
     norm_measured = float(1.0 / np.sqrt(vals.min()))
     norm_formula = math.sqrt(math.comb(d + m, m + 1) * (m + 1) / d)
     rate = math.sqrt(m / d + m**7 / d**3) if m else 0.0

@@ -11,17 +11,13 @@ non-canonical copy).
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import commitments, pgm, prsg, typestates
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import rng_for, sample_haar
 from .reporting import ExperimentReport, combined_csv
-
-PARALLELISM_ENV = "CHS_LAB_PARALLELISM"
 
 
 @dataclass(frozen=True)
@@ -220,16 +216,6 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _parallelism() -> int:
-    value = os.environ.get(PARALLELISM_ENV)
-    if value is None:
-        return os.cpu_count() or 1
-    degree = int(value)
-    if degree < 1:
-        raise ValueError(f"{PARALLELISM_ENV} must be a positive integer, got {value!r}")
-    return degree
-
-
 def _sweep_one(config: ExperimentConfig) -> ExperimentReport:
     try:
         return run(config)
@@ -247,12 +233,12 @@ def _sweep_one(config: ExperimentConfig) -> ExperimentReport:
 def sweep(
     base: ExperimentConfig, axis: str, values: list
 ) -> tuple[list[ExperimentReport], str]:
-    """One run per axis value; failures are marked and the sweep continues.
+    """One run per axis value, in order; failures are marked and the sweep continues.
 
     Every config is validated before the first run starts, so bad input fails
-    the whole sweep with a ``ValueError``. Report order follows the input
-    values regardless of completion order. The returned CSV combines all rows;
-    it is also written to ``base.output_path`` when set.
+    the whole sweep with a ``ValueError``. The runs execute one at a time, so
+    the budgets of one run bound the sweep's memory too. The returned CSV
+    combines all rows; it is also written to ``base.output_path`` when set.
     """
     if axis not in schema_of(base.experiment):
         raise ValueError(f"axis {axis!r} is not a parameter of {base.experiment}")
@@ -262,12 +248,7 @@ def sweep(
     ]
     for config in configs:
         validate_params(config.experiment, config.params)
-    degree = min(_parallelism(), max(len(configs), 1))
-    if degree > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=degree) as pool:
-            reports = list(pool.map(_sweep_one, configs))
-    else:
-        reports = [_sweep_one(config) for config in configs]
+    reports = [_sweep_one(config) for config in configs]
     table = combined_csv(reports) if reports else ""
     if base.output_path:
         with open(base.output_path, "w", encoding="utf-8") as handle:

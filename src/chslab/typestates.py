@@ -56,28 +56,12 @@ class TypeVector:
     def total(self) -> int:
         return len(self.elements)
 
-    @property
-    def alphabet_size(self) -> int:
-        return 1 << self.width
-
     def multiplicities(self) -> Counter:
         return Counter(self.elements)
-
-    def collision_free(self) -> bool:
-        return len(set(self.elements)) == len(self.elements)
 
     def prefixes(self) -> tuple[int, ...]:
         shift = self.width - self.prefix_bits
         return tuple(x >> shift for x in self.elements)
-
-    def remove(self, positions: Iterable[int]) -> "TypeVector":
-        drop = set(positions)
-        kept = tuple(x for i, x in enumerate(self.elements) if i not in drop)
-        return TypeVector(kept, self.width, self.prefix_bits)
-
-    def take(self, positions: Iterable[int]) -> "TypeVector":
-        pick = sorted(set(positions))
-        return TypeVector(tuple(self.elements[i] for i in pick), self.width, self.prefix_bits)
 
 
 @dataclass(frozen=True)

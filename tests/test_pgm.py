@@ -12,6 +12,7 @@ from chslab.pgm import (
     phase_ensemble_state,
     sigma_unnormalized,
 )
+from chslab.qla import DensityOperator, inv_sqrt_on_support, support_projector
 from chslab.tolerances import ATOL_CHAIN
 
 
@@ -118,6 +119,43 @@ def test_fitted_constant_reported():
     )
 
 
+def _per_label_reference(params):
+    """q_mean, guess and POVM completeness from d separate states and sandwiches."""
+    d, dim = params.d, params.d**params.copies
+    sigma = sigma_unnormalized(params)
+    inv_root = inv_sqrt_on_support(sigma)
+    null_completion = (np.eye(dim) - support_projector(sigma)[0]) / d
+    povm_sum = np.zeros((dim, dim), dtype=complex)
+    overlap = success = 0.0
+    for x in range(d):
+        rho_x = phase_ensemble_state(x, params).to_dense()
+        sandwich = inv_root @ rho_x @ inv_root
+        overlap += np.trace(rho_x @ sandwich).real
+        element = sandwich + null_completion
+        povm_sum += element
+        success += np.trace(element @ rho_x).real
+    return {
+        "q_mean": overlap / d,
+        "guess_probability": success / d,
+        "completeness_error": np.abs(povm_sum - np.eye(dim)).max(),
+        "inv_sqrt_norm_measured": np.linalg.norm(inv_root, 2),
+    }
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3)])
+def test_report_matches_the_per_label_reference(n, m):
+    params = PgmParams(n=n, m=m)
+    reference = _per_label_reference(params)
+    report = pgm_report(params)
+    for key, value in reference.items():
+        assert abs(report.quantities[key] - value) <= 1e-12, key
+    q_mean, guess = reference["q_mean"], reference["guess_probability"]
+    assert report.bounds["sqrt_q"] == pytest.approx(math.sqrt(q_mean), abs=1e-12)
+    rate = report.bounds["indistinguishability_rate"]
+    if rate:
+        assert report.quantities["fitted_constant"] == pytest.approx(guess / rate, abs=1e-12)
+
+
 def _counting(monkeypatch, name, calls):
     original = getattr(pgm, name)
 
@@ -142,6 +180,14 @@ def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m)
         return original_eigh(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    validations = []
+    original_from_dense = DensityOperator.from_dense.__func__
+
+    def counted_from_dense(cls, *args, **kwargs):
+        validations.append(args[0].shape)
+        return original_from_dense(cls, *args, **kwargs)
+
+    monkeypatch.setattr(DensityOperator, "from_dense", classmethod(counted_from_dense))
     report = pgm_report(params)
     names = [name for name, _ in calls]
     assert names.count("exact_moment") == 1
@@ -149,6 +195,8 @@ def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m)
     # sigma is eigendecomposed once: S, the support and the norm of S share it
     assert names.count("_support_eigh") == 1
     assert len(eighs) == 1
+    # the moment is validated once; no per-label state is built
+    assert len(validations) <= 1
     assert [x for name, x in calls if name == "_phase_diagonal"] == list(range(params.d))
     # every flag that mentions Q tests the published q_mean
     q_mean = report.quantities["q_mean"]

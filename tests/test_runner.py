@@ -203,6 +203,27 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert payload["params"]["n"] == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["pgm"], ["sweep", "pgm", "--axis", "m", "--values", "0,1"]], ids=["run", "sweep"]
+)
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", "[1, 2]", '{"n": 1, "seed": 5}', '{"n": 1, "el": 1}', b"\xff\xfe"],
+    ids=["missing", "invalid-json", "not-an-object", "seed-key", "misspelt-key", "not-utf8"],
+)
+def test_cli_rejects_a_bad_config_file_in_one_line(tmp_path, capsys, command, content):
+    config_file = tmp_path / "config.json"
+    if isinstance(content, bytes):
+        config_file.write_bytes(content)
+    elif content is not None:
+        config_file.write_text(content)
+    assert main([*command, "--n", "1", "--config", str(config_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"chs-lab {command[0]}: ")
+    assert captured.err.count("\n") == 1 and str(config_file) in captured.err
+
+
 def test_cli_sweep(capsys):
     code = main(
         ["sweep", "pgm", "--axis", "m", "--values", "0,1", "--n", "2", "--seed", "4"]
