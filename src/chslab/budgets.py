@@ -7,7 +7,7 @@ offending dimension spelled out, instead of thrashing memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class BudgetExceeded(RuntimeError):
@@ -21,6 +21,11 @@ class Budgets:
     max_dense_dim: int = 4096
     max_type_count: int = 100_000
     max_subset_pairs: int = 1_000_000
+
+    def __post_init__(self):
+        for field in fields(self):
+            if getattr(self, field.name) < 1:
+                raise ValueError(f"{field.name} must be >= 1, got {getattr(self, field.name)}")
 
     def check_dense_dim(self, dim: int, what: str) -> None:
         if dim > self.max_dense_dim:

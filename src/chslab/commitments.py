@@ -380,7 +380,8 @@ def hiding_distance(
     side0 = np.zeros((kept_dim, kept_dim), dtype=complex)
     for T in enumerate_types(N, size, budgets):
         big = _commit_isometry_state(T.elements, n, lam, t, p)
-        side0 += partial_trace_pure(big, keep, budgets) / count
+        side0 += partial_trace_pure(big, keep, budgets)
+    side0 /= count
     mixed = np.eye(1 << n) / (1 << n)
     side1 = exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1)
     for _ in range(p):

@@ -5,6 +5,15 @@ uniform mixture of all type states of size ``t``, i.e. the normalized
 projector onto the symmetric subspace. That exact, enumeration-based oracle is
 the default everywhere an expectation over the Haar measure is needed;
 Monte-Carlo sampling exists only as a cross-check.
+
+Sampling gives trial ``k`` of seed ``s`` the Philox-4x64-10 stream keyed by
+``(s, k)``. Philox is counter-based, so ``HaarSampler`` computes the key
+stream of every trial of a chunk at once with ``uint64`` array arithmetic,
+and applies numpy's ziggurat fast path (tables in ``_ziggurat``) to every
+word. A trial whose words all pass the fast path gets exactly the normals
+numpy draws from that stream; a trial with any rejected word is drawn again
+by numpy itself from a generator re-keyed to the trial, so its rows are
+numpy's too.
 """
 
 from __future__ import annotations
@@ -14,13 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ziggurat import KI, WI
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .qla import DensityOperator, PureState
 from .typestates import enumerate_types, type_state
 
 
 _KEY_MASK = (1 << 64) - 1
-_CHUNK_TRIALS = 1024
+# Trials per chunk at two qubits. The chunk scales inversely with the
+# dimension, so a chunk's key stream is 8 * _CHUNK_TRIALS words (128 KiB) at
+# every n, and its uint64 temporaries stay small next to the sampled rows.
+_CHUNK_TRIALS = 1 << 11
+
+# Philox-4x64 multipliers and Weyl key increments (Salmon et al., SC 2011).
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -31,6 +51,53 @@ def _philox_key(seed: int, stream: int) -> np.ndarray:
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     """The Philox stream keyed by ``(seed, stream)``, each taken modulo 2^64."""
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``m * x``, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_hi, hi_lo = m_lo * x_hi, m_hi * x_lo
+    carry = ((m_lo * x_lo) >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    hi = m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (carry >> _SHIFT32)
+    return hi, m * x
+
+
+def _philox_keystream(seed: int, streams: np.ndarray, words: int) -> np.ndarray:
+    """First ``words`` outputs of each stream ``(seed, s)`` for ``s`` in ``streams``.
+
+    Row ``i`` equals ``np.random.Philox(key=_philox_key(seed, streams[i]))
+    .random_raw(words)``: a fresh generator encrypts counters 1, 2, ... (the
+    other three counter words 0) and hands out each block's four words in
+    order. ``streams`` is ``uint64`` and ``words`` a multiple of 4.
+    """
+    blocks = words // 4
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(streams), blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k1 = streams[:, None]
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _KEY_MASK)
+        bump = np.uint64((r * _PHILOX_W[1]) & _KEY_MASK)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ (k1 + bump), lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), words)
+
+
+def _ziggurat_fast_path(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat fast path applied to every word of ``raw``.
+
+    Returns the normals and whether each word was accepted: word ``r`` picks
+    layer ``r & 0xff``, sign bit 8 and the 52-bit ``rabs = r >> 9``, and is
+    ``+-rabs * WI[layer]`` when ``rabs < KI[layer]``. A rejected word sends
+    numpy to its slow path, which draws further words, so the normal there
+    and every later one in the stream is not the one computed here.
+    """
+    layer = (raw & np.uint64(0xFF)).astype(np.intp)
+    rabs = (raw >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+    normals = rabs.astype(np.float64) * WI[layer]
+    np.negative(normals, out=normals, where=(raw & np.uint64(0x100)).astype(bool))
+    return normals, rabs < KI[layer]
 
 
 def _check_qubits(n: int, budgets: Budgets, what: str) -> None:
@@ -47,11 +114,14 @@ class HaarSampler:
     Trial ``k`` draws from the stream keyed by ``(rng_seed, k)``, which is the
     stream ``rng_for(rng_seed, k)`` starts: its first ``2^n`` normals are the
     real parts and the next ``2^n`` the imaginary parts, exactly as in
-    ``haar_statevector``. A batch builds one bit generator and re-keys it per
-    trial by resetting its state (counter 0, the trial's key, empty buffer),
-    so every trial is bitwise the same whatever batch, order or chunk it is
-    drawn in. ``n_qubits`` is checked against the default dense budget up
-    front.
+    ``haar_statevector``. A batch computes the first ``2^(n+1)`` Philox words
+    of every trial of a chunk at once and maps each through numpy's ziggurat
+    fast path; on that path one word gives one normal. The few trials with a
+    rejected word (about 6% at n=1, 11% at n=2) fall back to numpy: one bit
+    generator is re-keyed per such trial by resetting its state (counter 0,
+    the trial's key, empty buffer) and draws the trial's normals itself. So
+    every trial is bitwise the same whatever batch, order or chunk it is drawn
+    in. ``n_qubits`` is checked against the default dense budget up front.
     """
 
     n_qubits: int
@@ -72,25 +142,32 @@ class HaarSampler:
     def statevectors(self, count: int, start_trial: int = 0) -> np.ndarray:
         """Stack of ``count`` sampled state vectors for trials ``start_trial, ...``.
 
-        Normals are drawn chunk by chunk into one buffer, and each chunk is
-        normalised at once with the row norm ``np.linalg.norm`` computes
+        Normals are drawn chunk by chunk, from the vectorised key stream or,
+        for trials with a rejected word, from numpy. Each chunk is normalised
+        at once with the row norm ``np.linalg.norm`` computes
         (``sqrt(re . re + im . im)``, each a BLAS dot), so the rows match
         ``haar_statevector`` bit for bit.
         """
+        if count < 0:
+            raise ValueError(f"statevectors: count must be >= 0, got {count}")
         dim = 1 << self.n_qubits
         out = np.empty((count, dim), dtype=complex)
         rng = self.generator(start_trial)
         bit_gen = rng.bit_generator
         state = bit_gen.state
-        normals = np.empty((min(count, _CHUNK_TRIALS), 2, dim))
-        for lo in range(0, count, _CHUNK_TRIALS):
-            chunk = normals[: min(_CHUNK_TRIALS, count - lo)]
-            for i, row in enumerate(chunk):
-                state["state"]["key"] = _philox_key(self.rng_seed, start_trial + lo + i)
+        per_chunk = max(1, 4 * _CHUNK_TRIALS // dim)
+        for lo in range(0, count, per_chunk):
+            first = (start_trial + lo) & _KEY_MASK
+            trials = np.arange(min(per_chunk, count - lo), dtype=np.uint64) + np.uint64(first)
+            normals, accepted = _ziggurat_fast_path(
+                _philox_keystream(self.rng_seed, trials, 2 * dim)
+            )
+            for i in np.flatnonzero(~accepted.all(axis=1)):
+                state["state"]["key"] = _philox_key(self.rng_seed, first + int(i))
                 bit_gen.state = state
-                rng.standard_normal(out=row.reshape(-1))
-            block = out[lo : lo + len(chunk)]
-            block.real, block.imag = chunk[:, 0], chunk[:, 1]
+                rng.standard_normal(out=normals[i])
+            block = out[lo : lo + len(trials)]
+            block.real, block.imag = normals[:, :dim], normals[:, dim:]
             re, im = block.real[:, None], block.imag[:, None]
             squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
             block /= np.sqrt(squares[:, 0])

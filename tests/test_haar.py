@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chslab import haar
+from chslab import _ziggurat, haar
 from chslab.budgets import BudgetExceeded, Budgets
 from chslab.haar import (
     HaarSampler,
@@ -60,6 +61,46 @@ def test_batched_rows_are_bitwise_the_per_trial_streams(n, seed):
 def test_batched_rows_match_streams_property(n, seed, start, count):
     _assert_rows_are_fresh_streams(n, seed, start, count)
 
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 3])
+def test_keystream_is_numpys_philox_stream(seed):
+    # consecutive trials as a batch forms them, wrapping past 2^64 to 0 and 1
+    streams = np.arange(4, dtype=np.uint64) + np.uint64(2**64 - 2)
+    raw = haar._philox_keystream(seed, streams, 24)
+    assert raw.shape == (4, 24)
+    for row, stream in zip(raw, [2**64 - 2, 2**64 - 1, 0, 1]):
+        expected = np.random.Philox(key=haar._philox_key(seed, stream)).random_raw(24)
+        assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_large_batches_are_the_per_trial_streams_on_both_paths(n):
+    seed, count = 23, 50_000
+    vecs = HaarSampler(n, rng_seed=seed).statevectors(count)
+    for trial, row in enumerate(vecs):
+        assert np.array_equal(row, haar_statevector(n, rng_for(seed, trial)))
+    # the batch took the vectorised fast path and numpy's fallback both
+    raw = haar._philox_keystream(seed, np.arange(count, dtype=np.uint64), 2 << n)
+    fallback = int((~haar._ziggurat_fast_path(raw)[1].all(axis=1)).sum())
+    assert 0 < fallback < count // 2
+
+
+def test_ziggurat_tables_are_numpys():
+    wi, ki = _ziggurat.WI, _ziggurat.KI
+    assert wi.dtype == np.float64 and ki.dtype == np.uint64
+    assert wi.shape == ki.shape == (256,)
+    packed = wi.astype("<f8").tobytes() + ki.astype("<u8").tobytes()
+    assert hashlib.sha256(packed).hexdigest() == (
+        "c42158fec99c675f02ef73a973556f473c2c0dc0451a710862af14650f1c76be"
+    )
+    assert ki[0] == 0x000EF33D8025EF6A
+    assert wi[0] == 8.68362706080130616677e-16
+
+
+def test_statevectors_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        HaarSampler(2, rng_seed=1).statevectors(-1)
 
 def test_sampler_rejects_zero_qubits_and_budget_overflow():
     with pytest.raises(ValueError, match="need at least one qubit"):

@@ -254,6 +254,23 @@ def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize("field", ["max_dense_dim", "max_type_count", "max_subset_pairs"])
+@pytest.mark.parametrize("limit", [0, -3])
+def test_budgets_reject_limits_below_one(field, limit, capsys):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {limit}"):
+        Budgets(**{field: limit})
+    flag = "--" + field.replace("_", "-")
+    for argv in (
+        ["prsg-td", "--lam", "1", "--n", "2", flag, str(limit)],
+        ["sweep", "prsg-td", "--axis", "lam", "--values", "1,2", "--n", "2", flag, str(limit)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"{field} must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
