@@ -24,8 +24,9 @@ class Budgets:
 
     def __post_init__(self):
         for field in fields(self):
-            if getattr(self, field.name) < 1:
-                raise ValueError(f"{field.name} must be >= 1, got {getattr(self, field.name)}")
+            limit = getattr(self, field.name)
+            if limit < 1:
+                raise ValueError(f"{field.name} must be >= 1, got {limit}")
 
     def check_dense_dim(self, dim: int, what: str) -> None:
         if dim > self.max_dense_dim:

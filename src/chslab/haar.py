@@ -117,7 +117,7 @@ class HaarSampler:
     ``haar_statevector``. A batch computes the first ``2^(n+1)`` Philox words
     of every trial of a chunk at once and maps each through numpy's ziggurat
     fast path; on that path one word gives one normal. The few trials with a
-    rejected word (about 6% at n=1, 11% at n=2) fall back to numpy: one bit
+    rejected word (about 6% at n=1, 12% at n=2) fall back to numpy: one bit
     generator is re-keyed per such trial by resetting its state (counter 0,
     the trial's key, empty buffer) and draws the trial's normals itself. So
     every trial is bitwise the same whatever batch, order or chunk it is drawn

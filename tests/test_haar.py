@@ -62,7 +62,6 @@ def test_batched_rows_match_streams_property(n, seed, start, count):
     _assert_rows_are_fresh_streams(n, seed, start, count)
 
 
-
 @pytest.mark.parametrize("seed", [0, -1, 2**64 + 3])
 def test_keystream_is_numpys_philox_stream(seed):
     # consecutive trials as a batch forms them, wrapping past 2^64 to 0 and 1
@@ -74,12 +73,23 @@ def test_keystream_is_numpys_philox_stream(seed):
         assert np.array_equal(row, expected)
 
 
+def _rekeyed_rows(n, seed, count):
+    """haar_statevector of each trial's fresh stream, one generator re-keyed per trial."""
+    rng = rng_for(seed)
+    state = rng.bit_generator.state
+    rows = []
+    for trial in range(count):
+        state["state"]["key"] = haar._philox_key(seed, trial)
+        rng.bit_generator.state = state
+        rows.append(haar_statevector(n, rng))
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_large_batches_are_the_per_trial_streams_on_both_paths(n):
     seed, count = 23, 50_000
     vecs = HaarSampler(n, rng_seed=seed).statevectors(count)
-    for trial, row in enumerate(vecs):
-        assert np.array_equal(row, haar_statevector(n, rng_for(seed, trial)))
+    assert np.array_equal(vecs, _rekeyed_rows(n, seed, count))
     # the batch took the vectorised fast path and numpy's fallback both
     raw = haar._philox_keystream(seed, np.arange(count, dtype=np.uint64), 2 << n)
     fallback = int((~haar._ziggurat_fast_path(raw)[1].all(axis=1)).sum())
@@ -101,6 +111,7 @@ def test_ziggurat_tables_are_numpys():
 def test_statevectors_rejects_a_negative_count():
     with pytest.raises(ValueError, match="count must be >= 0, got -1"):
         HaarSampler(2, rng_seed=1).statevectors(-1)
+
 
 def test_sampler_rejects_zero_qubits_and_budget_overflow():
     with pytest.raises(ValueError, match="need at least one qubit"):

@@ -254,7 +254,6 @@ def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
-
 @pytest.mark.parametrize("field", ["max_dense_dim", "max_type_count", "max_subset_pairs"])
 @pytest.mark.parametrize("limit", [0, -3])
 def test_budgets_reject_limits_below_one(field, limit, capsys):
