@@ -1,12 +1,13 @@
 """Command-line entry point.
 
     chs-lab <experiment> [--lam 2 --n 3 ...] --seed S [--out PATH] [--format json|csv]
-    chs-lab sweep <experiment> --axis NAME --values 1,2,3 [fixed params...]
+    chs-lab sweep <experiment> --axis NAME --values 1,2,3 [fixed params...] [--out PATH]
     chs-lab acceptance
 
-The experiment's parameters can also come from a JSON object in a file
-(--config FILE); explicit flags override file values. A file that cannot be
-read, is not a JSON object or holds a key that is not a parameter of the
+A sweep prints one CSV table with a row per value; it takes no --format or
+--timing. The experiment's parameters can also come from a JSON object in a
+file (--config FILE); explicit flags override file values. A file that cannot
+be read, is not a JSON object or holds a key that is not a parameter of the
 experiment is refused with exit code 2.
 """
 
@@ -25,9 +26,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed; fixes all randomness")
     parser.add_argument("--trials", type=int, default=10_000, help="Monte-Carlo trial count")
     parser.add_argument("--out", type=str, default=None, help="report output path")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--config", type=str, default=None, help="JSON object of parameters")
-    parser.add_argument("--timing", action="store_true", help="print wall-clock duration")
     parser.add_argument("--max-dense-dim", type=int, default=None)
     parser.add_argument("--max-type-count", type=int, default=None)
     parser.add_argument("--max-subset-pairs", type=int, default=None)
@@ -47,6 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(experiment, aliases=aliases, help=f"run the {experiment} experiment")
         _add_schema_flags(p, experiment)
         _add_common(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--timing", action="store_true", help="print wall-clock duration")
     p_sweep = sub.add_parser("sweep", help="run one experiment across a parameter axis")
     p_sweep.add_argument("experiment", choices=sorted([*SCHEMAS, *ALIASES]))
     p_sweep.add_argument("--axis", required=True, help="parameter to sweep")
@@ -109,8 +110,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         experiment = args.experiment
-        values = [v for v in args.values.split(",") if v != ""]
+        values = args.values.split(",")
         try:
+            if "" in values:
+                raise ValueError(f"--values {args.values!r} has an empty entry")
             base = ExperimentConfig(
                 experiment=experiment,
                 params=_merge_config_file(args, experiment),

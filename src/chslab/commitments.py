@@ -370,6 +370,8 @@ def hiding_distance(
     """
     from .prsg import PrsParams, multi_key_report
 
+    if t < 0:
+        raise ValueError(f"need t >= 0 common copies, got t={t}")
     n, lam, p = params.n, params.lam, params.p
     N = 1 << n
     size = t + p

@@ -8,12 +8,10 @@ Monte-Carlo sampling exists only as a cross-check.
 
 Sampling gives trial ``k`` of seed ``s`` the Philox-4x64-10 stream keyed by
 ``(s, k)``. Philox is counter-based, so ``HaarSampler`` computes the key
-stream of every trial of a chunk at once with ``uint64`` array arithmetic,
-and applies numpy's ziggurat fast path (tables in ``_ziggurat``) to every
-word. A trial whose words all pass the fast path gets exactly the normals
-numpy draws from that stream; a trial with any rejected word is drawn again
-by numpy itself from a generator re-keyed to the trial, so its rows are
-numpy's too.
+stream of every trial of a chunk at once with ``uint64`` array arithmetic and
+turns each trial's words into complex normals by one closed-form transform
+(Box and Muller, Ann. Math. Statist. 1958). ``haar_statevector`` and
+``sample_haar`` instead draw numpy's normals from a given generator.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ziggurat import KI, WI
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .qla import DensityOperator, PureState
 from .typestates import enumerate_types, type_state
@@ -84,20 +81,18 @@ def _philox_keystream(seed: int, streams: np.ndarray, words: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), words)
 
 
-def _ziggurat_fast_path(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat fast path applied to every word of ``raw``.
+def _complex_normals(raw: np.ndarray) -> np.ndarray:
+    """Complex normals from pairs of Philox words, by the Box-Muller transform.
 
-    Returns the normals and whether each word was accepted: word ``r`` picks
-    layer ``r & 0xff``, sign bit 8 and the 52-bit ``rabs = r >> 9``, and is
-    ``+-rabs * WI[layer]`` when ``rabs < KI[layer]``. A rejected word sends
-    numpy to its slow path, which draws further words, so the normal there
-    and every later one in the stream is not the one computed here.
+    Row ``i`` of ``raw`` holds ``2 * dim`` words. Each word ``w`` becomes the
+    exact double ``u = ((w >> 11) + 1) / 2^53`` in (0, 1], and amplitude ``j``
+    is ``sqrt(-log u[j]) * exp(2 pi i u[dim + j])``: modulus squared
+    exponential, phase uniform, so a standard complex Gaussian up to a scale
+    that normalisation removes.
     """
-    layer = (raw & np.uint64(0xFF)).astype(np.intp)
-    rabs = (raw >> np.uint64(9)) & np.uint64((1 << 52) - 1)
-    normals = rabs.astype(np.float64) * WI[layer]
-    np.negative(normals, out=normals, where=(raw & np.uint64(0x100)).astype(bool))
-    return normals, rabs < KI[layer]
+    dim = raw.shape[1] // 2
+    u = ((raw >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-np.log(u[:, :dim])) * np.exp(2j * np.pi * u[:, dim:])
 
 
 def _check_qubits(n: int, budgets: Budgets, what: str) -> None:
@@ -111,17 +106,15 @@ def _check_qubits(n: int, budgets: Budgets, what: str) -> None:
 class HaarSampler:
     """Counter-based seeded sampler with one Philox stream per trial.
 
-    Trial ``k`` draws from the stream keyed by ``(rng_seed, k)``, which is the
-    stream ``rng_for(rng_seed, k)`` starts: its first ``2^n`` normals are the
-    real parts and the next ``2^n`` the imaginary parts, exactly as in
-    ``haar_statevector``. A batch computes the first ``2^(n+1)`` Philox words
-    of every trial of a chunk at once and maps each through numpy's ziggurat
-    fast path; on that path one word gives one normal. The few trials with a
-    rejected word (about 6% at n=1, 12% at n=2) fall back to numpy: one bit
-    generator is re-keyed per such trial by resetting its state (counter 0,
-    the trial's key, empty buffer) and draws the trial's normals itself. So
-    every trial is bitwise the same whatever batch, order or chunk it is drawn
-    in. ``n_qubits`` is checked against the default dense budget up front.
+    Trial ``k`` reads the first ``2^(n+1)`` words of the stream keyed by
+    ``(rng_seed, k)``, the stream ``generator(k)`` starts. Word ``j`` and
+    word ``2^n + j`` give amplitude ``j`` by the Box-Muller transform
+    (``_complex_normals``), and the row is then normalised. Trial ``k`` is a
+    pure function of ``(rng_seed, k)``, the index taken modulo 2^64: it is
+    bitwise the same whatever batch, start, order or chunk it is drawn in.
+    The rows are Haar-distributed but are not ``haar_statevector`` of
+    ``generator(k)``, which draws numpy's normals from the same words.
+    ``n_qubits`` is checked against the default dense budget up front.
     """
 
     n_qubits: int
@@ -142,35 +135,20 @@ class HaarSampler:
     def statevectors(self, count: int, start_trial: int = 0) -> np.ndarray:
         """Stack of ``count`` sampled state vectors for trials ``start_trial, ...``.
 
-        Normals are drawn chunk by chunk, from the vectorised key stream or,
-        for trials with a rejected word, from numpy. Each chunk is normalised
-        at once with the row norm ``np.linalg.norm`` computes
-        (``sqrt(re . re + im . im)``, each a BLAS dot), so the rows match
-        ``haar_statevector`` bit for bit.
+        Each chunk computes the key streams of its trials at once, turns them
+        into complex normals and divides every row by its norm. Every step
+        acts on each row alone, so chunking does not change any row.
         """
         if count < 0:
             raise ValueError(f"statevectors: count must be >= 0, got {count}")
         dim = 1 << self.n_qubits
         out = np.empty((count, dim), dtype=complex)
-        rng = self.generator(start_trial)
-        bit_gen = rng.bit_generator
-        state = bit_gen.state
         per_chunk = max(1, 4 * _CHUNK_TRIALS // dim)
         for lo in range(0, count, per_chunk):
-            first = (start_trial + lo) & _KEY_MASK
-            trials = np.arange(min(per_chunk, count - lo), dtype=np.uint64) + np.uint64(first)
-            normals, accepted = _ziggurat_fast_path(
-                _philox_keystream(self.rng_seed, trials, 2 * dim)
-            )
-            for i in np.flatnonzero(~accepted.all(axis=1)):
-                state["state"]["key"] = _philox_key(self.rng_seed, first + int(i))
-                bit_gen.state = state
-                rng.standard_normal(out=normals[i])
-            block = out[lo : lo + len(trials)]
-            block.real, block.imag = normals[:, :dim], normals[:, dim:]
-            re, im = block.real[:, None], block.imag[:, None]
-            squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
-            block /= np.sqrt(squares[:, 0])
+            first = np.uint64((start_trial + lo) & _KEY_MASK)
+            trials = np.arange(min(per_chunk, count - lo), dtype=np.uint64) + first
+            block = _complex_normals(_philox_keystream(self.rng_seed, trials, 2 * dim))
+            out[lo : lo + len(trials)] = block / np.linalg.norm(block, axis=1, keepdims=True)
         return out
 
 

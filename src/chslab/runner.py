@@ -235,13 +235,16 @@ def sweep(
 ) -> tuple[list[ExperimentReport], str]:
     """One run per axis value, in order; failures are marked and the sweep continues.
 
-    Every config is validated before the first run starts, so bad input fails
-    the whole sweep with a ``ValueError``. The runs execute one at a time, so
-    the budgets of one run bound the sweep's memory too. The returned CSV
-    combines all rows; it is also written to ``base.output_path`` when set.
+    Every config is validated before the first run starts, so bad input, an
+    empty ``values`` included, fails the whole sweep with a ``ValueError``.
+    The runs execute one at a time, so the budgets of one run bound the
+    sweep's memory too. The returned CSV combines all rows; it is also written
+    to ``base.output_path`` when set.
     """
     if axis not in schema_of(base.experiment):
         raise ValueError(f"axis {axis!r} is not a parameter of {base.experiment}")
+    if not values:
+        raise ValueError(f"sweep of {axis!r} needs at least one value")
     configs = [
         replace(base, params={**base.params, axis: value}, output_path=None)
         for value in values
@@ -249,7 +252,7 @@ def sweep(
     for config in configs:
         validate_params(config.experiment, config.params)
     reports = [_sweep_one(config) for config in configs]
-    table = combined_csv(reports) if reports else ""
+    table = combined_csv(reports)
     if base.output_path:
         with open(base.output_path, "w", encoding="utf-8") as handle:
             handle.write(table)

@@ -14,6 +14,7 @@ from chslab.commitments import (
     hiding_distance,
     honest_commit,
 )
+from chslab.cli import main
 from chslab.haar import sample_haar
 from chslab.qla import DensityOperator, PureState, fidelity, partial_trace, partial_trace_pure
 from chslab.runner import rng_for
@@ -232,6 +233,17 @@ def test_hiding_distance_no_common_copies_is_single_key():
     report = hiding_distance(params, t=0)
     assert report.quantities["td_hiding"] == pytest.approx(0.0, abs=1e-10)
     assert report.flags["hiding_matches_multikey"]
+
+
+@pytest.mark.parametrize("p,t", [(3, -2), (1, -1)])
+def test_hiding_distance_rejects_negative_common_copies(p, t, capsys):
+    with pytest.raises(ValueError, match=f"need t >= 0 common copies, got t={t}"):
+        hiding_distance(fixed_params(lam=1, n=2, p=p), t=t)
+    argv = ["commit-hiding", "--lam", "1", "--n", "2", "--p", str(p), "--t", str(t)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"chs-lab commit-hiding: need t >= 0 common copies, got t={t}\n"
+    )
 
 
 def test_hiding_distance_crosscheck():

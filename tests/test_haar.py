@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chslab import _ziggurat, haar
+from chslab import haar
 from chslab.budgets import BudgetExceeded, Budgets
 from chslab.haar import (
     HaarSampler,
@@ -35,20 +34,43 @@ def test_sampler_deterministic_per_trial():
     assert np.array_equal(a.sample(CHUNK + 2).dense(), vec)
 
 
-def _assert_rows_are_fresh_streams(n, seed, start, count):
-    vecs = HaarSampler(n, rng_seed=seed).statevectors(count, start_trial=start)
-    assert vecs.shape == (count, 1 << n)
-    for i, row in enumerate(vecs):
-        assert np.array_equal(row, haar_statevector(n, rng_for(seed, start + i)))
+def _reference_row(n, seed, trial):
+    """Box-Muller of the trial's Philox words, one word at a time in scalar floats."""
+    dim = 1 << n
+    words = HaarSampler(n, seed).generator(trial).bit_generator.random_raw(2 * dim)
+    u = [((int(w) >> 11) + 1) * 2.0**-53 for w in words]
+    row = np.array([
+        math.sqrt(-math.log(u[j]))
+        * complex(math.cos(2 * math.pi * u[dim + j]), math.sin(2 * math.pi * u[dim + j]))
+        for j in range(dim)
+    ])
+    return row / np.linalg.norm(row)
+
+
+def _assert_rows_are_fresh_streams(vecs, n, seed, start, rows):
+    """The given rows of a batch from ``start`` match the scalar reference."""
+    for i in rows:
+        assert np.abs(vecs[i] - _reference_row(n, seed, start + i)).max() < 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("seed", [0, 101, 2**64 + 3, -1])
 def test_batched_rows_are_bitwise_the_per_trial_streams(n, seed):
-    for count in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1):
-        _assert_rows_are_fresh_streams(n, seed, 0, count)
+    sampler = HaarSampler(n, rng_seed=seed)
+    chunk = 4 * CHUNK >> n  # trials the sampler draws at once at n qubits
+    count = 2 * chunk + 2
+    vecs = sampler.statevectors(count)
+    assert vecs.shape == (count, 1 << n)
+    _assert_rows_are_fresh_streams(vecs, n, seed, 0, (0, chunk - 1, chunk, chunk + 1, count - 1))
+    # every other row is the same bits in a batch that starts or ends elsewhere
+    for prefix in (0, 1, chunk - 1, chunk, chunk + 1):
+        assert np.array_equal(sampler.statevectors(prefix), vecs[:prefix])
+    for start in (1, chunk - 1, chunk + 1):
+        assert np.array_equal(sampler.statevectors(count - start, start), vecs[start:])
     # the trial index wraps modulo 2^64 inside the batch
-    _assert_rows_are_fresh_streams(n, seed, 2**64 - 2, 5)
+    wrapped = sampler.statevectors(5, 2**64 - 2)
+    _assert_rows_are_fresh_streams(wrapped, n, seed, 2**64 - 2, range(5))
+    assert np.array_equal(wrapped[2:], vecs[:3])
 
 
 @settings(max_examples=40, deadline=None)
@@ -57,9 +79,17 @@ def test_batched_rows_are_bitwise_the_per_trial_streams(n, seed):
     seed=st.integers(-(2**65), 2**65),
     start=st.integers(-(2**65), 2**65),
     count=st.integers(0, 40),
+    data=st.data(),
 )
-def test_batched_rows_match_streams_property(n, seed, start, count):
-    _assert_rows_are_fresh_streams(n, seed, start, count)
+def test_batched_rows_match_streams_property(n, seed, start, count, data):
+    sampler = HaarSampler(n, rng_seed=seed)
+    vecs = sampler.statevectors(count, start_trial=start)
+    assert vecs.shape == (count, 1 << n)
+    _assert_rows_are_fresh_streams(vecs, n, seed, start, range(count))
+    split = data.draw(st.integers(0, count))
+    head = sampler.statevectors(split, start_trial=start)
+    tail = sampler.statevectors(count - split, start_trial=start + split)
+    assert np.array_equal(np.concatenate([head, tail]), vecs)
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 + 3])
@@ -73,39 +103,13 @@ def test_keystream_is_numpys_philox_stream(seed):
         assert np.array_equal(row, expected)
 
 
-def _rekeyed_rows(n, seed, count):
-    """haar_statevector of each trial's fresh stream, one generator re-keyed per trial."""
-    rng = rng_for(seed)
-    state = rng.bit_generator.state
-    rows = []
-    for trial in range(count):
-        state["state"]["key"] = haar._philox_key(seed, trial)
-        rng.bit_generator.state = state
-        rows.append(haar_statevector(n, rng))
-    return np.array(rows)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_large_batches_are_the_per_trial_streams_on_both_paths(n):
-    seed, count = 23, 50_000
-    vecs = HaarSampler(n, rng_seed=seed).statevectors(count)
-    assert np.array_equal(vecs, _rekeyed_rows(n, seed, count))
-    # the batch took the vectorised fast path and numpy's fallback both
-    raw = haar._philox_keystream(seed, np.arange(count, dtype=np.uint64), 2 << n)
-    fallback = int((~haar._ziggurat_fast_path(raw)[1].all(axis=1)).sum())
-    assert 0 < fallback < count // 2
-
-
-def test_ziggurat_tables_are_numpys():
-    wi, ki = _ziggurat.WI, _ziggurat.KI
-    assert wi.dtype == np.float64 and ki.dtype == np.uint64
-    assert wi.shape == ki.shape == (256,)
-    packed = wi.astype("<f8").tobytes() + ki.astype("<u8").tobytes()
-    assert hashlib.sha256(packed).hexdigest() == (
-        "c42158fec99c675f02ef73a973556f473c2c0dc0451a710862af14650f1c76be"
-    )
-    assert ki[0] == 0x000EF33D8025EF6A
-    assert wi[0] == 8.68362706080130616677e-16
+def test_extreme_words_give_finite_normals():
+    # word 0 is u = 2^-53, the largest modulus; word 2^64-1 is u = 1, modulus 0
+    raw = np.array([[0, 2**64 - 1, 0, 2**64 - 1]], dtype=np.uint64)
+    normals = haar._complex_normals(raw)
+    assert np.isfinite(normals).all()
+    assert abs(normals[0, 0]) == pytest.approx(math.sqrt(53 * math.log(2)), rel=1e-15)
+    assert normals[0, 1] == 0
 
 
 def test_statevectors_rejects_a_negative_count():

@@ -112,8 +112,26 @@ def test_sweep_binding_bound_column():
 
 def test_sweep_empty_values():
     base = ExperimentConfig("pgm", {"n": 1, "m": 1}, seed=1)
-    reports, table = sweep(base, "m", [])
-    assert reports == [] and table == ""
+    with pytest.raises(ValueError, match="sweep of 'm' needs at least one value"):
+        sweep(base, "m", [])
+
+
+@pytest.mark.parametrize("values", [",", "", "1,,2", "1,2,"])
+def test_cli_sweep_refuses_empty_values_in_one_line(values, capsys):
+    assert main(["sweep", "prsg-td", "--axis", "lam", "--values", values, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chs-lab sweep: --values {values!r} has an empty entry\n"
+
+
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--timing"]])
+def test_cli_sweep_has_no_format_or_timing_flag(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "pgm", "--axis", "m", "--values", "0", "--n", "1", *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    # single-experiment commands keep both flags
+    assert main(["pgm", "--n", "1", "--m", "0", *flag]) == 0
 
 
 def test_sweep_marks_failures_and_continues():
