@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, BudgetExceeded) as err:
         sys.stderr.write(f"chs-lab {experiment}: {err}\n")
         return 2
-    sys.stdout.write(report.to_json(include_timing=False))
+    sys.stdout.write(report.to_csv() if args.format == "csv" else report.to_json())
     if args.timing:
         sys.stderr.write(f"wall clock: {format_float(report.duration_s)}s\n")
     return 0 if report.passed() else 1

@@ -211,6 +211,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert printed == payload
 
 
+def test_cli_prints_the_report_in_the_requested_format(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    argv = ["pgm", "--n", "1", "--m", "0", "--seed", "3", "--format", "csv"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(out)]) == 0
+    assert printed == capsys.readouterr().out == out.read_text()
+    header, values = printed.splitlines()
+    assert header.startswith("experiment,seed,param_n,param_m,")
+    assert values.startswith("pgm,3,1,0,")
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"lam": 1, "n": 2, "ell": 1, "t": 1}))

@@ -18,7 +18,9 @@ from chslab.prsg import (
     _CONSECUTIVE,
     HybridSpec,
     PrsParams,
+    _conditioned_sectors,
     _multikey_xi,
+    _sector_hybrid,
     hybrid_mixture,
     hybrid_state,
     multi_key_report,
@@ -29,10 +31,15 @@ from chslab.qla import gram_trace_distance, trace_distance
 from chslab.sectors import (
     SectorMixture,
     SectorSpace,
+    _distinct_rows,
+    _first_holders,
+    _pack,
+    _row_hash,
     arrangements,
     sector_support_overlap,
     sector_trace_distance,
 )
+from chslab.tolerances import REL_RANK_CUTOFF
 
 ATOL = 1e-12
 
@@ -42,9 +49,9 @@ def _sector_dense(mixture, n: int) -> np.ndarray:
     N, size = mixture.space.N, mixture.space.size
     dense = np.zeros((N**size, N**size))
     radix = N ** np.arange(size - 1, -1, -1)
-    for group, block in zip(mixture.space.groups, mixture.blocks):
+    for group, block, index in zip(mixture.space.groups, mixture.blocks, mixture.index):
         flat = group.values() @ radix  # (count, dim)
-        dense[flat[:, :, None], flat[:, None, :]] = block
+        dense[flat[:, :, None], flat[:, None, :]] = block[index]
     return dense
 
 
@@ -197,7 +204,8 @@ def test_sector_counts_cover_every_type(N, size):
 
 
 @pytest.mark.parametrize(
-    "lam, n, ell, t, p", [(2, 3, 1, 2, 3), (3, 4, 2, 1, 1), (1, 2, 2, 0, 2), (1, 2, 2, 1, 2)]
+    "lam, n, ell, t, p",
+    [(2, 3, 1, 2, 3), (3, 4, 2, 1, 1), (1, 2, 2, 0, 2), (1, 2, 2, 1, 2), (3, 4, 2, 1, 2)],
 )
 def test_every_mixture_has_unit_trace(lam, n, ell, t, p):
     params = PrsParams(lam=lam, n=n, ell=ell, t=t, p=p)
@@ -236,8 +244,105 @@ def test_support_overlap_cuts_relative_to_the_largest_eigenvalue_of_all_blocks()
     # The second sector's block holds only a tiny eigenvalue: one dense
     # matrix's relative cutoff drops it, and so must the blocks.
     space = SectorSpace(2, 1)
-    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),))
-    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),))
+    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),), (np.array([0, 1]),))
+    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),), (np.array([0, 1]),))
     assert sector_support_overlap(a, b) == (1, 2, 1.0, 0.25)
     with pytest.raises(ValueError, match="sector spaces differ"):
-        sector_support_overlap(a, SectorMixture(SectorSpace(2, 2), b.blocks))
+        sector_support_overlap(a, SectorMixture(SectorSpace(2, 2), b.blocks, b.index))
+
+
+def _dense_support_overlap(a, b) -> tuple[int, int, float, float]:
+    """``sector_support_overlap`` on the full matrices, with the same relative cutoff."""
+    dense_a, dense_b = _sector_dense(a, 0), _sector_dense(b, 0)
+    vals, vecs = np.linalg.eigh(dense_a)
+    vals_b = np.linalg.eigvalsh(dense_b)
+    kept = vals > REL_RANK_CUTOFF * vals.max()
+    pi = vecs[:, kept] @ vecs[:, kept].T
+    rank_b = int((vals_b > REL_RANK_CUTOFF * vals_b.max()).sum())
+    return int(kept.sum()), rank_b, float(vals[kept].sum()), float(np.trace(pi @ dense_b))
+
+
+def test_shared_blocks_count_once_per_sector():
+    # Over 4 letters, shape (2,) has 4 one-dimensional sectors and shape (1, 1)
+    # 6 two-dimensional ones. Several sectors share each block, including the
+    # block whose only eigenvalue falls under the cutoff.
+    space = SectorSpace(4, 2)
+    a = SectorMixture(
+        space,
+        (
+            np.array([[[0.1]], [[1e-14]]]),
+            np.array([0.1 * np.eye(2), np.full((2, 2), 0.05)]),
+        ),
+        (np.array([0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 1])),
+    )
+    b = SectorMixture(
+        space,
+        (np.array([[[0.25]]]), np.array([[[0.1, 0.0], [0.0, 0.0]]])),
+        (np.zeros(4, dtype=np.int64), np.zeros(6, dtype=np.int64)),
+    )
+    assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
+    assert b.trace() == pytest.approx(1.6, abs=ATOL)
+    # rank(a) = 2 + 2*2 + 4*1; Tr(Pi b) = 2*0.25 + 2*0.1 + 4*0.05.
+    rank_a, rank_b, tr_a, tr_b = sector_support_overlap(a, b)
+    assert (rank_a, rank_b) == (10, 10)
+    assert type(rank_a) is int and type(rank_b) is int
+    assert tr_a == pytest.approx(1.0, abs=ATOL) and tr_b == pytest.approx(0.9, abs=ATOL)
+    expected = _dense_support_overlap(a, b)
+    assert (rank_a, rank_b) == expected[:2]
+    assert np.allclose((tr_a, tr_b), expected[2:], rtol=0, atol=ATOL)
+    dense_td = 0.5 * np.abs(np.linalg.eigvalsh(_sector_dense(a, 0) - _sector_dense(b, 0))).sum()
+    assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
+
+
+def test_equal_rows_are_confirmed_bit_for_bit():
+    # The hash is linear in the row, so [m1, 0] and [0, m0] collide; they
+    # must still land in different classes, and equal rows must share one.
+    m0, m1 = _row_hash(np.eye(2, dtype=np.int64)).view(np.int64)
+    rows = np.array([[m1, 0], [0, m0], [m1, 0], [5, 5], [5, 5]], dtype=np.int64)
+    assert len(set(_row_hash(rows[:3]).tolist())) == 1
+    first, index = _distinct_rows(rows)
+    assert np.array_equal(rows[first[index]], rows)
+    assert index[1] not in (index[0], index[2]) and index[3] == index[4]
+    assert np.array_equal(first, np.sort(first)) and (first[index] <= np.arange(5)).all()
+
+
+def test_key_packing_does_not_overflow():
+    # Packed as digits, [4, 0] would be 4 * 2^62, which wraps to the code of
+    # [0, 0] in int64; the packing must rank before that digit instead.
+    keys = np.array([[[0, 0], [4, 0], [0, 2**62 - 1], [4, 0]]], dtype=np.int64)
+    assert np.array_equal(_first_holders(keys), [[0, 1, 2, 1]])
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 3, size=(50, 6, 3)) << np.array([0, 40, 60])
+    codes = _pack(keys)
+    same = (keys[:, :, None] == keys[:, None]).all(axis=-1)
+    assert np.array_equal(codes[:, :, None] == codes[:, None, :], same)
+
+
+def test_conditioned_hybrids_keep_equal_key_patterns_with_different_weights_apart():
+    # H3's keys do not depend on lam, so all sectors of a shape have one key
+    # pattern; only the collision-free mask tells them apart. At lam=2, n=3 the
+    # all-distinct shape holds both masked and unmasked sectors.
+    params = PrsParams(lam=2, n=3, ell=1, t=2)
+    space = SectorSpace(8, 3)
+    cf = _conditioned_sectors(space, params, DEFAULT_BUDGETS)
+    assert not cf[2].all() and cf[2].any()
+    mixtures = {index: _sector_hybrid(index, params, space, cf) for index in (2, 3)}
+    assert [len(blocks) for blocks in mixtures[3].blocks] == [1, 1, 2]
+    for index, mixture in mixtures.items():
+        for mask, blocks, where in zip(cf, mixture.blocks, mixture.index):
+            assert np.array_equal(np.trace(blocks, axis1=1, axis2=2)[where] > 0, mask)
+        dense = hybrid_state(HybridSpec(index, params)).to_dense()
+        assert np.abs(_sector_dense(mixture, params.n) - dense).max() < ATOL
+
+
+def test_sector_blocks_repeat_per_shape_group():
+    # At (lam, n, ell, t) = (2, 6, 1, 2) the lam-free hybrids H4-H8 have one
+    # block per shape group. H1's block depends on which letters share a
+    # lam-bit prefix; letters ascend by value within equal multiplicity, so
+    # shape (2, 1) has 2 such patterns and (1, 1, 1) has 4.
+    params = PrsParams(lam=2, n=6, ell=1, t=2)
+    space = SectorSpace(64, 3)
+    assert [group.count for group in space.groups] == [64, 64 * 63, 41664]
+    assert [len(b) for b in _sector_hybrid(1, params, space).blocks] == [1, 2, 4]
+    for index in range(4, 9):
+        assert [len(b) for b in _sector_hybrid(index, params, space).blocks] == [1, 1, 1]
