@@ -8,9 +8,12 @@ finite mixtures of (phased) type states, so every distance in the eight-step
 hybrid chain between them is computed exactly, with no sampling.
 
 Every report, the rank attack included, builds those mixtures block by block
-over sectors of register values (``sectors``). ``hybrid_state`` and
-``_multikey_xi`` build the same mixtures as PureState ensembles; they are the
-independent route that the tests compare the sector blocks against.
+over relation classes of sectors (``sectors.relation_classes``): one block per
+multiplicity shape and GF(2)-relation space of the letters' ``lam``-bit
+prefixes, weighted by the exact number of sectors in the class, so the cost
+does not grow with ``n``. ``hybrid_state`` and ``_multikey_xi`` build the same
+mixtures as PureState ensembles; they, and the full sector enumeration, are
+the independent routes that the tests compare the class blocks against.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .sectors import (
     SectorSpace,
     arrangements,
     indicator_mixture,
+    reciprocals,
+    relation_classes,
     sector_support_overlap,
     sector_trace_distance,
 )
@@ -188,8 +193,11 @@ def hybrid_state(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Densit
 # - split or product states: the key is the sorted multiset in the first
 #   registers, and the weight 1/(d_A d_B) of |A>|B> (for a split of a type,
 #   the split count cancels against d_A d_B to the type's own 1/d).
-# The weights below are normalized by the exact member counts, so the traces
-# of the blocks summing to 1 checks the weights.
+# Keys and weights read prefixes as ``letter >> space.shift`` and compare
+# letters only for equality, so a class's representative row stands for every
+# sector of its class. The weights are normalized by the exact member counts,
+# Python ints that may exceed any fixed width, each reciprocal correctly
+# rounded; the traces of the blocks summing to 1 checks the weights.
 
 
 def _fold(values: np.ndarray, positions, shift: int) -> np.ndarray:
@@ -198,9 +206,9 @@ def _fold(values: np.ndarray, positions, shift: int) -> np.ndarray:
 
 
 def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> list[np.ndarray]:
-    """Per shape group, which sectors are ell-fold lam-prefix collision-free.
+    """Per shape group, which rows are ell-fold lam-prefix collision-free.
 
-    The vectorized form of ``is_l_fold_prefix_cf`` over every type at once.
+    The vectorized form of ``is_l_fold_prefix_cf`` over every row at once.
     """
     subsets = np.array(list(itertools.combinations(range(space.size), p.ell)), dtype=np.int64)
     budgets.check_subset_pairs(
@@ -208,19 +216,23 @@ def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> 
     )
     masks = []
     for group in space.groups:
-        prefixes = group.elements() >> (p.n - p.lam)
+        prefixes = group.elements() >> space.shift
         folds = np.sort(np.bitwise_xor.reduce(prefixes[:, subsets], axis=-1), axis=1)
         masks.append(np.all(folds[:, 1:] != folds[:, :-1], axis=1))
     return masks
+
+
+def _cf_count(space: SectorSpace, cf: list[np.ndarray]) -> int:
+    """How many sectors are ell-fold lam-prefix collision-free, exactly."""
+    return sum(group.total(mask.tolist()) for group, mask in zip(space.groups, cf))
 
 
 def _sector_hybrid(
     index: int, p: PrsParams, space: SectorSpace, cf: list[np.ndarray] | None = None
 ) -> SectorMixture:
     """Hybrid ``index`` in sector form; ``cf`` is needed for hybrids 2 and 3."""
-    ell, t, size = p.ell, p.t, space.size
-    shift = p.n - p.lam
-    n = _hybrid_size(index, p, sum(int(mask.sum()) for mask in cf or ()))
+    ell, t, size, shift = p.ell, p.t, space.size, space.shift
+    n = _hybrid_size(index, p, _cf_count(space, cf) if cf else 0)
     if n == 0:
         raise _empty_hybrid(index, p)
     if index in (2, 3):
@@ -232,7 +244,7 @@ def _sector_hybrid(
         keys = _fold(values, range(ell), shift) if index <= 2 else np.sort(first, axis=-1)
         distinct = group.shape == (1,) * size
         if index in (2, 3):
-            return keys, cf_of[group] / (n * group.dim)
+            return keys, cf_of[group] * (1 / (n * group.dim))
         if index <= 5:
             return keys, (distinct if index == 5 else True) / (n * group.dim)
         d_a, d_b = arrangements(first), arrangements(values[..., ell:])
@@ -242,7 +254,7 @@ def _sector_hybrid(
             allowed = (d_a == math.factorial(ell)) & (d_b == math.factorial(t))
         else:
             allowed = True
-        return keys, allowed / (n * d_a * d_b)
+        return keys, allowed * reciprocals(n, d_a * d_b)
 
     return indicator_mixture(space, describe)
 
@@ -254,7 +266,7 @@ def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
     each group's sorted multiset), the remaining p - j groups are keyed (key:
     each group's prefix fold), and the common copies follow.
     """
-    N, ell, shift = space.N, p.ell, p.n - p.lam
+    N, ell, shift = space.N, p.ell, space.shift
     groups = [range(g * ell, (g + 1) * ell) for g in range(p.p)]
     keyed_size = space.size - j * ell
     n = math.comb(N + ell - 1, ell) ** j * math.comb(N + keyed_size - 1, keyed_size)
@@ -263,10 +275,10 @@ def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
         values = group.values()
         keys = [np.sort(values[..., g], axis=-1) for g in groups[:j]]
         keys += [_fold(values, g, shift) for g in groups[j:]]
-        weight = 1.0 / (n * arrangements(values[..., j * ell :]))
+        orderings = arrangements(values[..., j * ell :])
         for g in groups[:j]:
-            weight = weight / arrangements(values[..., g])
-        return np.concatenate(keys, axis=-1), weight
+            orderings = orderings * arrangements(values[..., g])
+        return np.concatenate(keys, axis=-1), reciprocals(n, orderings)
 
     return indicator_mixture(space, describe)
 
@@ -274,7 +286,7 @@ def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
 def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
     """Sector form of ``hybrid_state(spec)``: the same operator, block by block."""
     p = spec.params
-    space = SectorSpace(1 << p.n, p.ell + p.t, budgets)
+    space = relation_classes(p.n, p.lam, p.ell + p.t, budgets)
     cf = _conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
     return _sector_hybrid(spec.index, p, space, cf)
 
@@ -283,7 +295,7 @@ def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGE
     """Sector form of the multi-key chain state xi_j (``_multikey_xi``)."""
     if not 0 <= j <= params.p:
         raise ValueError(f"chain index {j} out of range 0..{params.p}")
-    space = SectorSpace(1 << params.n, params.p * params.ell + params.t, budgets)
+    space = relation_classes(params.n, params.lam, params.p * params.ell + params.t, budgets)
     return _sector_chain(j, params, space)
 
 
@@ -296,7 +308,7 @@ _CONSECUTIVE = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
 
 def _real_ideal_td(lam: int, n: int, ell: int, t: int, budgets: Budgets = DEFAULT_BUDGETS) -> float:
     params = PrsParams(lam=lam, n=n, ell=ell, t=t)
-    space = SectorSpace(1 << n, ell + t, budgets)
+    space = relation_classes(n, lam, ell + t, budgets)
     return sector_trace_distance(
         _sector_hybrid(1, params, space), _sector_hybrid(8, params, space)
     )
@@ -318,13 +330,13 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     flags: dict[str, bool] = {}
     notes: list[str] = []
 
-    space = SectorSpace(1 << n, ell + t, budgets)
+    space = relation_classes(n, lam, ell + t, budgets)
     h1 = _sector_hybrid(1, params, space)
     h8 = _sector_hybrid(8, params, space)
     quantities["td_real_ideal"] = sector_trace_distance(h1, h8)
 
     cf = _conditioned_sectors(space, params, budgets)
-    cf_count = sum(int(mask.sum()) for mask in cf)
+    cf_count = _cf_count(space, cf)
     empty = [i for i in range(2, 8) if _hybrid_size(i, params, cf_count) == 0]
     if empty:
         notes.append(
@@ -401,7 +413,7 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
     sigma, one fixed convention for the whole artifact.
     """
     lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
-    space = SectorSpace(1 << n, p * ell + t, budgets)
+    space = relation_classes(n, lam, p * ell + t, budgets)
     real = previous = _sector_chain(0, params, space)
     quantities: dict[str, float] = {}
     flags: dict[str, bool] = {}
@@ -447,7 +459,7 @@ def impossibility_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) 
     blocks of hybrids 1 and 8 (generated copies first) give the same numbers.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
-    space = SectorSpace(1 << n, ell + t, budgets)
+    space = relation_classes(n, lam, ell + t, budgets)
     rank0, rank1, tr_rho0, tr_rho1 = sector_support_overlap(
         _sector_hybrid(1, params, space), _sector_hybrid(8, params, space)
     )

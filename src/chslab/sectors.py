@@ -1,4 +1,4 @@
-"""Mixtures stored as one real block per distinct sector block.
+"""Mixtures stored as one real block per relation class of sectors.
 
 When every register has the same width, a type state lives on the orderings
 of one multiset of register values, its *sector*. A mixture of such states
@@ -8,19 +8,31 @@ on a sector S is a matrix in the basis of S's distinct orderings.
 The mixtures built from this module have, on every sector, the form
 ``weight(o) * [key(o) == key(o')]`` over orderings ``o, o'``: a builder only
 says, per ordering, which key it carries and which weight. Sectors that share
-one multiplicity shape (``(2, 1)`` for ``{a, a, b}``) form a group, and within
-a group the block depends only on which orderings hold equal keys and on the
-weights, so most sectors repeat a few blocks. Each group stores its distinct
-blocks as one ``(u, d, d)`` array and, per sector, the index of its block. A
-trace distance is one batched ``eigvalsh`` over the distinct pairs of blocks
-and a support projection one batched ``eigh`` over the distinct blocks, each
-weighted by how many sectors carry it.
+one multiplicity shape (``(2, 1)`` for ``{a, a, b}``) form a group. The keys
+are prefix XORs and sorted multisets, so within a group a sector's block
+depends only on the GF(2)-linear relations among its letters' ``lam``-bit
+prefixes, and the weights only on the shape and on those relations. Even-weight
+relations are the relations among the differences ``x_i - x_1``, a subspace
+``V`` of ``GF(2)^(r-1)`` for ``r`` letters, and ``V`` also says which letters
+share a prefix. ``relation_classes`` therefore enumerates, per shape, the
+subspaces ``V`` in reduced row echelon form, merges those that differ by a
+swap of letters of equal multiplicity (their blocks are conjugate), and gives
+each class one representative row over a reduced width, weighted by the exact
+number of sectors it stands for. The cost depends on ``lam`` and the shape,
+not on ``n``, and a space never has more rows than sectors.
+
+A trace distance is one batched ``eigvalsh`` per group and a support
+projection one batched ``eigh``, each row weighted by its count. Every sector
+on its own, each with count 1, is the same structure; the tests build it as
+the independent reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -41,86 +53,184 @@ def _partitions(size: int, largest: int | None = None) -> Iterator[tuple[int, ..
             yield (head,) + tail
 
 
+def shape_orderings(shape: tuple[int, ...]) -> np.ndarray:
+    """(dim, sum(shape)) the letter each distinct ordering puts at each position."""
+    pattern = tuple(np.repeat(np.arange(len(shape)), shape).tolist())
+    return np.array(distinct_orderings(pattern), dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class ShapeGroup:
-    """Every sector with one multiplicity shape, in a fixed enumeration order.
+    """Rows of sectors with one multiplicity shape, each standing for many sectors.
 
-    ``letters[c]`` holds sector c's distinct values, the most repeated first
-    and equal multiplicities by value, so letter ``i`` occurs ``shape[i]``
-    times. ``orderings[o]`` holds, position by position, the letter that
-    ordering ``o`` puts there; it is the same for every sector of the shape.
+    ``letters[c]`` holds row c's representative distinct values, letter ``i``
+    occurring ``shape[i]`` times. ``orderings[o]`` holds, position by position,
+    the letter that ordering ``o`` puts there; it is the same for every row.
+    Row c stands for ``counts[c]`` sectors, an exact Python int.
     """
 
     shape: tuple[int, ...]
-    letters: np.ndarray  # (count, len(shape))
+    letters: np.ndarray  # (rows, len(shape))
     orderings: np.ndarray  # (dim, sum(shape))
-
-    @property
-    def count(self) -> int:
-        return self.letters.shape[0]
+    counts: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.orderings.shape[0]
 
     def values(self) -> np.ndarray:
-        """(count, dim, size) register values of every ordering of every sector."""
+        """(rows, dim, size) register values of every ordering of every row."""
         return self.letters[:, self.orderings]
 
     def elements(self) -> np.ndarray:
-        """(count, size) each sector's multiset, one entry per copy."""
+        """(rows, size) each row's multiset, one entry per copy."""
         return self.letters[:, np.repeat(np.arange(len(self.shape)), self.shape)]
 
+    def weights(self) -> np.ndarray:
+        """(rows,) sectors per row, each a correctly rounded float."""
+        return np.array([float(count) for count in self.counts])
 
-def _shape_group(N: int, shape: tuple[int, ...]) -> ShapeGroup:
-    r = len(shape)
-    combos = np.array(list(itertools.combinations(range(N), r)), dtype=np.int64).reshape(-1, r)
-    # Each distinct assignment of the multiplicities to the r ascending values
-    # of a combination is one sector; reorder its values into letter order.
-    letters = np.concatenate(
-        [
-            combos[:, sorted(range(r), key=lambda i: (-assignment[i], i))]
-            for assignment in distinct_orderings(shape)
-        ]
-    )
-    pattern = tuple(np.repeat(np.arange(r), shape).tolist())
-    orderings = np.array(distinct_orderings(pattern), dtype=np.int64)
-    return ShapeGroup(shape, letters, orderings)
+    def total(self, per_row) -> int:
+        """The exact sum over sectors of an integer given per row (a rank, a mask)."""
+        return sum(c * k for c, k in zip(self.counts, per_row))
 
 
+@dataclass(frozen=True, eq=False)
 class SectorSpace:
-    """Every sector of ``size`` registers over an ``N``-letter alphabet, by shape.
+    """Every sector of ``size`` registers over ``N`` letters, by shape group.
 
-    There is one sector per multiset, C(N + size - 1, size) in all, which is
-    checked against the type-enumeration budget before anything is built.
+    A letter's ``lam``-bit prefix is ``letter >> shift``.
     """
 
-    def __init__(self, N: int, size: int, budgets: Budgets = DEFAULT_BUDGETS):
-        budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
-        self.N = N
-        self.size = size
-        self.groups = tuple(
-            _shape_group(N, shape) for shape in _partitions(size) if len(shape) <= N
-        )
+    N: int
+    size: int
+    shift: int
+    groups: tuple[ShapeGroup, ...]
+
+
+def subspaces(m: int, max_dim: int) -> Iterator[tuple[int, ...]]:
+    """Every subspace of GF(2)^m of dimension at most ``max_dim``, once each.
+
+    Each is given by the m columns of its reduced row echelon basis, column j
+    as the integer whose bit i is row i's entry. A pivot column is a unit
+    vector; any other column is free in the rows whose pivot lies left of it.
+    """
+    for k in range(min(m, max_dim) + 1):
+        for pivots in itertools.combinations(range(m), k):
+            yield from itertools.product(
+                *(
+                    (1 << pivots.index(j),) if j in pivots else range(1 << bisect(pivots, j))
+                    for j in range(m)
+                )
+            )
+
+
+def _canonical(prefixes: tuple[int, ...]) -> tuple[int, ...]:
+    """The ``subspaces`` form of the difference relations among ``prefixes``.
+
+    Translates the first prefix to 0 and row-reduces the rest: row i of the
+    matrix holds bit i of every other prefix, column j at bit ``m - 1 - j``.
+    """
+    m = len(prefixes) - 1
+    columns = [x ^ prefixes[0] for x in prefixes[1:]]
+    basis: dict[int, int] = {}  # pivot bit -> row
+    for i in range(max(columns, default=0).bit_length()):
+        row = sum(((c >> i) & 1) << (m - 1 - j) for j, c in enumerate(columns))
+        for lead in sorted(basis, reverse=True):
+            if (row >> lead) & 1:
+                row ^= basis[lead]
+        if row:
+            basis[row.bit_length() - 1] = row
+    for lead in sorted(basis):
+        for other in basis:
+            if other != lead and (basis[other] >> lead) & 1:
+                basis[other] ^= basis[lead]
+    rows = [basis[lead] for lead in sorted(basis, reverse=True)]
+    return tuple(
+        sum(((row >> (m - 1 - j)) & 1) << i for i, row in enumerate(rows)) for j in range(m)
+    )
+
+
+def _class_group(n: int, lam: int, shape: tuple[int, ...], shift: int) -> ShapeGroup | None:
+    """The relation classes of one shape, or None when no sector has the shape.
+
+    For the difference relations V, letter 1 has prefix 0 and letter i + 1 the
+    i-th column of V's annihilator basis, so the prefixes span k dimensions.
+    The ordered letter tuples with relations V number
+    ``2^lam * prod_{i<k} (2^lam - 2^i)`` (the injective maps of the difference
+    span into GF(2)^lam) times ``prod_b (2^(n-lam))_{|b|}`` (distinct suffixes
+    within each prefix class b); that is 0 exactly when no sector has
+    relations V. Swapping two letters of equal multiplicity gives the same
+    sectors, with conjugate blocks, so one class is an orbit of such swaps on
+    the V that occur: its first V is the representative row (letters sharing
+    a prefix take suffixes 0, 1, ...), and its tuples divided by the
+    automorphism count ``|Aut(shape)|`` are its sectors, exactly.
+    """
+    ordered = {}
+    for columns in subspaces(len(shape) - 1, lam):
+        prefixes = (0,) + columns
+        count = math.prod((1 << lam) - (1 << i) for i in range(max(prefixes).bit_length()))
+        count *= math.prod(math.perm(1 << (n - lam), b) for b in Counter(prefixes).values())
+        if count:
+            ordered[columns] = count << lam
+    swaps = [i for i in range(len(shape) - 1) if shape[i] == shape[i + 1]]
+    aut = math.prod(math.factorial(m) for m in Counter(shape).values())
+    rows, counts, seen = [], [], set()
+    for columns in ordered:
+        if columns in seen:
+            continue
+        orbit, todo = {columns}, [columns]
+        while todo:
+            prefixes = (0,) + todo.pop()
+            for i in swaps:
+                swapped = list(prefixes)
+                swapped[i], swapped[i + 1] = prefixes[i + 1], prefixes[i]
+                image = _canonical(tuple(swapped))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        suffixes = Counter()
+        letters = []
+        for x in (0,) + columns:
+            letters.append((x << shift) | suffixes[x])
+            suffixes[x] += 1
+        rows.append(letters)
+        counts.append(sum(ordered[v] for v in orbit) // aut)
+    if not rows:
+        return None
+    letters = np.array(rows, dtype=np.int64)
+    return ShapeGroup(shape, letters, shape_orderings(shape), tuple(counts))
+
+
+def relation_classes(
+    n: int, lam: int, size: int, budgets: Budgets = DEFAULT_BUDGETS
+) -> SectorSpace:
+    """Every sector of ``size`` registers of ``n`` bits, by relation class of ``lam``-bit prefixes.
+
+    The C(2^n + size - 1, size) sectors are checked against the
+    type-enumeration budget, as if each were built. Letters are at most
+    ``lam + bit_length(size - 1)`` bits wide whatever ``n``.
+    """
+    N = 1 << n
+    budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
+    shift = (size - 1).bit_length()
+    groups = (_class_group(n, lam, shape, shift) for shape in _partitions(size))
+    return SectorSpace(N, size, shift, tuple(g for g in groups if g is not None))
 
 
 @dataclass(frozen=True, eq=False)
 class SectorMixture:
-    """A mixture by shape group: its distinct blocks and the block of each sector.
-
-    ``blocks[g]`` is ``(u, d, d)`` and ``index[g]`` is ``(count,)``: sector c of
-    group g has block ``blocks[g][index[g][c]]``.
-    """
+    """A mixture by shape group: ``blocks[g][c]`` is row c's ``(d, d)`` block."""
 
     space: SectorSpace
     blocks: tuple[np.ndarray, ...]
-    index: tuple[np.ndarray, ...]
 
     def trace(self) -> float:
         return float(
             sum(
-                np.bincount(index, minlength=len(block)) @ np.trace(block, axis1=1, axis2=2)
-                for block, index in zip(self.blocks, self.index)
+                group.weights() @ np.trace(block, axis1=1, axis2=2)
+                for group, block in zip(self.space.groups, self.blocks)
             )
         )
 
@@ -128,121 +238,39 @@ class SectorMixture:
 Describe = Callable[[ShapeGroup], tuple[np.ndarray, np.ndarray]]
 
 
-def _weighted_rank(counts: np.ndarray, kept: np.ndarray) -> int:
-    """Kept eigenvalues per block times the block's sector count, in Python ints."""
-    return sum(c * k for c, k in zip(counts.tolist(), kept.sum(axis=1).tolist()))
-
-
-def _pack(keys: np.ndarray) -> np.ndarray:
-    """(count, dim) int64 codes, equal exactly where the ``(count, dim, k)`` key rows are.
-
-    Columns are packed as digits. When the next digit would overflow int64, the
-    codes packed so far and the column are first replaced by their ranks; those
-    are below ``count * dim``, so their product fits for any array that fits in
-    memory.
-    """
-    code, span = np.zeros(keys.shape[:2], dtype=np.int64), 1
-    for col in keys.transpose(2, 0, 1):
-        base = int(col.max()) + 1
-        if span * base > np.iinfo(np.int64).max:
-            code, col = (
-                np.unique(x, return_inverse=True)[1].reshape(x.shape) for x in (code, col)
-            )
-            span, base = int(code.max()) + 1, int(col.max()) + 1
-        code, span = code * base + col, span * base
-    return code
-
-
-def _first_holders(keys: np.ndarray) -> np.ndarray:
-    """(count, dim) for every ordering, the first ordering of its sector with an equal key."""
-    code = _pack(keys)
-    count, dim = code.shape
-    sector = np.arange(count)[:, None]
-    # A stable sort of each sector's codes puts equal keys in runs, ordering by ordering.
-    order = np.argsort(code, axis=1, kind="stable")
-    ranked = code[sector, order]
-    starts = np.ones((count, dim), dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    run_start = np.maximum.accumulate(np.where(starts, np.arange(dim), 0), axis=1)
-    first = np.empty_like(order)
-    first[sector, order] = order[sector, run_start]
-    return first
-
-
-def _row_hash(rows: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each int64 row: its entries times fixed odd multipliers, summed.
-
-    The multiplier of column i is splitmix64(i + 1) made odd.
-    """
-    with np.errstate(over="ignore"):
-        z = np.arange(1, rows.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        multipliers = (z ^ (z >> np.uint64(31))) | np.uint64(1)
-        return (rows.view(np.uint64) * multipliers).sum(axis=1, dtype=np.uint64)
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, index)``: the first row of each class of equal rows, and each row's class.
-
-    The hash only orders the rows; rows join a class when they equal its
-    previous row bit for bit, so unequal rows never share a class (a hash
-    collision could at worst split one). Classes are numbered by first row.
-    """
-    order = np.argsort(_row_hash(rows), kind="stable")
-    ranked = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    first = order[starts]
-    renumber = np.empty(len(first), dtype=np.int64)
-    renumber[np.argsort(first)] = np.arange(len(first))
-    index = np.empty(len(rows), dtype=np.int64)
-    index[order] = renumber[np.cumsum(starts) - 1]
-    return np.sort(first), index
-
-
 def indicator_mixture(space: SectorSpace, describe: Describe) -> SectorMixture:
-    """Blocks ``weight(o) * [key(o) == key(o')]`` on every sector.
+    """Blocks ``weight(o) * [key(o) == key(o')]`` on every row.
 
-    ``describe(group)`` returns the keys, ``(count, dim, k)`` non-negative
-    integers compared row by row, and the weights, broadcastable to
-    ``(count, dim)``. The weight must be equal on orderings with equal keys, so
-    every block is symmetric. Two sectors share a block when, ordering by
-    ordering, the first ordering with an equal key and the weight's bits agree.
+    ``describe(group)`` returns the keys, ``(rows, dim, k)`` integers compared
+    row by row, and the weights, broadcastable to ``(rows, dim)``. The weight
+    must be equal on orderings with equal keys, so every block is symmetric.
     """
-    blocks, indices = [], []
+    blocks = []
     for group in space.groups:
         keys, weight = describe(group)
-        first = _first_holders(keys)
-        weight = np.ascontiguousarray(np.broadcast_to(weight, first.shape), dtype=np.float64)
-        reps, index = _distinct_rows(np.concatenate([first, weight.view(np.int64)], axis=1))
-        first, weight = first[reps], weight[reps]
-        blocks.append((first[:, :, None] == first[:, None, :]) * weight[:, :, None])
-        indices.append(index)
-    return SectorMixture(space, tuple(blocks), tuple(indices))
+        same = (keys[:, :, None] == keys[:, None, :]).all(axis=-1)
+        blocks.append(same * np.broadcast_to(weight, same.shape[:2])[:, :, None])
+    return SectorMixture(space, tuple(blocks))
 
 
 def _check_same_space(a: SectorMixture, b: SectorMixture) -> None:
-    spaces = [(m.space.N, m.space.size) for m in (a, b)]
-    if spaces[0] != spaces[1]:
-        raise ValueError(f"sector spaces differ: (N, size) = {spaces[0]} vs {spaces[1]}")
-
-
-def _pairs(
-    index_a: np.ndarray, index_b: np.ndarray, size_b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct ``(index_a, index_b)`` pairs over a group's sectors, with their counts."""
-    pairs, counts = np.unique(index_a * size_b + index_b, return_counts=True)
-    return pairs // size_b, pairs % size_b, counts
+    x, y = a.space, b.space
+    if x is y:
+        return
+    same = (x.N, x.size, x.shift, len(x.groups)) == (y.N, y.size, y.shift, len(y.groups))
+    if not same or not all(
+        g.counts == h.counts and np.array_equal(g.letters, h.letters)
+        for g, h in zip(x.groups, y.groups)
+    ):
+        raise ValueError(f"sector spaces differ: (N, size) = {(x.N, x.size)} vs {(y.N, y.size)}")
 
 
 def sector_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
-    """Half the trace norm of ``a - b``, summed over the distinct pairs of blocks."""
+    """Half the trace norm of ``a - b``, summed over the rows' blocks."""
     _check_same_space(a, b)
     total = 0.0
-    for x, y, ia, ib in zip(a.blocks, b.blocks, a.index, b.index):
-        pa, pb, counts = _pairs(ia, ib, len(y))
-        total += float(counts @ np.abs(np.linalg.eigvalsh(x[pa] - y[pb])).sum(axis=1))
+    for group, x, y in zip(a.space.groups, a.blocks, b.blocks):
+        total += float(group.weights() @ np.abs(np.linalg.eigvalsh(x - y)).sum(axis=1))
     return 0.5 * total
 
 
@@ -251,9 +279,8 @@ def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int
 
     Eigenvalues count when strictly above ``REL_RANK_CUTOFF`` times the largest
     over all blocks, as for the whole operator. Pi keeps the eigenvectors V of
-    a's blocks (one batched ``eigh`` per shape group's distinct blocks); Tr(Pi b)
-    sums Tr(V^T B V) over the distinct pairs of blocks. Each block counts once
-    per sector that carries it.
+    a's blocks (one batched ``eigh`` per shape group); Tr(Pi b) sums
+    Tr(V^T B V) over the rows. Ranks are exact Python ints.
     """
     _check_same_space(a, b)
     eigs = [np.linalg.eigh(x) for x in a.blocks]
@@ -262,16 +289,14 @@ def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int
     top_b = max(float(w.max()) for w in vals_b)
     rank_a = rank_b = 0
     tr_a = tr_b = 0.0
-    for (w, v), w_b, y, ia, ib in zip(eigs, vals_b, b.blocks, a.index, b.index):
+    for group, (w, v), w_b, y in zip(a.space.groups, eigs, vals_b, b.blocks):
         kept = w > REL_RANK_CUTOFF * top_a
-        counts_a = np.bincount(ia, minlength=len(w))
-        counts_b = np.bincount(ib, minlength=len(w_b))
-        rank_a += _weighted_rank(counts_a, kept)
-        rank_b += _weighted_rank(counts_b, w_b > REL_RANK_CUTOFF * top_b)
-        tr_a += float(counts_a @ np.where(kept, w, 0.0).sum(axis=1))
-        pa, pb, counts = _pairs(ia, ib, len(y))
-        overlaps = np.einsum("pij,pij->pj", v[pa], y[pb] @ v[pa])
-        tr_b += float(counts @ np.where(kept[pa], overlaps, 0.0).sum(axis=1))
+        rank_a += group.total(kept.sum(axis=1).tolist())
+        rank_b += group.total((w_b > REL_RANK_CUTOFF * top_b).sum(axis=1).tolist())
+        weights = group.weights()
+        tr_a += float(weights @ np.where(kept, w, 0.0).sum(axis=1))
+        overlaps = np.einsum("pij,pij->pj", v, y @ v)
+        tr_b += float(weights @ np.where(kept, overlaps, 0.0).sum(axis=1))
     return rank_a, rank_b, tr_a, tr_b
 
 
@@ -284,3 +309,12 @@ def arrangements(values: np.ndarray) -> np.ndarray:
     m = values.shape[-1]
     same = values[..., :, None] == values[..., None, :]
     return math.factorial(m) // np.tril(same).sum(axis=-1).prod(axis=-1)
+
+
+def reciprocals(n: int, denominators: np.ndarray) -> np.ndarray:
+    """``1 / (n * denominators)`` elementwise for a Python int ``n``, each value
+    correctly rounded from the exact integer product, so no size of ``n``
+    overflows."""
+    values, inverse = np.unique(denominators, return_inverse=True)
+    exact = np.array([1 / (n * v) for v in values.tolist()])
+    return exact[inverse].reshape(denominators.shape)

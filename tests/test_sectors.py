@@ -1,19 +1,27 @@
-"""The sector-block route against the ensemble routes it replaced in the reports.
+"""The relation-class route against the full sector enumeration and the ensemble routes.
 
-``hybrid_state`` and ``_multikey_xi`` build the same mixtures as PureState
+The reports build their mixtures on ``sectors.relation_classes``. Patching in
+``sector_reference.sector_space`` builds the same mixtures on every sector
+with count 1. ``hybrid_state`` and ``_multikey_xi`` build them as PureState
 ensembles; ``gram_trace_distance`` and the dense ``trace_distance`` compare
-those. Every sector-route quantity must agree with them to 1e-12.
+those. Every quantity must agree across the routes to 1e-12.
 """
 
+import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sector_reference import sector_space
 
+from chslab import prsg
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
+from chslab.commitments import CommitmentParams, hiding_distance
+from chslab.haar import sample_haar
 from chslab.prsg import (
     _CONSECUTIVE,
     HybridSpec,
@@ -23,35 +31,44 @@ from chslab.prsg import (
     _sector_hybrid,
     hybrid_mixture,
     hybrid_state,
+    impossibility_attack,
     multi_key_report,
     multikey_mixture,
     single_key_report,
 )
 from chslab.qla import gram_trace_distance, trace_distance
+from chslab.runner import rng_for
 from chslab.sectors import (
     SectorMixture,
     SectorSpace,
-    _distinct_rows,
-    _first_holders,
-    _pack,
-    _row_hash,
+    ShapeGroup,
+    _canonical,
     arrangements,
+    relation_classes,
     sector_support_overlap,
     sector_trace_distance,
+    shape_orderings,
+    subspaces,
 )
 from chslab.tolerances import REL_RANK_CUTOFF
 
 ATOL = 1e-12
 
 
-def _sector_dense(mixture, n: int) -> np.ndarray:
-    """The full N^size matrix of a sector mixture (registers of n bits)."""
+def _on_sectors(call, *args):
+    """``call(*args)`` with every prsg mixture built on the full sector enumeration."""
+    with mock.patch.object(prsg, "relation_classes", sector_space):
+        return call(*args)
+
+
+def _sector_dense(mixture) -> np.ndarray:
+    """The full N^size matrix of a mixture on the full sector enumeration."""
     N, size = mixture.space.N, mixture.space.size
     dense = np.zeros((N**size, N**size))
     radix = N ** np.arange(size - 1, -1, -1)
-    for group, block, index in zip(mixture.space.groups, mixture.blocks, mixture.index):
+    for group, block in zip(mixture.space.groups, mixture.blocks):
         flat = group.values() @ radix  # (count, dim)
-        dense[flat[:, :, None], flat[:, None, :]] = block[index]
+        dense[flat[:, :, None], flat[:, None, :]] = block
     return dense
 
 
@@ -127,16 +144,19 @@ def test_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, mask, data):
     N, size = 1 << n, ell + t
     assume(N**size <= 1024)
     params = PrsParams(lam=lam, n=n, ell=ell, t=t)
-    sector, dense, ensemble = {}, {}, {}
+    classes, sector, dense, ensemble = {}, {}, {}, {}
     for index in range(1, 9):
+        spec = HybridSpec(index, params)
         try:
-            ensemble[index] = hybrid_state(HybridSpec(index, params))
+            ensemble[index] = hybrid_state(spec)
         except ValueError as err:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-                hybrid_mixture(HybridSpec(index, params))
+            for route in (hybrid_mixture, lambda s: _on_sectors(hybrid_mixture, s)):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                    route(spec)
             continue
-        sector[index] = hybrid_mixture(HybridSpec(index, params))
-        dense[index] = _sector_dense(sector[index], n)
+        classes[index] = hybrid_mixture(spec)
+        sector[index] = _on_sectors(hybrid_mixture, spec)
+        dense[index] = _sector_dense(sector[index])
         assert np.abs(dense[index] - ensemble[index].to_dense()).max() < ATOL
     chain = len(sector) == 8
     pairs = [(1, 8)] + (_CONSECUTIVE if chain else [])
@@ -144,6 +164,7 @@ def test_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, mask, data):
         by_sector = sector_trace_distance(sector[i], sector[j])
         assert by_sector == pytest.approx(gram_trace_distance(ensemble[i], ensemble[j]), abs=ATOL)
         assert by_sector == pytest.approx(trace_distance(ensemble[i], ensemble[j]), abs=1e-10)
+        assert sector_trace_distance(classes[i], classes[j]) == pytest.approx(by_sector, abs=ATOL)
     report = single_key_report(params)
     assert (report.quantities["td_h1_h2"] is not None) == chain
     if chain:
@@ -179,28 +200,162 @@ def test_multi_key_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, p):
     assume(N**size <= 1024)
     params = PrsParams(lam=lam, n=n, ell=ell, t=t, p=p)
     xis = [_multikey_xi(j, params, DEFAULT_BUDGETS) for j in range(p + 1)]
-    mixtures = [multikey_mixture(j, params) for j in range(p + 1)]
+    classes = [multikey_mixture(j, params) for j in range(p + 1)]
+    mixtures = [_on_sectors(multikey_mixture, j, params) for j in range(p + 1)]
     for j in range(p + 1):
-        assert np.abs(_sector_dense(mixtures[j], n) - xis[j].to_dense()).max() < ATOL
+        assert np.abs(_sector_dense(mixtures[j]) - xis[j].to_dense()).max() < ATOL
     for j in range(p):
         by_sector = sector_trace_distance(mixtures[j], mixtures[j + 1])
         assert by_sector == pytest.approx(gram_trace_distance(xis[j], xis[j + 1]), abs=ATOL)
         assert by_sector == pytest.approx(trace_distance(xis[j], xis[j + 1]), abs=1e-10)
+        by_class = sector_trace_distance(classes[j], classes[j + 1])
+        assert by_class == pytest.approx(by_sector, abs=ATOL)
     report = multi_key_report(params)
     assert report.flags["links_le_single_key"] and report.flags["td_le_sum_of_links"]
 
 
+def _assert_same_report(classes, sectors) -> None:
+    """Same keys in the same order, same flags and notes, quantities to 1e-12, equal ints."""
+    assert classes.params == sectors.params and classes.notes == sectors.notes
+    assert list(classes.flags.items()) == list(sectors.flags.items())
+    for field in ("quantities", "bounds"):
+        ours, theirs = getattr(classes, field), getattr(sectors, field)
+        assert list(ours) == list(theirs), field
+        for key, value in ours.items():
+            if value is None or isinstance(value, int):
+                assert type(value) is type(theirs[key]) and value == theirs[key], key
+            else:
+                assert value == pytest.approx(theirs[key], abs=ATOL), key
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.integers(1, 4),
+    n=st.integers(1, 4),
+    ell=st.integers(1, 3),
+    t=st.integers(0, 3),
+    p=st.integers(1, 3),
+)
+@example(lam=1, n=3, ell=1, t=2, p=1)  # empty conditioned set
+@example(lam=1, n=1, ell=3, t=0, p=1)  # fewer strings than registers
+def test_reports_on_classes_match_the_full_sector_enumeration(lam, n, ell, t, p):
+    assume(lam <= n and ell + t <= 4 and p * ell + t <= 4)
+    assume(math.comb((1 << n) + p * ell + t - 1, p * ell + t) <= 3000)
+    params = PrsParams(lam=lam, n=n, ell=ell, t=t, p=p)
+    calls = [(single_key_report, params), (impossibility_attack, params)]
+    if p > 1:
+        calls.append((multi_key_report, params))
+    if ell == 1 and n > lam and (1 << n) ** (t + p) <= 256:
+        theta = sample_haar(n, rng_for(0))
+        calls.append((hiding_distance, CommitmentParams(lam=lam, n=n, p=p, theta=theta), t))
+    for call, *args in calls:
+        _assert_same_report(call(*args), _on_sectors(call, *args))
+
+
 @pytest.mark.parametrize("N, size", [(2, 1), (2, 5), (4, 3), (8, 4), (16, 3), (64, 3)])
 def test_sector_counts_cover_every_type(N, size):
-    space = SectorSpace(N, size)
-    assert sum(group.count for group in space.groups) == math.comb(N + size - 1, size)
-    for group in space.groups:
+    n, types = N.bit_length() - 1, math.comb(N + size - 1, size)
+    space = sector_space(n, n, size)
+    assert sum(len(group.letters) for group in space.groups) == types
+    multisets = {tuple(sorted(row)) for group in space.groups for row in group.elements().tolist()}
+    assert len(multisets) == types
+    for lam in range(1, n + 1):
+        classes = relation_classes(n, lam, size)
+        assert [g.shape for g in classes.groups] == [g.shape for g in space.groups]
+        assert sum(group.total([1] * len(group.counts)) for group in classes.groups) == types
+    for group in space.groups + classes.groups:
         assert group.dim == math.factorial(size) // math.prod(
             math.factorial(m) for m in group.shape
         )
         assert (arrangements(group.values()) == group.dim).all()
-    multisets = {tuple(sorted(row)) for group in space.groups for row in group.elements().tolist()}
-    assert len(multisets) == math.comb(N + size - 1, size)
+
+
+def test_subspace_enumerator_yields_every_subspace_once():
+    # The Galois numbers: subspaces of GF(2)^m over all dimensions.
+    assert [sum(1 for _ in subspaces(m, m)) for m in range(7)] == [1, 2, 5, 16, 67, 374, 2825]
+    # Each basis spans a distinct row space of its stated dimension.
+    for m in range(5):
+        spans = set()
+        for columns in subspaces(m, m):
+            rows = [sum(((c >> i) & 1) << j for j, c in enumerate(columns)) for i in range(m)]
+            span = frozenset(
+                np.bitwise_xor.reduce(np.array(chosen, dtype=np.int64)).item() if chosen else 0
+                for k in range(m + 1)
+                for chosen in itertools.combinations(rows, k)
+            )
+            assert len(span) == 1 << max(columns, default=0).bit_length()
+            spans.add(span)
+        assert len(spans) == [1, 2, 5, 16, 67][m]
+    assert sum(1 for _ in subspaces(6, 2)) == 1 + 63 + 651
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    prefixes=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    shift=st.integers(0, 7),
+    basis=st.permutations([1, 2, 4]),
+    mix=st.integers(0, 7),
+)
+def test_canonical_relations_ignore_translation_and_change_of_basis(prefixes, shift, basis, mix):
+    # Relabel GF(2)^3 by x -> A x + shift, A invertible (a permutation of the
+    # unit vectors followed by adding bit 0 into the bits in ``mix``).
+    def relabel(x):
+        y = sum(b for i, b in enumerate(basis) if (x >> i) & 1)
+        return (y ^ (mix & ~1 if y & 1 else 0)) ^ shift
+
+    canonical = _canonical(tuple(prefixes))
+    assert _canonical(tuple(relabel(x) for x in prefixes)) == canonical
+    assert canonical in set(subspaces(len(prefixes) - 1, 3))
+
+
+@pytest.mark.parametrize(
+    "n, lam, size", [(1, 1, 4), (2, 1, 4), (3, 3, 5), (4, 2, 4), (6, 2, 3), (10, 3, 4), (40, 8, 4)]
+)
+def test_class_counts_are_exact(n, lam, size):
+    types = math.comb((1 << n) + size - 1, size)
+    space = relation_classes(n, lam, size, Budgets(max_type_count=types))
+    assert sum(group.total([1] * len(group.counts)) for group in space.groups) == types
+    for group in space.groups:
+        # Every row stands for at least one sector, so no space has more rows
+        # than sectors, and no empty class can set a global eigenvalue cutoff.
+        assert all(type(c) is int and c > 0 for c in group.counts)
+        assert len(group.letters) == len(group.counts)
+        assert int(group.letters.max()) < 1 << (lam + space.shift)
+    if n <= 6:
+        sectors = sector_space(n, lam, size)
+        assert [g.shape for g in space.groups] == [g.shape for g in sectors.groups]
+        for group, reference in zip(space.groups, sectors.groups):
+            assert sum(group.counts) == len(reference.letters)
+
+
+@pytest.mark.parametrize("lam, n, ell, t", [(2, 16, 2, 2), (2, 20, 1, 2), (2, 70, 1, 2)])
+def test_reports_stay_normalised_at_large_n(lam, n, ell, t):
+    budgets = Budgets(max_type_count=10**90)
+    params = PrsParams(lam=lam, n=n, ell=ell, t=t)
+    report = single_key_report(params, budgets)
+    # At ell = 2, lam = 2 no 2-fold prefix collision-free type exists: no chain.
+    assert (report.quantities["td_h1_h2"] is None) == (ell == 2)
+    for key, value in report.quantities.items():
+        if key != "sum_consecutive" and value is not None:
+            assert 0.0 <= value <= 1.0, key
+    assert all(report.flags.values())
+    for index in (1, 4, 5, 6, 7, 8) if ell == 2 else range(1, 9):
+        assert hybrid_mixture(HybridSpec(index, params), budgets).trace() == pytest.approx(
+            1.0, abs=ATOL
+        )
+    attack = impossibility_attack(params, budgets)
+    N = 1 << n
+    rank1 = math.comb(N + ell - 1, ell) * math.comb(N + t - 1, t)
+    assert attack.quantities["rank_rho1_measured"] == rank1
+    assert attack.flags["rank_rho1_matches_formula"] and attack.flags["tr_pi_rho0_is_one"]
+    if ell == 1:
+        chain = multi_key_report(PrsParams(lam=lam, n=n, ell=ell, t=t, p=2), budgets)
+        for key, value in chain.quantities.items():
+            assert 0.0 <= value <= (2.0 if key == "sum_links" else 1.0), key
+        assert all(chain.flags.values())
+        for j in range(3):
+            mixture = multikey_mixture(j, PrsParams(lam=lam, n=n, ell=ell, t=t, p=2), budgets)
+            assert mixture.trace() == pytest.approx(1.0, abs=ATOL)
 
 
 @pytest.mark.parametrize(
@@ -243,17 +398,17 @@ def test_budgets_are_enforced_on_the_sector_route():
 def test_support_overlap_cuts_relative_to_the_largest_eigenvalue_of_all_blocks():
     # The second sector's block holds only a tiny eigenvalue: one dense
     # matrix's relative cutoff drops it, and so must the blocks.
-    space = SectorSpace(2, 1)
-    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),), (np.array([0, 1]),))
-    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),), (np.array([0, 1]),))
+    space = sector_space(1, 1, 1)
+    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),))
+    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),))
     assert sector_support_overlap(a, b) == (1, 2, 1.0, 0.25)
     with pytest.raises(ValueError, match="sector spaces differ"):
-        sector_support_overlap(a, SectorMixture(SectorSpace(2, 2), b.blocks, b.index))
+        sector_support_overlap(a, SectorMixture(sector_space(1, 1, 2), b.blocks))
 
 
 def _dense_support_overlap(a, b) -> tuple[int, int, float, float]:
     """``sector_support_overlap`` on the full matrices, with the same relative cutoff."""
-    dense_a, dense_b = _sector_dense(a, 0), _sector_dense(b, 0)
+    dense_a, dense_b = _sector_dense(a), _sector_dense(b)
     vals, vecs = np.linalg.eigh(dense_a)
     vals_b = np.linalg.eigvalsh(dense_b)
     kept = vals > REL_RANK_CUTOFF * vals.max()
@@ -265,21 +420,14 @@ def _dense_support_overlap(a, b) -> tuple[int, int, float, float]:
 def test_shared_blocks_count_once_per_sector():
     # Over 4 letters, shape (2,) has 4 one-dimensional sectors and shape (1, 1)
     # 6 two-dimensional ones. Several sectors share each block, including the
-    # block whose only eigenvalue falls under the cutoff.
-    space = SectorSpace(4, 2)
-    a = SectorMixture(
-        space,
-        (
-            np.array([[[0.1]], [[1e-14]]]),
-            np.array([0.1 * np.eye(2), np.full((2, 2), 0.05)]),
-        ),
-        (np.array([0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 1])),
-    )
-    b = SectorMixture(
-        space,
-        (np.array([[[0.25]]]), np.array([[[0.1, 0.0], [0.0, 0.0]]])),
-        (np.zeros(4, dtype=np.int64), np.zeros(6, dtype=np.int64)),
-    )
+    # block whose only eigenvalue falls under the cutoff; a space with one row
+    # per distinct block, counted by its sectors, must give the same numbers.
+    sectors = sector_space(2, 2, 2)
+    index = (np.array([0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 1]))
+    blocks_a = (np.array([[[0.1]], [[1e-14]]]), np.array([0.1 * np.eye(2), np.full((2, 2), 0.05)]))
+    blocks_b = (np.array([[[0.25]]] * 2), np.array([[[0.1, 0.0], [0.0, 0.0]]] * 2))
+    a = SectorMixture(sectors, tuple(x[i] for x, i in zip(blocks_a, index)))
+    b = SectorMixture(sectors, tuple(y[i] for y, i in zip(blocks_b, index)))
     assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
     assert b.trace() == pytest.approx(1.6, abs=ATOL)
     # rank(a) = 2 + 2*2 + 4*1; Tr(Pi b) = 2*0.25 + 2*0.1 + 4*0.05.
@@ -290,59 +438,57 @@ def test_shared_blocks_count_once_per_sector():
     expected = _dense_support_overlap(a, b)
     assert (rank_a, rank_b) == expected[:2]
     assert np.allclose((tr_a, tr_b), expected[2:], rtol=0, atol=ATOL)
-    dense_td = 0.5 * np.abs(np.linalg.eigvalsh(_sector_dense(a, 0) - _sector_dense(b, 0))).sum()
+    dense_td = 0.5 * np.abs(np.linalg.eigvalsh(_sector_dense(a) - _sector_dense(b))).sum()
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
-
-
-def test_equal_rows_are_confirmed_bit_for_bit():
-    # The hash is linear in the row, so [m1, 0] and [0, m0] collide; they
-    # must still land in different classes, and equal rows must share one.
-    m0, m1 = _row_hash(np.eye(2, dtype=np.int64)).view(np.int64)
-    rows = np.array([[m1, 0], [0, m0], [m1, 0], [5, 5], [5, 5]], dtype=np.int64)
-    assert len(set(_row_hash(rows[:3]).tolist())) == 1
-    first, index = _distinct_rows(rows)
-    assert np.array_equal(rows[first[index]], rows)
-    assert index[1] not in (index[0], index[2]) and index[3] == index[4]
-    assert np.array_equal(first, np.sort(first)) and (first[index] <= np.arange(5)).all()
-
-
-def test_key_packing_does_not_overflow():
-    # Packed as digits, [4, 0] would be 4 * 2^62, which wraps to the code of
-    # [0, 0] in int64; the packing must rank before that digit instead.
-    keys = np.array([[[0, 0], [4, 0], [0, 2**62 - 1], [4, 0]]], dtype=np.int64)
-    assert np.array_equal(_first_holders(keys), [[0, 1, 2, 1]])
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 3, size=(50, 6, 3)) << np.array([0, 40, 60])
-    codes = _pack(keys)
-    same = (keys[:, :, None] == keys[:, None]).all(axis=-1)
-    assert np.array_equal(codes[:, :, None] == codes[:, None, :], same)
+    # The same blocks once each, counted by the sectors that carry them.
+    rows = SectorSpace(
+        4,
+        2,
+        0,
+        tuple(
+            ShapeGroup(g.shape, g.letters[:2], shape_orderings(g.shape), counts)
+            for g, counts in zip(sectors.groups, [(2, 2), (2, 4)])
+        ),
+    )
+    a, b = SectorMixture(rows, blocks_a), SectorMixture(rows, blocks_b)
+    assert sector_support_overlap(a, b)[:2] == (rank_a, rank_b)
+    assert np.allclose(sector_support_overlap(a, b)[2:], (tr_a, tr_b), rtol=0, atol=ATOL)
+    assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
+    assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
 
 
 def test_conditioned_hybrids_keep_equal_key_patterns_with_different_weights_apart():
-    # H3's keys do not depend on lam, so all sectors of a shape have one key
+    # H3's keys do not depend on lam, so all rows of a shape have one key
     # pattern; only the collision-free mask tells them apart. At lam=2, n=3 the
-    # all-distinct shape holds both masked and unmasked sectors.
+    # all-distinct shape holds both masked and unmasked classes and sectors.
     params = PrsParams(lam=2, n=3, ell=1, t=2)
-    space = SectorSpace(8, 3)
-    cf = _conditioned_sectors(space, params, DEFAULT_BUDGETS)
-    assert not cf[2].all() and cf[2].any()
-    mixtures = {index: _sector_hybrid(index, params, space, cf) for index in (2, 3)}
-    assert [len(blocks) for blocks in mixtures[3].blocks] == [1, 1, 2]
+    for space in (relation_classes(3, 2, 3), sector_space(3, 2, 3)):
+        cf = _conditioned_sectors(space, params, DEFAULT_BUDGETS)
+        assert not cf[2].all() and cf[2].any()
+        mixtures = {index: _sector_hybrid(index, params, space, cf) for index in (2, 3)}
+        for mixture in mixtures.values():
+            for mask, blocks in zip(cf, mixture.blocks):
+                assert np.array_equal(np.trace(blocks, axis1=1, axis2=2) > 0, mask)
+            assert mixture.trace() == pytest.approx(1.0, abs=ATOL)
     for index, mixture in mixtures.items():
-        for mask, blocks, where in zip(cf, mixture.blocks, mixture.index):
-            assert np.array_equal(np.trace(blocks, axis1=1, axis2=2)[where] > 0, mask)
         dense = hybrid_state(HybridSpec(index, params)).to_dense()
-        assert np.abs(_sector_dense(mixture, params.n) - dense).max() < ATOL
+        assert np.abs(_sector_dense(mixture) - dense).max() < ATOL
 
 
 def test_sector_blocks_repeat_per_shape_group():
-    # At (lam, n, ell, t) = (2, 6, 1, 2) the lam-free hybrids H4-H8 have one
-    # block per shape group. H1's block depends on which letters share a
-    # lam-bit prefix; letters ascend by value within equal multiplicity, so
-    # shape (2, 1) has 2 such patterns and (1, 1, 1) has 4.
+    # At (lam, n, ell, t) = (2, 6, 1, 2) the 45,760 sectors fall in 6 relation
+    # classes: 1 of shape (3,), 2 of (2, 1) (whether the letters share a
+    # prefix) and 3 of (1, 1, 1) (no two, two or all three letters share a
+    # prefix: the 5 subspaces of GF(2)^2 up to swapping letters). The lam-free
+    # hybrids H4-H8 have one block per shape group; H1's differs per class.
     params = PrsParams(lam=2, n=6, ell=1, t=2)
-    space = SectorSpace(64, 3)
-    assert [group.count for group in space.groups] == [64, 64 * 63, 41664]
-    assert [len(b) for b in _sector_hybrid(1, params, space).blocks] == [1, 2, 4]
+    space = relation_classes(6, 2, 3)
+    assert [len(group.counts) for group in space.groups] == [1, 2, 3]
+    assert [group.total([1] * len(group.counts)) for group in space.groups] == [64, 64 * 63, 41664]
+
+    def distinct(mixture):
+        return [len(np.unique(block, axis=0)) for block in mixture.blocks]
+
+    assert distinct(_sector_hybrid(1, params, space)) == [1, 2, 3]
     for index in range(4, 9):
-        assert [len(b) for b in _sector_hybrid(index, params, space).blocks] == [1, 1, 1]
+        assert distinct(_sector_hybrid(index, params, space)) == [1, 1, 1]
