@@ -26,13 +26,13 @@ from .haar import exact_moment
 from .qla import (
     DensityOperator,
     PureState,
+    _diagonal_blocks,
     fidelity,
     partial_trace_pure,
-    trace_distance,
 )
 from .reporting import ExperimentReport
 from .tolerances import ATOL_CHAIN, ATOL_STRUCTURAL
-from .typestates import TypeVector, enumerate_types, phase_sign, type_state
+from .typestates import phase_sign
 
 
 @dataclass(frozen=True)
@@ -330,43 +330,29 @@ def builtin_adversaries(
 # ---------------------------------------------------------------------------
 
 
-def _commit_isometry_state(
-    elements: tuple[int, ...], n: int, lam: int, t: int, p: int
-) -> PureState:
-    """Type state on t + p registers with the last p pushed through the commit map.
-
-    The commit map is the isometry |x>_n -> (1/sqrt(2^lam)) sum_k
-    (phased |x>)_C |k||0>_R, so averaging this state over all types reproduces
-    the joint state of t shared copies and p bit-0 commitments averaged over
-    the shared state.
-    """
-    base = type_state(TypeVector(elements, n, n))
-    shift = n - lam
-    coeff = 2.0 ** (-lam * p / 2.0)
-    amps: dict[tuple[int, ...], complex] = {}
-    key_range = range(1 << lam)
-    for label, amp in base.amplitudes.items():
-        common, committed = label[:t], label[t:]
-        for keys in itertools.product(key_range, repeat=p):
-            sign = 1
-            pairs = []
-            for x, k in zip(committed, keys):
-                sign *= phase_sign(k, x >> shift)
-                pairs.extend((x, k << shift))
-            amps[common + tuple(pairs)] = amp * coeff * sign
-    return PureState._unchecked((n,) * t + (n, n) * p, amps)
-
-
 def hiding_distance(
     params: CommitmentParams, t: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ExperimentReport:
     """Receiver's distinguishing advantage between the two committed bits.
 
     Exact distance between (t shared copies, C registers of p commitments to 0)
-    and the same with commitments to 1, averaged over the shared state via the
-    type-state moment oracle. The bit-1 side has maximally mixed C registers
-    for every shared state, and the bit-0 side is cross-checked against the
-    multi-key distance with one generated copy per key.
+    and the same with commitments to 1, averaged over the shared state. The
+    bit-1 side has maximally mixed C registers for every shared state:
+    ``side1 = M_t (x) (I/2^n)^(x)p`` with ``M_s`` the exact s-copy moment.
+
+    The bit-0 side needs no commit state. Copy i's R register holds
+    ``|k_i || 0>``, orthogonal across keys, so tracing R mixes the key-phased
+    copies: ``Tr_R`` of one commitment is ``E_k Z_k |theta><theta| Z_k`` with
+    ``Z_k`` the diagonal ``(-1)^(k . prefix(x))``. Averaged over theta, entry
+    (a, b) of the joint state is ``M_(t+p)[a, b]`` times, per committed
+    register i, ``E_k (-1)^(k . (prefix(a_i) xor prefix(b_i)))``, which is
+    ``[prefix(a_i) == prefix(b_i)]``. So ``side0`` is the real moment
+    ``M_(t+p)`` masked to equal lam-bit prefixes on every committed register.
+
+    Both sides vanish off the (2^lam)^p blocks of equal committed prefixes, so
+    the trace distance is one batched real ``eigvalsh`` over those blocks. The
+    bit-0 side is cross-checked against the multi-key distance with one
+    generated copy per key.
     """
     from .prsg import PrsParams, multi_key_report
 
@@ -377,23 +363,21 @@ def hiding_distance(
     size = t + p
     kept_dim = 1 << (n * size)
     budgets.check_dense_dim(kept_dim, "hiding_distance")
-    count = math.comb(N + size - 1, size)
-    keep = list(range(t)) + [t + 2 * i for i in range(p)]
-    side0 = np.zeros((kept_dim, kept_dim), dtype=complex)
-    for T in enumerate_types(N, size, budgets):
-        big = _commit_isometry_state(T.elements, n, lam, t, p)
-        side0 += partial_trace_pure(big, keep, budgets)
-    side0 /= count
-    mixed = np.eye(1 << n) / (1 << n)
-    side1 = exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1)
+    # exact moments are real: type-state amplitudes are
+    side0 = exact_moment(N, size, budgets).to_dense(budgets).real
+    flat = np.arange(kept_dim)
+    prefixes = 0
+    for i in range(p):
+        prefix = (flat >> (n * (p - 1 - i) + n - lam)) & ((1 << lam) - 1)
+        prefixes = (prefixes << lam) | prefix
+    side0 *= prefixes[:, None] == prefixes[None, :]
+    side1 = exact_moment(N, t, budgets).to_dense(budgets).real if t else np.eye(1)
     for _ in range(p):
-        side1 = np.kron(side1, mixed)
-    shape = (n,) * size
-    td = trace_distance(
-        DensityOperator.from_dense(side0, shape),
-        DensityOperator.from_dense(side1, shape),
-        budgets,
-    )
+        side1 = np.kron(side1, np.eye(N) / N)
+    for side in (side0, side1):
+        DensityOperator.from_dense(side, (n,) * size)  # validate both as density operators
+    _, blocks = _diagonal_blocks(side0 - side1, prefixes)
+    td = 0.5 * float(np.abs(np.linalg.eigvalsh(blocks)).sum())
     multikey = multi_key_report(PrsParams(lam=lam, n=n, ell=1, t=t, p=p), budgets)
     td_multikey = multikey.quantities["td_real_ideal"]
     quantities = {

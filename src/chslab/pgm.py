@@ -8,6 +8,8 @@ computational basis, with the blocks indexed by the remaining m-copy types,
 and its inverse root has a closed-form largest eigenvalue. Every ``D_x``
 commutes with ``sigma``, so one sandwich ``S M S`` of the moment, with
 ``S = sigma^(-1/2)``, gives every label's POVM element ``D_x (S M S) D_x``.
+Everything is real, and ``sigma`` is solved as its d diagonal blocks of size
+d^m in one batched eigendecomposition, never as one dense (m+1)-copy matrix.
 
 ``pgm_report`` is the entry point: one report with the overlap quantity, its
 (m+1)/d cap, the inverse-root norm and the PGM success probability.
@@ -22,7 +24,13 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import exact_moment
-from .qla import DensityOperator, _support_eigh
+from .qla import (
+    DensityOperator,
+    _diagonal_blocks,
+    _inv_sqrt_weights,
+    _on_support,
+    _support_eigh,
+)
 from .reporting import ExperimentReport
 from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_STRUCTURAL, REL_RANK_CUTOFF
 from .typestates import enumerate_types, phase_sign, type_state
@@ -81,28 +89,23 @@ def sigma_unnormalized(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) ->
     budgets.check_dense_dim(dim, "sigma_unnormalized")
     count = math.comb(d + m, m + 1)
     block_dim = d**m
-    sigma = np.zeros((dim, dim), dtype=complex)
+    sigma = np.zeros((dim, dim))
     rest_states = []
     if m:
         for T in enumerate_types(d, m, budgets):
-            vec = type_state(T).dense(budgets)
-            rest_states.append((T.elements, np.outer(vec, vec.conjugate())))
+            vec = type_state(T).dense(budgets).real  # type-state amplitudes are real
+            rest_states.append((T.elements, np.outer(vec, vec)))
     for j in range(d):
-        block = np.zeros((block_dim, block_dim), dtype=complex)
+        block = np.zeros((block_dim, block_dim))
         if m:
             for combo, proj in rest_states:
                 multiplicity = combo.count(j)
                 block += ((multiplicity + 1) / (m + 1)) * proj
         else:
-            block = np.ones((1, 1), dtype=complex)
+            block = np.ones((1, 1))
         lo, hi = j * block_dim, (j + 1) * block_dim
         sigma[lo:hi, lo:hi] = (d / count) * block
     return sigma
-
-
-def _trace_of_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr(a @ b) without forming the product."""
-    return float(np.real(np.einsum("ij,ji->", a, b)))
 
 
 def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
@@ -124,30 +127,40 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     overlap Tr(M A) and success Tr(M A) + Tr(null_completion M), and the POVM
     elements sum to A o (signs^T signs) + (I - P), with o the entrywise
     product and row x of signs the diagonal of D_x. The moment is built and
-    validated once, one eigendecomposition of sigma gives S, its support
-    projector P and its norm, and one Q feeds every check that mentions it.
+    validated once. sigma is block diagonal over the first register's basis,
+    so one batched eigendecomposition of its d real blocks of size d^m gives S,
+    the support projector P and the norm of S block by block, with one cutoff
+    relative to the largest eigenvalue over all blocks; the moment is cut into
+    the matching d x d grid of blocks M_ij, and A_ij = S_i M_ij S_j is one
+    batched product. One Q feeds every check that mentions it.
     """
     d, m = params.d, params.m
-    dim = d ** params.copies
+    block_dim = d**m
     sigma = sigma_unnormalized(params, budgets)
-    vals, vecs = _support_eigh(sigma, REL_RANK_CUTOFF)
-    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    null_projector = np.eye(dim) - vecs @ vecs.conj().T
+    order, sigma_blocks = _diagonal_blocks(sigma, np.arange(sigma.shape[0]) // block_dim)
+    vals, vecs, kept = _support_eigh(sigma_blocks, REL_RANK_CUTOFF)
+    inv_root = _on_support(vecs, _inv_sqrt_weights(vals, kept))
+    null_projector = np.eye(block_dim) - _on_support(vecs, kept.astype(float))
     moment = DensityOperator.from_dense(
         exact_moment(d, params.copies, budgets).to_dense(budgets), (params.n,) * params.copies
-    ).dense
-    sandwich = inv_root @ moment @ inv_root
-    signs = np.stack([_phase_diagonal(x, params) for x in range(d)])
-    povm_sum = sandwich * (signs.T @ signs) + null_projector
-    completeness_error = float(np.abs(povm_sum - np.eye(dim)).max())
+    ).dense.real  # type-state amplitudes are real
+    moment_blocks = moment[order[:, None, :, None], order[None, :, None, :]]
+    sandwich = inv_root[:, None] @ moment_blocks @ inv_root[None, :]
+    # row x of signs is the diagonal of D_x, cut into sigma's blocks
+    signs = np.stack([_phase_diagonal(x, params) for x in range(d)])[:, order]
+    residual = sandwich * np.tensordot(signs, signs, axes=(0, 0)).swapaxes(1, 2)
+    diagonal = np.arange(d)
+    residual[diagonal, diagonal] += null_projector - np.eye(block_dim)
+    completeness_error = float(np.abs(residual).max())
     if completeness_error > 1e-8:
         raise RuntimeError(
             f"POVM completeness violated by {completeness_error}; "
             "null-space completion is broken"
         )
-    q_mean = _trace_of_product(moment, sandwich)
-    guess = q_mean + _trace_of_product(null_projector, moment) / d
-    norm_measured = float(1.0 / np.sqrt(vals.min()))
+    q_mean = float(np.einsum("ijab,jiba->", moment_blocks, sandwich))
+    null_overlap = float(np.einsum("iab,iba->", null_projector, moment_blocks[diagonal, diagonal]))
+    guess = q_mean + null_overlap / d
+    norm_measured = float(1.0 / np.sqrt(vals[kept].min()))
     norm_formula = math.sqrt(math.comb(d + m, m + 1) * (m + 1) / d)
     rate = math.sqrt(m / d + m**7 / d**3) if m else 0.0
     quantities = {

@@ -151,14 +151,16 @@ class DensityOperator:
             dim = 1 << sum(self.register_shape)
             if mat.shape != (dim, dim):
                 raise ValueError(f"dense matrix shape {mat.shape} does not match dimension {dim}")
-            if not np.allclose(mat, mat.conj().T, atol=ATOL_STRUCTURAL):
+            # A real matrix (every type-state operator) is checked in real arithmetic.
+            check = mat if mat.imag.any() else np.ascontiguousarray(mat.real)
+            if not np.allclose(check, check.conj().T, atol=ATOL_STRUCTURAL):
                 raise ValueError("dense matrix is not Hermitian within tolerance")
             tr = np.trace(mat)
             if abs(tr.real - 1.0) > ATOL_STRUCTURAL or abs(tr.imag) > ATOL_STRUCTURAL:
                 raise ValueError(f"dense matrix has trace {tr}, expected 1")
             # Full eigenvalue validation is cubic; keep it for small matrices and
             # rely on clamping in the consumers above that size.
-            if dim <= 256 and np.linalg.eigvalsh(mat).min() < -ATOL_STRUCTURAL:
+            if dim <= 256 and np.linalg.eigvalsh(check).min() < -ATOL_STRUCTURAL:
                 raise ValueError("dense matrix has an eigenvalue below -1e-9")
             object.__setattr__(self, "dense", mat)
         else:
@@ -208,7 +210,9 @@ class DensityOperator:
             probs[row] = p
             for label, amp in state.amplitudes.items():
                 vectors[row, flatten_label(label, shape)] = amp
-        return (vectors.T * probs) @ vectors.conj()
+        if not vectors.imag.any():  # real amplitudes (type states): a quarter of the work
+            vectors = vectors.real
+        return ((vectors.T * probs) @ vectors.conj()).astype(complex, copy=False)
 
     def as_dense_operator(self, budgets: Budgets = DEFAULT_BUDGETS) -> "DensityOperator":
         if self.dense is not None:
@@ -342,15 +346,26 @@ def fidelity(
     return float(np.sqrt(vals).sum() ** 2)
 
 
-def _support_eigh(mat: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian matrix with eigenvalue strictly above rel_tol * max.
+def _support_eigh(mat: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix, or of a stack of blocks, and which span the support.
 
-    One ``eigh``; the kept eigenvalues and their eigenvector columns span the
-    numerical support. A zero (or negative) matrix keeps nothing.
+    One ``eigh`` over ``(..., dim, dim)``. Returns the eigenvalues, the
+    eigenvector columns and a mask of the eigenpairs kept: those strictly above
+    ``rel_tol`` times the largest eigenvalue over all blocks, the rule for the
+    whole block-diagonal operator. A zero (or negative) matrix keeps nothing.
     """
     vals, vecs = np.linalg.eigh(mat)
-    mask = vals > rel_tol * vals.max()
-    return vals[mask], vecs[:, mask]
+    return vals, vecs, vals > rel_tol * vals.max()
+
+
+def _on_support(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``V diag(weights) V^dagger`` for every block of a ``_support_eigh`` result."""
+    return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _inv_sqrt_weights(vals: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``lambda**-0.5`` on the kept eigenvalues, zero on the rest."""
+    return np.where(kept, 1.0 / np.sqrt(np.where(kept, vals, 1.0)), 0.0)
 
 
 def inv_sqrt_on_support(rho, rel_tol: float = REL_RANK_CUTOFF) -> np.ndarray:
@@ -360,16 +375,38 @@ def inv_sqrt_on_support(rho, rel_tol: float = REL_RANK_CUTOFF) -> np.ndarray:
     the rest map to zero, so the result acts only on the support.
     """
     mat = rho.to_dense() if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    vals, vecs = _support_eigh(mat, rel_tol)
-    if not len(vals):
+    vals, vecs, kept = _support_eigh(mat, rel_tol)
+    if not kept.any():
         raise ValueError("operator is zero (or negative); no support to invert on")
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    return _on_support(vecs, _inv_sqrt_weights(vals, kept))
 
 
 def support_projector(mat: np.ndarray, rel_tol: float = REL_RANK_CUTOFF) -> tuple[np.ndarray, int]:
     """Projector onto the span of eigenvectors with eigenvalue > rel_tol * max, and its rank."""
-    _, kept = _support_eigh(mat, rel_tol)
-    return kept @ kept.conj().T, kept.shape[1]
+    _, vecs, kept = _support_eigh(mat, rel_tol)
+    return _on_support(vecs, kept.astype(float)), int(kept.sum())
+
+
+def _diagonal_blocks(mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal blocks of ``mat`` over the indices of equal ``labels``, stacked.
+
+    Returns ``(order, blocks)``: row b of ``order`` lists, ascending, the
+    indices of the b-th smallest label, and ``blocks[b]`` is ``mat`` on them.
+    Every label must cover the same number of indices. Raises if an entry
+    between indices of different labels is nonzero, so the blocks always hold
+    all of ``mat``.
+    """
+    labels = np.asarray(labels)
+    if mat.shape != (labels.size, labels.size):
+        raise ValueError(f"{labels.size} labels for a matrix of shape {mat.shape}")
+    _, sizes = np.unique(labels, return_counts=True)
+    if (sizes != sizes[0]).any():
+        raise ValueError(f"labels cover unequal blocks: sizes {sorted(set(sizes.tolist()))}")
+    off_block = labels[:, None] != labels[None, :]
+    if np.any(mat[off_block]):
+        raise ValueError("matrix has a nonzero entry between blocks")
+    order = np.argsort(labels, kind="stable").reshape(len(sizes), sizes[0])
+    return order, mat[order[:, :, None], order[:, None, :]]
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,13 @@ def _canonical(prefixes: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _class_group(n: int, lam: int, shape: tuple[int, ...], shift: int) -> ShapeGroup | None:
+def _class_group(
+    n: int, lam: int, shape: tuple[int, ...], shift: int, budgets: Budgets
+) -> ShapeGroup | None:
     """The relation classes of one shape, or None when no sector has the shape.
+
+    A shape that has sectors is checked against the dense budget: each of its
+    rows becomes a dense block with one row and column per distinct ordering.
 
     For the difference relations V, letter 1 has prefix 0 and letter i + 1 the
     i-th column of V's annihilator basis, so the prefixes span k dimensions.
@@ -173,6 +178,10 @@ def _class_group(n: int, lam: int, shape: tuple[int, ...], shift: int) -> ShapeG
         count *= math.prod(math.perm(1 << (n - lam), b) for b in Counter(prefixes).values())
         if count:
             ordered[columns] = count << lam
+    if not ordered:
+        return None
+    dim = math.factorial(sum(shape)) // math.prod(math.factorial(m) for m in shape)
+    budgets.check_dense_dim(dim, f"sector blocks of shape {shape}")
     swaps = [i for i in range(len(shape) - 1) if shape[i] == shape[i + 1]]
     aut = math.prod(math.factorial(m) for m in Counter(shape).values())
     rows, counts, seen = [], [], set()
@@ -197,8 +206,6 @@ def _class_group(n: int, lam: int, shape: tuple[int, ...], shift: int) -> ShapeG
             suffixes[x] += 1
         rows.append(letters)
         counts.append(sum(ordered[v] for v in orbit) // aut)
-    if not rows:
-        return None
     letters = np.array(rows, dtype=np.int64)
     return ShapeGroup(shape, letters, shape_orderings(shape), tuple(counts))
 
@@ -209,13 +216,14 @@ def relation_classes(
     """Every sector of ``size`` registers of ``n`` bits, by relation class of ``lam``-bit prefixes.
 
     The C(2^n + size - 1, size) sectors are checked against the
-    type-enumeration budget, as if each were built. Letters are at most
-    ``lam + bit_length(size - 1)`` bits wide whatever ``n``.
+    type-enumeration budget, as if each were built, and every shape's block
+    dimension against the dense budget before any block is built. Letters are
+    at most ``lam + bit_length(size - 1)`` bits wide whatever ``n``.
     """
     N = 1 << n
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
     shift = (size - 1).bit_length()
-    groups = (_class_group(n, lam, shape, shift) for shape in _partitions(size))
+    groups = (_class_group(n, lam, shape, shift, budgets) for shape in _partitions(size))
     return SectorSpace(N, size, shift, tuple(g for g in groups if g is not None))
 
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hiding_reference import hiding_distance as hiding_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chslab.commitments import (
     CommitmentParams,
@@ -252,3 +255,29 @@ def test_hiding_distance_crosscheck():
     assert report.flags["hiding_matches_multikey"]
     assert report.quantities["route_difference"] <= 1e-9
     assert report.quantities["td_hiding"] > 0
+
+
+@st.composite
+def hiding_points(draw):
+    """(lam, n, p, t) with n >= lam + 1, p >= 1, t >= 0 and dimension 2^(n(t+p)) <= 256."""
+    lam = draw(st.integers(1, 2))
+    n = draw(st.integers(lam + 1, 3))
+    p = draw(st.integers(1, 8 // n))
+    t = draw(st.integers(0, 8 // n - p))
+    return lam, n, p, t
+
+
+@settings(max_examples=15, deadline=None)
+@given(hiding_points())
+@example((1, 2, 1, 0))
+@example((2, 3, 2, 0))
+@example((1, 2, 2, 2))
+def test_hiding_distance_matches_the_commit_state_route(point):
+    lam, n, p, t = point
+    params = fixed_params(lam=lam, n=n, p=p)
+    report, reference = hiding_distance(params, t), hiding_reference(params, t)
+    assert report.flags == reference.flags
+    assert report.bounds == reference.bounds
+    assert report.quantities.keys() == reference.quantities.keys()
+    for key, value in reference.quantities.items():
+        assert abs(report.quantities[key] - value) <= 1e-12, key

@@ -142,7 +142,9 @@ def _per_label_reference(params):
     }
 
 
-@pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3)])
+@pytest.mark.parametrize(
+    "n,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
+)
 def test_report_matches_the_per_label_reference(n, m):
     params = PgmParams(n=n, m=m)
     reference = _per_label_reference(params)

@@ -20,6 +20,7 @@ from sector_reference import sector_space
 
 from chslab import prsg
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
+from chslab.cli import main
 from chslab.commitments import CommitmentParams, hiding_distance
 from chslab.haar import sample_haar
 from chslab.prsg import (
@@ -228,18 +229,23 @@ def _assert_same_report(classes, sectors) -> None:
                 assert value == pytest.approx(theirs[key], abs=ATOL), key
 
 
+@st.composite
+def report_points(draw):
+    """(lam, n, ell, t, p) with lam <= n <= 4, ell <= 3, t <= 3, p <= 3 and p ell + t <= 4."""
+    lam = draw(st.integers(1, 4))
+    n = draw(st.integers(lam, 4))
+    ell = draw(st.integers(1, 3))
+    t = draw(st.integers(0, 4 - ell))
+    p = draw(st.integers(1, min(3, (4 - t) // ell)))
+    return lam, n, ell, t, p
+
+
 @settings(max_examples=25, deadline=None)
-@given(
-    lam=st.integers(1, 4),
-    n=st.integers(1, 4),
-    ell=st.integers(1, 3),
-    t=st.integers(0, 3),
-    p=st.integers(1, 3),
-)
-@example(lam=1, n=3, ell=1, t=2, p=1)  # empty conditioned set
-@example(lam=1, n=1, ell=3, t=0, p=1)  # fewer strings than registers
-def test_reports_on_classes_match_the_full_sector_enumeration(lam, n, ell, t, p):
-    assume(lam <= n and ell + t <= 4 and p * ell + t <= 4)
+@given(report_points())
+@example((1, 3, 1, 2, 1))  # empty conditioned set
+@example((1, 1, 3, 0, 1))  # fewer strings than registers
+def test_reports_on_classes_match_the_full_sector_enumeration(point):
+    lam, n, ell, t, p = point
     assume(math.comb((1 << n) + p * ell + t - 1, p * ell + t) <= 3000)
     params = PrsParams(lam=lam, n=n, ell=ell, t=t, p=p)
     calls = [(single_key_report, params), (impossibility_attack, params)]
@@ -393,6 +399,22 @@ def test_budgets_are_enforced_on_the_sector_route():
         single_key_report(PrsParams(lam=2, n=3, ell=1, t=2), Budgets(max_subset_pairs=8))
     with pytest.raises(BudgetExceeded, match="subset pairs"):
         hybrid_mixture(HybridSpec(3, params), Budgets(max_subset_pairs=3))
+
+
+def test_block_dimensions_are_checked_against_the_dense_budget(capsys):
+    # Size 3: the shapes (3), (2, 1), (1, 1, 1) have 1, 3 and 6 orderings.
+    space = relation_classes(3, 2, 3, Budgets(max_dense_dim=6))
+    assert [group.dim for group in space.groups] == [1, 3, 6]
+    with pytest.raises(BudgetExceeded, match=r"shape \(1, 1, 1\): dense dimension 6 exceeds"):
+        relation_classes(3, 2, 3, Budgets(max_dense_dim=5))
+    # Two letters have no sector of shape (1, 1, 1), so no block of it is built.
+    assert [g.dim for g in relation_classes(1, 1, 3, Budgets(max_dense_dim=3)).groups] == [1, 3]
+    # ell + t = 8 would build blocks of 8!/3! = 6720 orderings.
+    assert main(["prsg-td", "--lam", "2", "--n", "3", "--ell", "4", "--t", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "chs-lab prsg-td: sector blocks of shape (3, 1, 1, 1, 1, 1): "
+        "dense dimension 6720 exceeds budget 4096\n"
+    )
 
 
 def test_support_overlap_cuts_relative_to_the_largest_eigenvalue_of_all_blocks():
