@@ -318,8 +318,7 @@ def hiding_crosscheck() -> CriterionResult:
     def check():
         from .commitments import hiding_distance
 
-        theta = sample_haar(3, rng_for(909))
-        report = hiding_distance(CommitmentParams(lam=2, n=3, p=1, theta=theta), t=1)
+        report = hiding_distance(lam=2, n=3, p=1, t=1)
         diff = report.quantities["route_difference"]
         return diff <= ATOL_CHAIN, (
             f"lam=2, n=3, p=1, t=1: hiding={report.quantities['td_hiding']:.9f}, "

@@ -35,6 +35,14 @@ from .tolerances import ATOL_CHAIN, ATOL_STRUCTURAL
 from .typestates import phase_sign
 
 
+def _check_sizes(lam: int, n: int, p: int) -> None:
+    """Key bits, qubits per register and copies: n >= lam + 1 and p >= 1."""
+    if n < lam + 1:
+        raise ValueError(f"need n >= lam + 1, got n={n}, lam={lam}")
+    if p < 1:
+        raise ValueError("need at least one copy")
+
+
 @dataclass(frozen=True)
 class CommitmentParams:
     """Key bits, qubits per register (n >= lam + 1), copies, and the shared state."""
@@ -45,10 +53,7 @@ class CommitmentParams:
     theta: PureState
 
     def __post_init__(self):
-        if self.n < self.lam + 1:
-            raise ValueError(f"need n >= lam + 1, got n={self.n}, lam={self.lam}")
-        if self.p < 1:
-            raise ValueError("need at least one copy")
+        _check_sizes(self.lam, self.n, self.p)
         if self.theta.register_shape != (self.n,):
             raise ValueError(
                 f"shared state has shape {self.theta.register_shape}, expected ({self.n},)"
@@ -331,14 +336,16 @@ def builtin_adversaries(
 
 
 def hiding_distance(
-    params: CommitmentParams, t: int, budgets: Budgets = DEFAULT_BUDGETS
+    lam: int, n: int, p: int, t: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ExperimentReport:
     """Receiver's distinguishing advantage between the two committed bits.
 
     Exact distance between (t shared copies, C registers of p commitments to 0)
-    and the same with commitments to 1, averaged over the shared state. The
-    bit-1 side has maximally mixed C registers for every shared state:
-    ``side1 = M_t (x) (I/2^n)^(x)p`` with ``M_s`` the exact s-copy moment.
+    and the same with commitments to 1, averaged over the shared state. So it
+    takes only the sizes, checked as ``CommitmentParams`` checks them, and no
+    shared state. The bit-1 side has maximally mixed C registers for every
+    shared state: ``side1 = M_t (x) (I/2^n)^(x)p`` with ``M_s`` the exact
+    s-copy moment.
 
     The bit-0 side needs no commit state. Copy i's R register holds
     ``|k_i || 0>``, orthogonal across keys, so tracing R mixes the key-phased
@@ -356,9 +363,10 @@ def hiding_distance(
     """
     from .prsg import PrsParams, multi_key_report
 
+    _check_sizes(lam, n, p)
     if t < 0:
         raise ValueError(f"need t >= 0 common copies, got t={t}")
-    n, lam, p = params.n, params.lam, params.p
+    multikey_params = PrsParams(lam=lam, n=n, ell=1, t=t, p=p)  # refuses lam < 1 up front
     N = 1 << n
     size = t + p
     kept_dim = 1 << (n * size)
@@ -378,7 +386,7 @@ def hiding_distance(
         DensityOperator.from_dense(side, (n,) * size)  # validate both as density operators
     _, blocks = _diagonal_blocks(side0 - side1, prefixes)
     td = 0.5 * float(np.abs(np.linalg.eigvalsh(blocks)).sum())
-    multikey = multi_key_report(PrsParams(lam=lam, n=n, ell=1, t=t, p=p), budgets)
+    multikey = multi_key_report(multikey_params, budgets)
     td_multikey = multikey.quantities["td_real_ideal"]
     quantities = {
         "td_hiding": td,

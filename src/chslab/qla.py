@@ -153,7 +153,7 @@ class DensityOperator:
                 raise ValueError(f"dense matrix shape {mat.shape} does not match dimension {dim}")
             # A real matrix (every type-state operator) is checked in real arithmetic.
             check = mat if mat.imag.any() else np.ascontiguousarray(mat.real)
-            if not np.allclose(check, check.conj().T, atol=ATOL_STRUCTURAL):
+            if not np.allclose(check, check.conj().T, rtol=0, atol=ATOL_STRUCTURAL):
                 raise ValueError("dense matrix is not Hermitian within tolerance")
             tr = np.trace(mat)
             if abs(tr.real - 1.0) > ATOL_STRUCTURAL or abs(tr.imag) > ATOL_STRUCTURAL:

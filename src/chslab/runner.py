@@ -187,12 +187,7 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
     elif experiment == "commit-binding":
         report = _run_commit_binding(params, seed, budgets)
     elif experiment == "commit-hiding":
-        rng = rng_for(seed)
-        theta = sample_haar(params["n"], rng, budgets)
-        cparams = commitments.CommitmentParams(
-            lam=params["lam"], n=params["n"], p=params["p"], theta=theta
-        )
-        report = commitments.hiding_distance(cparams, params["t"], budgets)
+        report = commitments.hiding_distance(**params, budgets=budgets)
     elif experiment == "pgm":
         report = pgm.pgm_report(pgm.PgmParams(**params), budgets)
     elif experiment == "typestats":

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from chslab.budgets import DEFAULT_BUDGETS, Budgets
-from chslab.commitments import CommitmentParams
 from chslab.haar import exact_moment
 from chslab.prsg import PrsParams, multi_key_report
 from chslab.qla import DensityOperator, PureState, partial_trace_pure, trace_distance
@@ -49,11 +48,10 @@ def _commit_isometry_state(
 
 
 def hiding_distance(
-    params: CommitmentParams, t: int, budgets: Budgets = DEFAULT_BUDGETS
+    lam: int, n: int, p: int, t: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ExperimentReport:
     if t < 0:
         raise ValueError(f"need t >= 0 common copies, got t={t}")
-    n, lam, p = params.n, params.lam, params.p
     N = 1 << n
     size = t + p
     kept_dim = 1 << (n * size)

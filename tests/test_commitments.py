@@ -7,6 +7,7 @@ from hiding_reference import hiding_distance as hiding_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chslab import commitments
 from chslab.commitments import (
     CommitmentParams,
     MaliciousCommitter,
@@ -232,8 +233,7 @@ def test_bit_one_reduced_state_is_maximally_mixed_for_any_theta():
 
 
 def test_hiding_distance_no_common_copies_is_single_key():
-    params = fixed_params(lam=2, n=3, p=1, seed=56)
-    report = hiding_distance(params, t=0)
+    report = hiding_distance(lam=2, n=3, p=1, t=0)
     assert report.quantities["td_hiding"] == pytest.approx(0.0, abs=1e-10)
     assert report.flags["hiding_matches_multikey"]
 
@@ -241,7 +241,7 @@ def test_hiding_distance_no_common_copies_is_single_key():
 @pytest.mark.parametrize("p,t", [(3, -2), (1, -1)])
 def test_hiding_distance_rejects_negative_common_copies(p, t, capsys):
     with pytest.raises(ValueError, match=f"need t >= 0 common copies, got t={t}"):
-        hiding_distance(fixed_params(lam=1, n=2, p=p), t=t)
+        hiding_distance(lam=1, n=2, p=p, t=t)
     argv = ["commit-hiding", "--lam", "1", "--n", "2", "--p", str(p), "--t", str(t)]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
@@ -249,9 +249,30 @@ def test_hiding_distance_rejects_negative_common_copies(p, t, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "lam,n,p,message",
+    [
+        (1, 1, 1, "need n >= lam \\+ 1, got n=1, lam=1"),
+        (1, 0, 1, "need n >= lam \\+ 1, got n=0, lam=1"),
+        (1, 2, 0, "need at least one copy"),
+        (-1, 0, 1, "need at least one key bit"),
+    ],
+)
+def test_hiding_distance_refuses_bad_sizes_before_any_work(
+    lam, n, p, message, capsys, monkeypatch
+):
+    def no_moment(*args):
+        raise AssertionError("built a moment for refused sizes")
+
+    monkeypatch.setattr(commitments, "exact_moment", no_moment)
+    with pytest.raises(ValueError, match=message):
+        hiding_distance(lam, n, p, t=1)
+    assert main(["commit-hiding", "--lam", str(lam), "--n", str(n), "--p", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("chs-lab commit-hiding: need ")
+
+
 def test_hiding_distance_crosscheck():
-    params = fixed_params(lam=2, n=3, p=1, seed=57)
-    report = hiding_distance(params, t=1)
+    report = hiding_distance(lam=2, n=3, p=1, t=1)
     assert report.flags["hiding_matches_multikey"]
     assert report.quantities["route_difference"] <= 1e-9
     assert report.quantities["td_hiding"] > 0
@@ -274,8 +295,7 @@ def hiding_points(draw):
 @example((1, 2, 2, 2))
 def test_hiding_distance_matches_the_commit_state_route(point):
     lam, n, p, t = point
-    params = fixed_params(lam=lam, n=n, p=p)
-    report, reference = hiding_distance(params, t), hiding_reference(params, t)
+    report, reference = hiding_distance(lam, n, p, t), hiding_reference(lam, n, p, t)
     assert report.flags == reference.flags
     assert report.bounds == reference.bounds
     assert report.quantities.keys() == reference.quantities.keys()

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from chslab import pgm
+from chslab.budgets import BudgetExceeded
 from chslab.haar import exact_moment
-from chslab.pgm import (
-    PgmParams,
-    _phase_diagonal,
-    pgm_report,
-    phase_ensemble_state,
-    sigma_unnormalized,
-)
+from chslab.pgm import PgmParams, _phase_signs, pgm_report, phase_ensemble_state
 from chslab.qla import DensityOperator, inv_sqrt_on_support, support_projector
 from chslab.tolerances import ATOL_CHAIN
 
@@ -46,19 +41,27 @@ def test_phase_states_are_density_operators():
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
+def _sigma(params):
+    """sigma = sum_x rho_x, from the d phased states themselves."""
+    return sum(phase_ensemble_state(x, params).to_dense() for x in range(params.d))
+
+
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2)])
 def test_block_sigma_matches_dense_sum(n, m):
+    # sigma is d times the moment's blocks of equal first-register value
     params = PgmParams(n=n, m=m)
-    direct = sum(phase_ensemble_state(x, params).to_dense() for x in range(params.d))
-    assert np.abs(direct - sigma_unnormalized(params)).max() < 1e-12
+    first = np.arange(params.d**params.copies) // params.d**m
+    moment = exact_moment(params.d, params.copies).to_dense()
+    blocks = params.d * moment * (first[:, None] == first[None, :])
+    assert np.abs(_sigma(params) - blocks).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1)])
 def test_sigma_commutes_with_every_phase_pattern(n, m):
     params = PgmParams(n=n, m=m)
-    sigma = sigma_unnormalized(params)
+    sigma = _sigma(params)
     for x in range(params.d):
-        diag = _phase_diagonal(x, params)
+        diag = np.kron(_phase_signs(x, params.d), np.ones(params.d**m))
         commutator = sigma * diag[None, :] - diag[:, None] * sigma
         assert np.abs(commutator).max() < 1e-9
 
@@ -122,7 +125,7 @@ def test_fitted_constant_reported():
 def _per_label_reference(params):
     """q_mean, guess and POVM completeness from d separate states and sandwiches."""
     d, dim = params.d, params.d**params.copies
-    sigma = sigma_unnormalized(params)
+    sigma = _sigma(params)
     inv_root = inv_sqrt_on_support(sigma)
     null_completion = (np.eye(dim) - support_projector(sigma)[0]) / d
     povm_sum = np.zeros((dim, dim), dtype=complex)
@@ -172,7 +175,7 @@ def _counting(monkeypatch, name, calls):
 def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m):
     params = PgmParams(n=n, m=m)
     calls = []
-    for name in ("exact_moment", "sigma_unnormalized", "_support_eigh", "_phase_diagonal"):
+    for name in ("exact_moment", "_support_eigh", "_phase_signs"):
         _counting(monkeypatch, name, calls)
     eighs = []
     original_eigh = np.linalg.eigh
@@ -193,13 +196,12 @@ def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m)
     report = pgm_report(params)
     names = [name for name, _ in calls]
     assert names.count("exact_moment") == 1
-    assert names.count("sigma_unnormalized") == 1
-    # sigma is eigendecomposed once: S, the support and the norm of S share it
+    # sigma's blocks are eigendecomposed once: S, the support and the norm of S share it
     assert names.count("_support_eigh") == 1
     assert len(eighs) == 1
     # the moment is validated once; no per-label state is built
     assert len(validations) <= 1
-    assert [x for name, x in calls if name == "_phase_diagonal"] == list(range(params.d))
+    assert [x for name, x in calls if name == "_phase_signs"] == list(range(params.d))
     # every flag that mentions Q tests the published q_mean
     q_mean = report.quantities["q_mean"]
     assert report.bounds["sqrt_q"] == math.sqrt(q_mean)
@@ -207,3 +209,11 @@ def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m)
     assert report.flags["guess_le_sqrt_q"] == (
         report.quantities["guess_probability"] <= math.sqrt(q_mean) + ATOL_CHAIN
     )
+
+
+def test_report_checks_the_dense_budget_before_building_the_moment(monkeypatch):
+    calls = []
+    _counting(monkeypatch, "exact_moment", calls)
+    with pytest.raises(BudgetExceeded, match="pgm_report: dense dimension 16384 exceeds"):
+        pgm_report(PgmParams(n=7, m=1))
+    assert calls == []

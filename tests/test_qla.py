@@ -47,6 +47,9 @@ def test_density_operator_validation():
         DensityOperator.from_ensemble([(0.7, ZERO), (0.7, ONE)])  # probabilities sum to 1.4
     with pytest.raises(ValueError):
         DensityOperator((1,), dense=np.eye(2) / 2, ensemble=((1.0, ZERO),))
+    # 2e-6 off is within numpy's default relative slack (1e-5 of 0.25), not within 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityOperator.from_dense(np.array([[0.5, 0.25 + 2e-6], [0.25, 0.5]]), (1,))
 
 
 def test_tensor_pure_states():

@@ -21,8 +21,7 @@ from sector_reference import sector_space
 from chslab import prsg
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.cli import main
-from chslab.commitments import CommitmentParams, hiding_distance
-from chslab.haar import sample_haar
+from chslab.commitments import hiding_distance
 from chslab.prsg import (
     _CONSECUTIVE,
     HybridSpec,
@@ -38,7 +37,6 @@ from chslab.prsg import (
     single_key_report,
 )
 from chslab.qla import gram_trace_distance, trace_distance
-from chslab.runner import rng_for
 from chslab.sectors import (
     SectorMixture,
     SectorSpace,
@@ -252,8 +250,7 @@ def test_reports_on_classes_match_the_full_sector_enumeration(point):
     if p > 1:
         calls.append((multi_key_report, params))
     if ell == 1 and n > lam and (1 << n) ** (t + p) <= 256:
-        theta = sample_haar(n, rng_for(0))
-        calls.append((hiding_distance, CommitmentParams(lam=lam, n=n, p=p, theta=theta), t))
+        calls.append((hiding_distance, lam, n, p, t))
     for call, *args in calls:
         _assert_same_report(call(*args), _on_sectors(call, *args))
 
