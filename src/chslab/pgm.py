@@ -87,11 +87,11 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     S rho_x S = D_x A D_x for the one sandwich A = S M S: each label has
     overlap Tr(M A) and success Tr(M A) + Tr(null_completion M), and the POVM
     elements sum to A o (signs^T signs) + (I - P), with o the entrywise
-    product and row x of signs the diagonal of D_x. The moment is built and
-    validated once; sigma is never built. Row x of signs is constant on each
-    first-register value, and sum_x (-1)^(x . (i xor j)) = d [i == j], so
-    sigma = sum_x D_x M D_x keeps only the diagonal blocks of M's d x d grid
-    of blocks M_ij over the first register, times d: its blocks are d M_ii.
+    product over M's d x d grid of blocks M_ij over the first register and
+    row x of signs the phase pattern x on that register. The moment is built
+    and validated once; sigma is never built. Since
+    sum_x (-1)^(x . (i xor j)) = d [i == j], sigma = sum_x D_x M D_x keeps
+    only the diagonal blocks of that grid, times d: its blocks are d M_ii.
     One batched eigendecomposition of those d real blocks of size d^m gives
     S, the support projector P and the norm of S block by block, with one
     cutoff relative to the largest eigenvalue over all blocks, and
