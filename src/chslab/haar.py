@@ -6,17 +6,20 @@ projector onto the symmetric subspace. That exact, enumeration-based oracle is
 the default everywhere an expectation over the Haar measure is needed;
 Monte-Carlo sampling exists only as a cross-check.
 
-Sampling gives trial ``k`` of seed ``s`` the Philox-4x64-10 stream keyed by
-``(s, k)``. Philox is counter-based, so ``HaarSampler`` computes the key
-stream of every trial of a chunk at once with ``uint64`` array arithmetic and
-turns each trial's words into complex normals by one closed-form transform
-(Box and Muller, Ann. Math. Statist. 1958). ``haar_statevector`` and
-``sample_haar`` instead draw numpy's normals from a given generator.
+Sampling tiles one Philox-4x64-10 stream, the one ``rng_for(s)`` draws, by
+trial: trial ``k`` of an ``n``-qubit sampler reads its ``2^(n+1)`` words from
+word ``k * 2^(n+1)`` on. Philox is counter-based (Salmon et al., SC 2011), so
+``HaarSampler`` jumps to a chunk's first trial, lets numpy's C generator draw
+the chunk's uniforms, and turns each trial's words into amplitudes by one
+closed-form transform (Box and Muller, Ann. Math. Statist. 1958).
+``haar_statevector`` and ``sample_haar`` instead draw numpy's normals from a
+given generator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,71 +31,41 @@ from .typestates import enumerate_types, type_state
 
 _KEY_MASK = (1 << 64) - 1
 # Trials per chunk at two qubits. The chunk scales inversely with the
-# dimension, so a chunk's key stream is 8 * _CHUNK_TRIALS words (128 KiB) at
-# every n, and its uint64 temporaries stay small next to the sampled rows.
+# dimension, so a chunk's uniforms are 8 * _CHUNK_TRIALS doubles (128 KiB) at
+# every n, and its temporaries stay small next to the sampled rows.
 _CHUNK_TRIALS = 1 << 11
 
-# Philox-4x64 multipliers and Weyl key increments (Salmon et al., SC 2011).
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+
+def _as_index(value, what: str) -> int:
+    """``value`` as a Python int: an int or numpy integer, but not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    """The Philox key of stream ``(seed, stream)``, each taken modulo 2^64."""
-    return np.array([seed & _KEY_MASK, stream & _KEY_MASK], dtype=np.uint64)
+def rng_for(seed: int) -> np.random.Generator:
+    """The Philox stream keyed by ``(seed mod 2^64, 0)``."""
+    key = np.array([_as_index(seed, "seed") & _KEY_MASK, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """The Philox stream keyed by ``(seed, stream)``, each taken modulo 2^64."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+def _box_muller(u: np.ndarray, out: np.ndarray) -> None:
+    """Write the normalised Box-Muller rows of the uniforms ``u`` into ``out``.
 
-
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products ``m * x``, from 32-bit halves."""
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lo_hi, hi_lo = m_lo * x_hi, m_hi * x_lo
-    carry = ((m_lo * x_lo) >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
-    hi = m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (carry >> _SHIFT32)
-    return hi, m * x
-
-
-def _philox_keystream(seed: int, streams: np.ndarray, words: int) -> np.ndarray:
-    """First ``words`` outputs of each stream ``(seed, s)`` for ``s`` in ``streams``.
-
-    Row ``i`` equals ``np.random.Philox(key=_philox_key(seed, streams[i]))
-    .random_raw(words)``: a fresh generator encrypts counters 1, 2, ... (the
-    other three counter words 0) and hands out each block's four words in
-    order. ``streams`` is ``uint64`` and ``words`` a multiple of 4.
+    Row ``i`` of ``u`` holds ``2 * dim`` doubles in (0, 1]. Amplitude ``j`` is
+    ``sqrt(-log u[j]) * exp(2 pi i u[dim + j])`` (modulus squared exponential,
+    phase uniform, so a standard complex Gaussian up to scale) divided by the
+    row's norm, the square root of the sum of the ``-log u[j]``.
     """
-    blocks = words // 4
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(streams), blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k1 = streams[:, None]
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _KEY_MASK)
-        bump = np.uint64((r * _PHILOX_W[1]) & _KEY_MASK)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ (k1 + bump), lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(streams), words)
-
-
-def _complex_normals(raw: np.ndarray) -> np.ndarray:
-    """Complex normals from pairs of Philox words, by the Box-Muller transform.
-
-    Row ``i`` of ``raw`` holds ``2 * dim`` words. Each word ``w`` becomes the
-    exact double ``u = ((w >> 11) + 1) / 2^53`` in (0, 1], and amplitude ``j``
-    is ``sqrt(-log u[j]) * exp(2 pi i u[dim + j])``: modulus squared
-    exponential, phase uniform, so a standard complex Gaussian up to a scale
-    that normalisation removes.
-    """
-    dim = raw.shape[1] // 2
-    u = ((raw >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-np.log(u[:, :dim])) * np.exp(2j * np.pi * u[:, dim:])
+    dim = out.shape[1]
+    logs = np.log(u[:, :dim])
+    scale = np.sqrt(logs / logs.sum(axis=1, keepdims=True))
+    angle = u[:, dim:] * (2 * np.pi)
+    np.multiply(scale, np.cos(angle), out=out.real)
+    np.multiply(scale, np.sin(angle), out=out.imag)
 
 
 def _check_qubits(n: int, budgets: Budgets, what: str) -> None:
@@ -104,27 +77,35 @@ def _check_qubits(n: int, budgets: Budgets, what: str) -> None:
 
 @dataclass(frozen=True)
 class HaarSampler:
-    """Counter-based seeded sampler with one Philox stream per trial.
+    """Counter-based seeded sampler that tiles one Philox stream by trial.
 
-    Trial ``k`` reads the first ``2^(n+1)`` words of the stream keyed by
-    ``(rng_seed, k)``, the stream ``generator(k)`` starts. Word ``j`` and
-    word ``2^n + j`` give amplitude ``j`` by the Box-Muller transform
-    (``_complex_normals``), and the row is then normalised. Trial ``k`` is a
-    pure function of ``(rng_seed, k)``, the index taken modulo 2^64: it is
-    bitwise the same whatever batch, start, order or chunk it is drawn in.
+    Trial ``k`` reads words ``k * 2^(n+1)`` to ``(k + 1) * 2^(n+1) - 1`` of
+    ``rng_for(rng_seed)``'s raw stream, the words ``generator(k)`` starts
+    with. Each word ``w`` is the uniform ``((w >> 11) + 1) / 2^53`` in
+    (0, 1], and uniforms ``j`` and ``2^n + j`` give amplitude ``j`` of the
+    normalised row by the Box-Muller transform (``_box_muller``). Trial ``k``
+    is a pure function of ``(rng_seed, k)``, the index taken modulo 2^64: it
+    is bitwise the same whatever batch, start, order or chunk it is drawn in.
     The rows are Haar-distributed but are not ``haar_statevector`` of
     ``generator(k)``, which draws numpy's normals from the same words.
-    ``n_qubits`` is checked against the default dense budget up front.
+    ``n_qubits`` and ``rng_seed`` must be integers (not bools); ``n_qubits``
+    is checked against the default dense budget up front.
     """
 
     n_qubits: int
     rng_seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _as_index(self.n_qubits, "n_qubits"))
+        object.__setattr__(self, "rng_seed", _as_index(self.rng_seed, "rng_seed"))
         _check_qubits(self.n_qubits, DEFAULT_BUDGETS, f"HaarSampler(n_qubits={self.n_qubits})")
 
     def generator(self, trial: int) -> np.random.Generator:
-        return rng_for(self.rng_seed, trial)
+        """``rng_for(rng_seed)`` advanced to trial ``trial``'s first word."""
+        rng = rng_for(self.rng_seed)
+        # advance counts Philox blocks of four words; a trial reads 2^(n-1)
+        rng.bit_generator.advance((_as_index(trial, "trial") & _KEY_MASK) << (self.n_qubits - 1))
+        return rng
 
     def statevector(self, trial: int) -> np.ndarray:
         return self.statevectors(1, trial)[0]
@@ -135,20 +116,26 @@ class HaarSampler:
     def statevectors(self, count: int, start_trial: int = 0) -> np.ndarray:
         """Stack of ``count`` sampled state vectors for trials ``start_trial, ...``.
 
-        Each chunk computes the key streams of its trials at once, turns them
-        into complex normals and divides every row by its norm. Every step
-        acts on each row alone, so chunking does not change any row.
+        Each chunk draws its trials' words as one block of uniforms from the
+        generator of its first trial, and a chunk ends where the trial index
+        wraps to 0. The transform acts on each row alone, so chunking does
+        not change any row.
         """
+        count = _as_index(count, "count")
+        start_trial = _as_index(start_trial, "start_trial")
         if count < 0:
             raise ValueError(f"statevectors: count must be >= 0, got {count}")
         dim = 1 << self.n_qubits
         out = np.empty((count, dim), dtype=complex)
         per_chunk = max(1, 4 * _CHUNK_TRIALS // dim)
-        for lo in range(0, count, per_chunk):
-            first = np.uint64((start_trial + lo) & _KEY_MASK)
-            trials = np.arange(min(per_chunk, count - lo), dtype=np.uint64) + first
-            block = _complex_normals(_philox_keystream(self.rng_seed, trials, 2 * dim))
-            out[lo : lo + len(trials)] = block / np.linalg.norm(block, axis=1, keepdims=True)
+        lo = 0
+        while lo < count:
+            first = (start_trial + lo) & _KEY_MASK
+            take = min(per_chunk, count - lo, _KEY_MASK + 1 - first)
+            u = self.generator(first).random((take, 2 * dim))
+            u += 2.0**-53  # (w >> 11) / 2^53 in [0, 1) becomes ((w >> 11) + 1) / 2^53
+            _box_muller(u, out[lo : lo + take])
+            lo += take
         return out
 
 

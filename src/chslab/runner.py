@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from . import commitments, pgm, prsg, typestates
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .haar import rng_for, sample_haar
+from .haar import _as_index, rng_for, sample_haar
 from .reporting import ExperimentReport, combined_csv
 
 
@@ -31,6 +31,8 @@ class ExperimentConfig:
     budgets: Budgets = DEFAULT_BUDGETS
 
     def __post_init__(self):
+        # an int or numpy integer, stored as an int; a bool, float or string is refused
+        object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
 

@@ -92,24 +92,37 @@ def test_batched_rows_match_streams_property(n, seed, start, count, data):
     assert np.array_equal(np.concatenate([head, tail]), vecs)
 
 
+def _box_muller_of_words(words, dim):
+    """Rows of ``haar._box_muller`` for rows of ``2 * dim`` raw Philox words."""
+    u = ((words.reshape(-1, 2 * dim) >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
+    rows = np.empty((len(u), dim), dtype=complex)
+    haar._box_muller(u, rows)
+    return rows
+
+
 @pytest.mark.parametrize("seed", [0, -1, 2**64 + 3])
-def test_keystream_is_numpys_philox_stream(seed):
-    # consecutive trials as a batch forms them, wrapping past 2^64 to 0 and 1
-    streams = np.arange(4, dtype=np.uint64) + np.uint64(2**64 - 2)
-    raw = haar._philox_keystream(seed, streams, 24)
-    assert raw.shape == (4, 24)
-    for row, stream in zip(raw, [2**64 - 2, 2**64 - 1, 0, 1]):
-        expected = np.random.Philox(key=haar._philox_key(seed, stream)).random_raw(24)
-        assert np.array_equal(row, expected)
+def test_rows_tile_one_philox_stream(seed):
+    # trial k reads words k * 2^(n+1), ... of rng_for(seed)'s raw stream
+    key = rng_for(seed).bit_generator.state["state"]["key"]
+    for n in (1, 3):
+        dim = 1 << n
+        head = _box_muller_of_words(rng_for(seed).bit_generator.random_raw(6 * dim), dim)
+        assert np.array_equal(HaarSampler(n, seed).statevectors(3), head)
+        # the last two trials start at Philox block (2^64 - 2) * 2^(n-1) of the
+        # same key; a batch from there wraps to trials 0 and 1
+        tail = np.random.Philox(key=key, counter=(2**64 - 2) << (n - 1)).random_raw(4 * dim)
+        wrapped = HaarSampler(n, seed).statevectors(4, 2**64 - 2)
+        assert np.array_equal(wrapped, np.concatenate([_box_muller_of_words(tail, dim), head[:2]]))
 
 
 def test_extreme_words_give_finite_normals():
     # word 0 is u = 2^-53, the largest modulus; word 2^64-1 is u = 1, modulus 0
-    raw = np.array([[0, 2**64 - 1, 0, 2**64 - 1]], dtype=np.uint64)
-    normals = haar._complex_normals(raw)
-    assert np.isfinite(normals).all()
-    assert abs(normals[0, 0]) == pytest.approx(math.sqrt(53 * math.log(2)), rel=1e-15)
-    assert normals[0, 1] == 0
+    words = np.array([[0, 2**64 - 1, 0, 2**64 - 1], [0, 0, 2**64 - 1, 2**64 - 1]], dtype=np.uint64)
+    rows = _box_muller_of_words(words, 2)
+    assert np.isfinite(rows).all()
+    assert abs(rows[0, 0]) == pytest.approx(1.0, rel=1e-15)
+    assert rows[0, 1] == 0
+    assert np.abs(rows[1]) == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15)
 
 
 def test_statevectors_rejects_a_negative_count():
@@ -125,9 +138,43 @@ def test_sampler_rejects_zero_qubits_and_budget_overflow():
 
 
 def test_runner_streams_are_the_sampler_streams():
-    for seed, stream in ((0, 0), (99, 5), (2**64 + 3, 2**70 - 1), (-1, 7)):
-        a = HaarSampler(2, rng_seed=seed).generator(stream).standard_normal(8)
-        assert np.array_equal(a, rng_for(seed, stream).standard_normal(8))
+    for seed in (0, 99, 2**64 + 3, -1):
+        sampler = HaarSampler(2, rng_seed=seed)
+        raw = sampler.generator(0).bit_generator.random_raw(12)
+        assert np.array_equal(raw, rng_for(seed).bit_generator.random_raw(12))
+        for trial in (0, 5, 2**64 - 1):
+            a = sampler.generator(trial + 2**64).standard_normal(8)
+            assert np.array_equal(a, sampler.generator(trial).standard_normal(8))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: HaarSampler(True, 0),
+        lambda: HaarSampler(1.0, 0),
+        lambda: HaarSampler(1, False),
+        lambda: HaarSampler(1, "3"),
+        lambda: HaarSampler(1, 3).statevectors(True),
+        lambda: HaarSampler(1, 3).statevectors(2, 1.0),
+        lambda: HaarSampler(1, 3).generator(np.bool_(True)),
+        lambda: rng_for(True),
+        lambda: rng_for(2.0),
+    ],
+)
+def test_sampler_refuses_bools_and_non_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("cast", [int, np.int64, np.uint64, np.int8])
+def test_sampler_takes_numpy_integers_as_ints(cast):
+    sampler = HaarSampler(cast(1), cast(3))
+    assert sampler == HaarSampler(1, 3)
+    assert type(sampler.n_qubits) is int and type(sampler.rng_seed) is int
+    vecs = sampler.statevectors(cast(2), cast(5))
+    assert np.array_equal(vecs, HaarSampler(1, 3).statevectors(7)[5:])
+    raw = rng_for(cast(3)).bit_generator.random_raw(4)
+    assert np.array_equal(raw, rng_for(3).bit_generator.random_raw(4))
 
 
 def test_sample_haar_norm_and_budget():

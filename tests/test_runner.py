@@ -87,6 +87,20 @@ def test_commit_binding_honest_p0_is_one():
     assert report.quantities["p0"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", [True, 2.0, "3", None])
+def test_config_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        ExperimentConfig("pgm", {"n": 1}, seed=seed)
+
+
+def test_config_stores_a_numpy_integer_seed_as_an_int():
+    config = ExperimentConfig("commit-binding", {"lam": 1, "n": 2, "p": 2}, seed=np.int64(3))
+    assert type(config.seed) is int and config.seed == 3
+    report = run(config)
+    assert report.to_json() == run(ExperimentConfig("commit-binding", config.params, seed=3)).to_json()
+    assert json.loads(report.to_json())["seed"] == 3
+
+
 def test_sweep_lambda_monotone(tmp_path):
     base = ExperimentConfig(
         "prsg-td",
