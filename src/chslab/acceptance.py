@@ -298,7 +298,7 @@ def commitment_binding() -> CriterionResult:
                     )
                     worst_excess = max(worst_excess, excess)
                 if p <= 2 and n <= 2:
-                    committed = DensityOperator.from_pure(honest_commit(0, params))
+                    committed = honest_commit(0, params)
                     worst_honest = max(
                         worst_honest, abs(accept_probability(0, committed, params) - 1.0)
                     )

@@ -91,46 +91,30 @@ def honest_commit(b: int, params: CommitmentParams, budgets: Budgets = DEFAULT_B
     return state
 
 
-def _swap_accept_matrix(psi: PureState, budgets: Budgets) -> np.ndarray:
-    vec = psi.dense(budgets)
-    return 0.5 * (np.eye(vec.size) + np.outer(vec, vec.conjugate()))
-
-
 def accept_probability(
     b: int,
-    committed: DensityOperator,
+    committed: PureState,
     params: CommitmentParams,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> float:
     """Probability that all p SWAP tests accept a reveal of bit b.
 
-    Computes Tr(M_b rho_CR) with the product form of M_b applied copy by copy,
-    so no operator on the full 2np-qubit space is ever materialized.
+    Computes <chi|M_b|chi> for the committed state |chi> with the product form
+    of M_b applied copy by copy, so no operator on the full 2np-qubit space is
+    ever materialized.
     """
     n, p = params.n, params.p
     if committed.register_shape != (n, n) * p:
         raise ValueError(
             f"committed state has shape {committed.register_shape}, expected {(n, n) * p}"
         )
-    per_copy = _swap_accept_matrix(commit_copy(b, params), budgets)
-    copy_dim = 1 << (2 * n)
-
-    def apply_all(vec: np.ndarray) -> np.ndarray:
-        block = vec.reshape((copy_dim,) * p)
-        for i in range(p):
-            block = np.tensordot(per_copy, block, axes=([1], [i]))
-            block = np.moveaxis(block, 0, i)
-        return block.reshape(-1)
-
-    if committed.is_ensemble:
-        total = 0.0
-        for prob, state in committed.ensemble:
-            vec = state.dense(budgets)
-            total += prob * float(np.real(vec.conjugate() @ apply_all(vec)))
-        return total
-    mat = committed.to_dense(budgets)
-    acted = np.stack([apply_all(col) for col in mat.T], axis=1)
-    return float(np.real(np.trace(acted)))
+    psi = commit_copy(b, params).dense(budgets)
+    per_copy = 0.5 * (np.eye(psi.size) + np.outer(psi, psi.conjugate()))
+    vec = committed.dense(budgets)
+    block = vec.reshape((psi.size,) * p)
+    for i in range(p):
+        block = np.moveaxis(np.tensordot(per_copy, block, axes=([1], [i])), 0, i)
+    return float(np.real(vec.conjugate() @ block.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,34 +124,32 @@ def accept_probability(
 
 @dataclass(frozen=True)
 class MaliciousCommitter:
-    """Committer that prepares one shared commit-phase state and opens adaptively.
+    """Committer that prepares one pure commit-phase state and opens adaptively.
 
-    The commit-phase state on (C, R, E) is a sum of product terms
-    ``sum_r coeff_r * tensor_i |copy_states[r][i]>_{C_i R_i} (x) |env[r]>_E``,
-    shared between both openings by construction (sum-binding quantifies over
-    exactly such committers). Opening bit b applies ``open_r(b)`` on every R
-    register and ``open_env(b)`` on E; identity when omitted. The product form
-    keeps the acceptance probabilities computable per copy even at p and n
-    where the joint state vector would not fit any budget.
+    The commit-phase state on (C1, R1, ..., Cp, Rp) is a sum of product terms
+    ``sum_r coeff_r * tensor_i |copies[r][i]>_{C_i R_i}``, shared between both
+    openings by construction (sum-binding quantifies over exactly such
+    committers). Opening bit b applies ``open_r(b)`` on every R register,
+    identity when omitted. A register the opening never touches would only mix
+    the commit state, and p_0 + p_1 is linear in that state, so pure states
+    reach every value a mixed one does. The product form keeps the acceptance
+    probabilities computable per copy even at p and n where the joint state
+    vector would not fit any budget.
     """
 
     name: str
-    terms: tuple[tuple[complex, tuple[PureState, ...], tuple[complex, ...]], ...]
+    terms: tuple[tuple[complex, tuple[PureState, ...]], ...]
     open_r: Callable[[int], np.ndarray] | None = None
-    open_env: Callable[[int], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("committer needs at least one term")
-        p = len(self.terms[0][1])
-        env_dim = len(self.terms[0][2])
-        for _, copies, env in self.terms:
-            if len(copies) != p or len(env) != env_dim:
-                raise ValueError("all terms must share the copy count and environment dimension")
+        if len({len(copies) for _, copies in self.terms}) != 1:
+            raise ValueError("all terms must share the copy count")
         norm = 0.0
-        for ca, copies_a, env_a in self.terms:
-            for cb, copies_b, env_b in self.terms:
-                overlap = np.vdot(np.array(env_a), np.array(env_b))
+        for ca, copies_a in self.terms:
+            for cb, copies_b in self.terms:
+                overlap = 1.0
                 for sa, sb in zip(copies_a, copies_b):
                     overlap *= sa.inner(sb)
                 norm += (ca.conjugate() * cb * overlap).real
@@ -182,7 +164,7 @@ class MaliciousCommitter:
         """Per-term, per-copy dense (C, R) vectors after the opening unitary."""
         u = None if self.open_r is None else np.asarray(self.open_r(b))
         out = []
-        for _, copies, _ in self.terms:
+        for _, copies in self.terms:
             vecs = []
             for state in copies:
                 n_c, n_r = state.register_shape
@@ -193,43 +175,18 @@ class MaliciousCommitter:
             out.append(vecs)
         return out
 
-    def opened_env(self, b: int) -> list[np.ndarray]:
-        w = None if self.open_env is None else np.asarray(self.open_env(b))
-        envs = []
-        for _, _, env in self.terms:
-            vec = np.array(env, dtype=complex)
-            envs.append(vec if w is None else w @ vec)
-        return envs
-
     def initial_state(self, budgets: Budgets = DEFAULT_BUDGETS) -> PureState:
-        """Materialized commit-phase state on (C1,R1,...,Cp,Rp[,E]); small p only.
-
-        A one-dimensional environment is dropped; otherwise its dimension must
-        be a power of two so it fits a register.
-        """
-        shapes = self.terms[0][1][0].register_shape
-        env_dim = len(self.terms[0][2])
-        env_bits = env_dim.bit_length() - 1
-        if 1 << env_bits != env_dim:
-            raise ValueError("environment dimension must be a power of two to materialize")
-        shape = shapes * self.p + ((env_bits,) if env_dim > 1 else ())
+        """Materialized commit-phase state on (C1,R1,...,Cp,Rp); small p only."""
+        shape = self.terms[0][1][0].register_shape * self.p
         budgets.check_dense_dim(1 << sum(shape), "MaliciousCommitter.initial_state")
         amps: dict[tuple[int, ...], complex] = {}
-        for coeff, copies, env in self.terms:
-            labels_per_copy = [list(s.amplitudes.items()) for s in copies]
-            for combo in itertools.product(*labels_per_copy):
-                base_label = tuple(v for label, _ in combo for v in label)
-                base_amp = coeff
+        for coeff, copies in self.terms:
+            for combo in itertools.product(*(s.amplitudes.items() for s in copies)):
+                label = tuple(v for copy_label, _ in combo for v in copy_label)
+                amp = coeff
                 for _, a in combo:
-                    base_amp *= a
-                if env_dim == 1:
-                    amps[base_label] = amps.get(base_label, 0.0) + base_amp * env[0]
-                    continue
-                for e_idx, e_amp in enumerate(env):
-                    if e_amp == 0:
-                        continue
-                    label = base_label + (e_idx,)
-                    amps[label] = amps.get(label, 0.0) + base_amp * e_amp
+                    amp *= a
+                amps[label] = amps.get(label, 0.0) + amp
         return PureState(shape, {k: v for k, v in amps.items() if v != 0})
 
 
@@ -238,28 +195,25 @@ def binding_experiment(
 ) -> ExperimentReport:
     """Acceptance probabilities of both openings against the sum-binding bound.
 
-    p_b = Tr(M_b Tr_E(U_b |Phi><Phi| U_b^dagger)) is evaluated exactly through
-    the term structure: per copy, <f|M_b|g> = (<f|g> + <f|psi_b><psi_b|g>)/2
-    needs only inner products with the reference state. The report also carries
-    the per-copy reduced-state fidelity and its 2^-(n-lam) cap, and the bound
+    p_b = <Phi| U_b^dagger M_b U_b |Phi> is evaluated exactly through the term
+    structure: per copy, <f|M_b|g> = (<f|g> + <f|psi_b><psi_b|g>)/2 needs only
+    inner products with the reference state. The report also carries the
+    per-copy reduced-state fidelity and its 2^-(n-lam) cap, and the bound
     p_0 + p_1 <= 1 + ((1 + 2^(-(n-lam)/2))/2)^p.
     """
     if adv.p != params.p:
         raise ValueError(f"adversary prepared {adv.p} copies, params expect {params.p}")
     n, lam, p = params.n, params.lam, params.p
+    coeffs = [c for c, _ in adv.terms]
     probs = {}
     for b in (0, 1):
         psi_b = commit_copy(b, params).dense(budgets)
         term_copies = adv.opened_copy_states(b, budgets)
-        term_envs = adv.opened_env(b)
-        coeffs = [c for c, _, _ in adv.terms]
         total = 0.0
-        for ra in range(len(adv.terms)):
-            for rb in range(len(adv.terms)):
-                acc = coeffs[ra].conjugate() * coeffs[rb]
-                acc *= np.vdot(term_envs[ra], term_envs[rb])
-                for i in range(p):
-                    fa, fb = term_copies[ra][i], term_copies[rb][i]
+        for ca, copies_a in zip(coeffs, term_copies):
+            for cb, copies_b in zip(coeffs, term_copies):
+                acc = ca.conjugate() * cb
+                for fa, fb in zip(copies_a, copies_b):
                     acc *= 0.5 * (np.vdot(fa, fb) + np.vdot(fa, psi_b) * np.vdot(psi_b, fb))
                 total += acc.real
         probs[b] = total
@@ -306,7 +260,6 @@ def builtin_adversaries(
     """
     p = params.p
     psi0, psi1 = commit_copy(0, params), commit_copy(1, params)
-    env = (1.0 + 0.0j,)
     overlap = psi0.inner(psi1)
     half_coeff = 1.0 / math.sqrt(2.0 + 2.0 * (overlap**p).real)
 
@@ -316,15 +269,14 @@ def builtin_adversaries(
     twist = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar unitary via phase-fixed QR
 
     return {
-        "honest-0": MaliciousCommitter("honest-0", ((1.0, (psi0,) * p, env),)),
-        "honest-1": MaliciousCommitter("honest-1", ((1.0, (psi1,) * p, env),)),
+        "honest-0": MaliciousCommitter("honest-0", ((1.0, (psi0,) * p),)),
+        "honest-1": MaliciousCommitter("honest-1", ((1.0, (psi1,) * p),)),
         "half-angle": MaliciousCommitter(
-            "half-angle",
-            ((half_coeff, (psi0,) * p, env), (half_coeff, (psi1,) * p, env)),
+            "half-angle", ((half_coeff, (psi0,) * p), (half_coeff, (psi1,) * p))
         ),
         "random-rotation": MaliciousCommitter(
             "random-rotation",
-            ((1.0, (psi0,) * p, env),),
+            ((1.0, (psi0,) * p),),
             open_r=lambda b: twist if b == 1 else np.eye(dim_r),
         ),
     }

@@ -444,7 +444,7 @@ def _support_components(members: list[tuple[float, PureState]]) -> list[list[int
     return [groups[root] for root in sorted(groups)]
 
 
-def _component_matrix(members, idx_list, labels, rel_tol) -> np.ndarray:
+def _component_matrix(members, idx_list, labels) -> np.ndarray:
     """Signed mixture on one support component, in a small orthonormal basis.
 
     When the union of supports is small the computational sub-basis is already
@@ -471,14 +471,12 @@ def _component_matrix(members, idx_list, labels, rel_tol) -> np.ndarray:
             gram[a, b] = states[a].inner(states[b])
             gram[b, a] = gram[a, b].conjugate()
     vals, vecs = np.linalg.eigh(gram)
-    mask = vals > rel_tol * vals.max()
+    mask = vals > REL_RANK_CUTOFF * vals.max()
     coords = (vecs[:, mask] / np.sqrt(vals[mask])).conj().T @ gram  # rank x m
     return (coords * w) @ coords.conj().T
 
 
-def gram_trace_distance(
-    e1: DensityOperator, e2: DensityOperator, rel_tol: float = REL_RANK_CUTOFF
-) -> float:
+def gram_trace_distance(e1: DensityOperator, e2: DensityOperator) -> float:
     """Trace distance between two ensembles without densifying the full space.
 
     The joint support of all members splits into connected components of
@@ -505,7 +503,7 @@ def gram_trace_distance(
             for label in members[i][1].amplitudes:
                 if label not in labels:
                     labels[label] = len(labels)
-        block = _component_matrix(members, idx_list, labels, rel_tol)
+        block = _component_matrix(members, idx_list, labels)
         by_dim.setdefault(block.shape[0], []).append(block)
     for mats in by_dim.values():
         stack = np.stack(mats)

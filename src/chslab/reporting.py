@@ -5,8 +5,7 @@ values they are compared against, and pass/fail flags, each flag named after
 the inequality it checks. Serialization is canonical: floats are rendered with
 17 significant digits and stored as JSON strings so no parser rounds them, and
 the wall-clock duration is kept out of the canonical payload so that two runs
-with the same seed produce byte-identical artifacts. Pass ``include_timing``
-to get the duration as an extra, explicitly non-canonical field.
+with the same seed produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(self.flags.values())
 
-    def canonical_dict(self, include_timing: bool = False) -> dict:
-        payload = {
+    def canonical_dict(self) -> dict:
+        return {
             "experiment": self.experiment,
             "version": self.version,
             "seed": self.seed,
@@ -55,15 +54,12 @@ class ExperimentReport:
             "notes": list(self.notes),
             "all_flags_pass": self.passed(),
         }
-        if include_timing:
-            payload["duration_s"] = self.duration_s
-        return payload
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.canonical_dict(include_timing), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.canonical_dict(), indent=2) + "\n"
 
     def canonical_bytes(self) -> bytes:
-        return self.to_json(include_timing=False).encode("utf-8")
+        return self.to_json().encode("utf-8")
 
     def csv_columns(self) -> dict[str, str]:
         row: dict[str, str] = {

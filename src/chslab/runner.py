@@ -3,9 +3,8 @@
 Every experiment is a pure function of (params, seed, budgets); the seed fully
 determines all randomized outputs through counter-based substreams, so
 re-running any config reproduces every numeric field bit-exactly. Reports are
-serialized without wall-clock timing by default, which keeps the artifacts
-byte-identical across repeated runs (pass ``include_timing`` for a local,
-non-canonical copy).
+serialized without wall-clock timing, which keeps the artifacts byte-identical
+across repeated runs.
 """
 
 from __future__ import annotations
@@ -33,6 +32,9 @@ class ExperimentConfig:
     def __post_init__(self):
         # an int or numpy integer, stored as an int; a bool, float or string is refused
         object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
+        object.__setattr__(self, "trials", _as_index(self.trials, "trials"))
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
 

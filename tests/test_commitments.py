@@ -67,7 +67,7 @@ def test_commit_copy_norm_for_random_theta():
 @pytest.mark.parametrize("b", [0, 1])
 def test_honest_accept_probability_is_one(p, b):
     params = fixed_params(p=p)
-    committed = DensityOperator.from_pure(honest_commit(b, params))
+    committed = honest_commit(b, params)
     assert accept_probability(b, committed, params) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -76,7 +76,7 @@ def test_accept_probability_orthogonal_reference():
     # with probability exactly 1/2.
     params = fixed_params()
     orthogonal = PureState((2, 2), {(0, 1): 1.0})  # no overlap with sum_j |jj>
-    prob = accept_probability(1, DensityOperator.from_pure(orthogonal), params)
+    prob = accept_probability(1, orthogonal, params)
     assert prob == pytest.approx(0.5, abs=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_cross_accept_probability_band_and_formula():
     # (1 + |<psi1|psi0>|^2)/2 per copy, which lives in [1/2, 1/2 + 2^-(n-lam)-ish].
     params = fixed_params(lam=1, n=2, seed=33)
     psi0, psi1 = commit_copy(0, params), commit_copy(1, params)
-    committed = DensityOperator.from_pure(honest_commit(0, params))
+    committed = honest_commit(0, params)
     prob = accept_probability(1, committed, params)
     ov = abs(psi1.inner(psi0)) ** 2
     assert prob == pytest.approx((1 + ov) / 2, abs=1e-12)
@@ -138,8 +138,10 @@ def test_malicious_committer_validation_and_materialization():
     params = fixed_params(p=2, seed=40)
     psi0 = commit_copy(0, params)
     with pytest.raises(ValueError):
-        MaliciousCommitter("broken", ((0.5, (psi0, psi0), (1.0,)),))  # squared norm 0.25
-    honest = MaliciousCommitter("honest-0", ((1.0, (psi0, psi0), (1.0,)),))
+        MaliciousCommitter("broken", ((0.5, (psi0, psi0)),))  # squared norm 0.25
+    with pytest.raises(ValueError, match="all terms must share the copy count"):
+        MaliciousCommitter("ragged", ((0.5, (psi0, psi0)), (0.5, (psi0,))))
+    honest = MaliciousCommitter("honest-0", ((1.0, (psi0, psi0)),))
     materialized = honest.initial_state()
     direct = honest_commit(0, params)
     overlap = materialized.inner(direct)
@@ -165,7 +167,7 @@ def test_binding_structured_path_matches_dense_route():
                 block = np.moveaxis(np.tensordot(u, block, axes=([1], [3])), 0, 3)
                 vec = block.reshape(-1)
             opened = PureState.from_dense(vec, state.register_shape)
-            dense_prob = accept_probability(b, DensityOperator.from_pure(opened), params)
+            dense_prob = accept_probability(b, opened, params)
             assert report.quantities[f"p{b}"] == pytest.approx(dense_prob, abs=1e-10)
 
 

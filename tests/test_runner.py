@@ -93,6 +93,17 @@ def test_config_refuses_a_seed_that_is_not_an_integer(seed):
         ExperimentConfig("pgm", {"n": 1}, seed=seed)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, 0, "3"])
+def test_config_refuses_trials_that_are_not_a_positive_integer(trials):
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig("typestats", {"lam": 1}, seed=1, trials=trials)
+
+
+def test_config_stores_numpy_integer_trials_as_an_int():
+    config = ExperimentConfig("typestats", {"lam": 1}, seed=1, trials=np.int64(5))
+    assert type(config.trials) is int and config.trials == 5
+
+
 def test_config_stores_a_numpy_integer_seed_as_an_int():
     config = ExperimentConfig("commit-binding", {"lam": 1, "n": 2, "p": 2}, seed=np.int64(3))
     assert type(config.seed) is int and config.seed == 3
