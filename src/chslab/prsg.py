@@ -11,22 +11,23 @@ Every report, the rank attack included, builds those mixtures block by block
 over relation classes of sectors (``sectors.relation_classes``): one block per
 multiplicity shape and GF(2)-relation space of the letters' ``lam``-bit
 prefixes, weighted by the exact number of sectors in the class, so the cost
-does not grow with ``n``. ``hybrid_state`` and ``_multikey_xi`` build the same
-mixtures as PureState ensembles; they, and the full sector enumeration, are
-the independent routes that the tests compare the class blocks against.
+does not grow with ``n``. ``hybrid_state`` builds the hybrids as PureState
+ensembles; it, the tests' ensemble form of the multi-key chain and the full
+sector enumeration are the independent routes that the tests compare the
+class blocks against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .haar import exact_moment
-from .qla import DensityOperator, PureState, tensor
+from .qla import DensityOperator, PureState
 from .reporting import ExperimentReport
 from .sectors import (
     SectorMixture,
@@ -292,7 +293,11 @@ def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Sect
 
 
 def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
-    """Sector form of the multi-key chain state xi_j (``_multikey_xi``)."""
+    """Sector form of the multi-key chain state xi_j.
+
+    The first j key slots hold independent ell-copy moments; the tests check
+    it against the chain state built as a PureState ensemble.
+    """
     if not 0 <= j <= params.p:
         raise ValueError(f"chain index {j} out of range 0..{params.p}")
     space = relation_classes(params.n, params.lam, params.p * params.ell + params.t, budgets)
@@ -378,31 +383,6 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     )
 
 
-def _multikey_xi(j: int, params: PrsParams, budgets: Budgets) -> DensityOperator:
-    """Ensemble form of chain state xi_j, the reference for ``multikey_mixture``.
-
-    The first j key slots are replaced by independent states.
-    """
-    lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
-    N = 1 << n
-    keyed_groups = p - j
-    keyed_size = keyed_groups * ell + t
-    parts: list[DensityOperator] = [exact_moment(N, ell, budgets) for _ in range(j)]
-    if keyed_size:
-        groups = tuple(tuple(range(g * ell, (g + 1) * ell)) for g in range(keyed_groups))
-        types = [T.elements for T in enumerate_types(N, keyed_size, budgets)]
-        if groups:
-            members = keyed_members(n, lam, groups, types, 1.0 / len(types))
-            keyed = DensityOperator((n,) * keyed_size, ensemble=tuple(members))
-        else:
-            keyed = exact_moment(N, keyed_size, budgets)
-        parts.append(keyed)
-    state = parts[0]
-    for part in parts[1:]:
-        state = tensor(state, part)
-    return state
-
-
 def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
     """Chain between the p-key real state and fully independent ideal state.
 
@@ -460,11 +440,13 @@ def impossibility_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) 
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     space = relation_classes(n, lam, ell + t, budgets)
+    rank0_formula = 2**lam * math.comb(2**n + ell + t - 1, ell + t)
+    rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
+    if max(rank0_formula, rank1_formula) > sys.float_info.max:
+        raise ValueError(f"n={n} is too large: the rank formulas exceed the float range")
     rank0, rank1, tr_rho0, tr_rho1 = sector_support_overlap(
         _sector_hybrid(1, params, space), _sector_hybrid(8, params, space)
     )
-    rank0_formula = 2**lam * math.comb(2**n + ell + t - 1, ell + t)
-    rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
     quantities = {
         "tr_pi_rho0": tr_rho0,
         "tr_pi_rho1": tr_rho1,

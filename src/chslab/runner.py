@@ -5,6 +5,11 @@ determines all randomized outputs through counter-based substreams, so
 re-running any config reproduces every numeric field bit-exactly. Reports are
 serialized without wall-clock timing, which keeps the artifacts byte-identical
 across repeated runs.
+
+Each experiment's layer (``prsg``, ``commitments`` or ``pgm``) is imported when
+``execute`` dispatches to it, not when this module loads: every ``chs-lab``
+invocation is a fresh process that compiles each module it imports, and a
+``prsg-td`` run has no use for the commitment or PGM code.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from . import commitments, pgm, prsg, typestates
+from . import typestates
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import _as_index, rng_for, sample_haar
 from .reporting import ExperimentReport, combined_csv
@@ -165,6 +170,8 @@ def _run_typestats(params: dict, seed: int, trials: int, budgets: Budgets) -> Ex
 
 
 def _run_commit_binding(params: dict, seed: int, budgets: Budgets) -> ExperimentReport:
+    from . import commitments
+
     rng = rng_for(seed)
     theta = sample_haar(params["n"], rng, budgets)
     cparams = commitments.CommitmentParams(
@@ -183,16 +190,26 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
     seed, budgets = config.seed, config.budgets
     experiment = ALIASES.get(config.experiment, config.experiment)
     if experiment == "prsg-td":
+        from . import prsg
+
         report = prsg.single_key_report(prsg.PrsParams(**params), budgets)
     elif experiment == "multikey-td":
+        from . import prsg
+
         report = prsg.multi_key_report(prsg.PrsParams(**params), budgets)
     elif experiment == "impossibility":
+        from . import prsg
+
         report = prsg.impossibility_attack(prsg.PrsParams(**params), budgets)
     elif experiment == "commit-binding":
         report = _run_commit_binding(params, seed, budgets)
     elif experiment == "commit-hiding":
+        from . import commitments
+
         report = commitments.hiding_distance(**params, budgets=budgets)
     elif experiment == "pgm":
+        from . import pgm
+
         report = pgm.pgm_report(pgm.PgmParams(**params), budgets)
     elif experiment == "typestats":
         report = _run_typestats(params, seed, config.trials, budgets)

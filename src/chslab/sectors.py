@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .tolerances import REL_RANK_CUTOFF
 from .typestates import distinct_orderings
+
+# The largest normaliser whose reciprocal is a normal float: 2**1022.
+MAX_NORMALISER = int(1 / sys.float_info.min)
 
 
 def _partitions(size: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -219,9 +223,19 @@ def relation_classes(
     type-enumeration budget, as if each were built, and every shape's block
     dimension against the dense budget before any block is built. Letters are
     at most ``lam + bit_length(size - 1)`` bits wide whatever ``n``.
+
+    A mixture built on these sectors divides by a member count times a block
+    dimension, at most ``N (N + 1) ... (N + size - 1)``. When that exceeds
+    ``MAX_NORMALISER`` the weights would be subnormal and the class counts
+    beyond the float range, so ``n`` is refused with a ``ValueError``.
     """
     N = 1 << n
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
+    if math.perm(N + size - 1, size) > MAX_NORMALISER:
+        raise ValueError(
+            f"n={n} is too large for {size} registers: "
+            "the mixture weights would fall below the normal float range"
+        )
     shift = (size - 1).bit_length()
     groups = (_class_group(n, lam, shape, shift, budgets) for shape in _partitions(size))
     return SectorSpace(N, size, shift, tuple(g for g in groups if g is not None))

@@ -4,6 +4,9 @@
 the same ``SectorSpace``, but with one row per sector, its real ``n``-bit
 letters and count 1. Patching it in for ``prsg.relation_classes`` runs every
 report on the full sector enumeration.
+
+``multikey_xi`` builds the multi-key chain state as a PureState ensemble, the
+reference that ``prsg.multikey_mixture`` is checked against.
 """
 
 import itertools
@@ -12,8 +15,11 @@ import math
 import numpy as np
 
 from chslab.budgets import DEFAULT_BUDGETS, Budgets
+from chslab.haar import exact_moment
+from chslab.prsg import PrsParams
+from chslab.qla import DensityOperator, tensor
 from chslab.sectors import SectorSpace, ShapeGroup, _partitions, shape_orderings
-from chslab.typestates import distinct_orderings
+from chslab.typestates import distinct_orderings, enumerate_types, keyed_members
 
 
 def _shape_group(N: int, shape: tuple[int, ...]) -> ShapeGroup:
@@ -36,3 +42,25 @@ def sector_space(n: int, lam: int, size: int, budgets: Budgets = DEFAULT_BUDGETS
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
     groups = tuple(_shape_group(N, shape) for shape in _partitions(size) if len(shape) <= N)
     return SectorSpace(N, size, n - lam, groups)
+
+
+def multikey_xi(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> DensityOperator:
+    """Ensemble form of chain state xi_j: the first j key slots hold independent states."""
+    lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
+    N = 1 << n
+    keyed_groups = p - j
+    keyed_size = keyed_groups * ell + t
+    parts: list[DensityOperator] = [exact_moment(N, ell, budgets) for _ in range(j)]
+    if keyed_size:
+        groups = tuple(tuple(range(g * ell, (g + 1) * ell)) for g in range(keyed_groups))
+        types = [T.elements for T in enumerate_types(N, keyed_size, budgets)]
+        if groups:
+            members = keyed_members(n, lam, groups, types, 1.0 / len(types))
+            keyed = DensityOperator((n,) * keyed_size, ensemble=tuple(members))
+        else:
+            keyed = exact_moment(N, keyed_size, budgets)
+        parts.append(keyed)
+    state = parts[0]
+    for part in parts[1:]:
+        state = tensor(state, part)
+    return state

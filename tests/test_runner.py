@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,34 @@ def test_cli_sweep_rejects_bad_values_in_one_line(capsys):
     assert captured.err.count("\n") == 1 and "'lam' must be int" in captured.err
 
 
+def _modules_loaded_by(code: str) -> set[str]:
+    """The ``chslab`` modules a fresh interpreter holds after running ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('chslab')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(result.stdout.split())
+
+
+def test_runs_load_only_the_layer_they_dispatch_to():
+    # This process has imported every layer already, so a fresh one is asked.
+    loaded = _modules_loaded_by(
+        "from chslab import runner\n"
+        "runner.run(runner.ExperimentConfig('prsg-td', dict(lam=2, n=3, ell=1, t=1)))\n"
+        "runner.run(runner.ExperimentConfig('multikey-td', dict(lam=2, n=3, ell=1, t=1, p=2)))"
+    )
+    assert "chslab.prsg" in loaded
+    assert loaded.isdisjoint({"chslab.commitments", "chslab.pgm", "chslab.acceptance"})
+    loaded = _modules_loaded_by("import chslab.cli")
+    assert "chslab.runner" in loaded
+    assert loaded.isdisjoint({"chslab.prsg", "chslab.sectors"})
+
+
 def test_hybrid_scan_is_prsg_td_under_its_own_name():
     params = {"lam": 2, "n": 3, "ell": 1, "t": 1}
     alias = run(ExperimentConfig("hybrid-scan", params, seed=3))
@@ -339,6 +371,41 @@ def test_cli_typestats_rejects_out_of_range_input_in_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "chs-lab typestats: need lam >= 1, ell >= 1, t >= 1, m_suffix >= 0\n"
+
+
+# Past n (N (N + 1) ... (N + size - 1) > 2^1022 for N = 2^n) the mixture
+# weights would be subnormal and the class counts beyond the float range; the
+# impossibility rank formulas can leave it first (lam = 5, n = 510, size 2).
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["prsg-td", "--lam", "2", "--n", "400", "--ell", "1", "--t", "2"], 400),
+        (["prsg-td", "--lam", "2", "--n", "341", "--ell", "1", "--t", "2"], 341),
+        (["multikey-td", "--lam", "2", "--n", "400", "--ell", "1", "--t", "1", "--p", "2"], 400),
+        (["impossibility", "--lam", "2", "--n", "400", "--ell", "1", "--t", "2"], 400),
+        (["impossibility", "--lam", "5", "--n", "510", "--ell", "1", "--t", "1"], 510),
+    ],
+)
+def test_cli_refuses_an_n_beyond_the_float_range_in_one_line(argv, n, capsys):
+    assert main([*argv, "--max-type-count", str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"chs-lab {argv[0]}: n={n} is too large")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "experiment, params, key, value",
+    [
+        ("prsg-td", {"lam": 2, "n": 340, "ell": 1, "t": 2}, "td_real_ideal", 11 / 48),
+        ("impossibility", {"lam": 4, "n": 510, "ell": 1, "t": 1}, "tr_pi_rho1", 31 / 32),
+    ],
+)
+def test_reports_just_inside_the_float_range_stay_exact(experiment, params, key, value):
+    config = ExperimentConfig(experiment, params, budgets=Budgets(max_type_count=10**400))
+    report = run(config)
+    assert all(report.flags.values())
+    assert report.quantities[key] == pytest.approx(value, abs=1e-15)
 
 
 # The public surface: exported names, experiment names, and the ordered report

@@ -2,9 +2,10 @@
 
 The reports build their mixtures on ``sectors.relation_classes``. Patching in
 ``sector_reference.sector_space`` builds the same mixtures on every sector
-with count 1. ``hybrid_state`` and ``_multikey_xi`` build them as PureState
-ensembles; ``gram_trace_distance`` and the dense ``trace_distance`` compare
-those. Every quantity must agree across the routes to 1e-12.
+with count 1. ``prsg.hybrid_state`` and ``sector_reference.multikey_xi``
+build them as PureState ensembles; ``gram_trace_distance`` and the dense
+``trace_distance`` compare those. Every quantity must agree across the routes
+to 1e-12.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sector_reference import sector_space
+from sector_reference import multikey_xi, sector_space
 
 from chslab import prsg
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
@@ -27,7 +28,6 @@ from chslab.prsg import (
     HybridSpec,
     PrsParams,
     _conditioned_sectors,
-    _multikey_xi,
     _sector_hybrid,
     hybrid_mixture,
     hybrid_state,
@@ -111,7 +111,7 @@ def test_single_key_report_matches_gram_route(lam, n, ell, t):
 def test_multi_key_links_match_ensemble_route(lam, n, ell, t, p):
     params = PrsParams(lam=lam, n=n, ell=ell, t=t, p=p)
     report = multi_key_report(params)
-    xis = [_multikey_xi(j, params, DEFAULT_BUDGETS) for j in range(p + 1)]
+    xis = [multikey_xi(j, params, DEFAULT_BUDGETS) for j in range(p + 1)]
     for j in range(p):
         assert report.quantities[f"td_xi{j}_xi{j + 1}"] == pytest.approx(
             gram_trace_distance(xis[j], xis[j + 1]), abs=ATOL
@@ -198,7 +198,7 @@ def test_multi_key_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, p):
     N, size = 1 << n, p * ell + t
     assume(N**size <= 1024)
     params = PrsParams(lam=lam, n=n, ell=ell, t=t, p=p)
-    xis = [_multikey_xi(j, params, DEFAULT_BUDGETS) for j in range(p + 1)]
+    xis = [multikey_xi(j, params, DEFAULT_BUDGETS) for j in range(p + 1)]
     classes = [multikey_mixture(j, params) for j in range(p + 1)]
     mixtures = [_on_sectors(multikey_mixture, j, params) for j in range(p + 1)]
     for j in range(p + 1):
