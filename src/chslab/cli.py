@@ -32,10 +32,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-subset-pairs", type=int, default=None)
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser, experiment: str) -> None:
-    for name, (kind, default) in SCHEMAS[experiment].items():
-        flag = f"--{name.replace('_', '-')}"
-        parser.add_argument(flag, dest=name, type=kind, default=None, required=False)
+def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One untyped flag per parameter; ``runner.validate_params`` converts every value."""
+    for name in names:
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     for experiment in SCHEMAS:
         aliases = [alias for alias, target in ALIASES.items() if target == experiment]
         p = sub.add_parser(experiment, aliases=aliases, help=f"run the {experiment} experiment")
-        _add_schema_flags(p, experiment)
+        _add_param_flags(p, SCHEMAS[experiment])
         _add_common(p)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--timing", action="store_true", help="print wall-clock duration")
@@ -52,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("experiment", choices=sorted([*SCHEMAS, *ALIASES]))
     p_sweep.add_argument("--axis", required=True, help="parameter to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
-    for name in sorted({n for schema in SCHEMAS.values() for n in schema}):
-        p_sweep.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
+    _add_param_flags(p_sweep, sorted({n for schema in SCHEMAS.values() for n in schema}))
     _add_common(p_sweep)
     sub.add_parser("acceptance", help="run the full acceptance suite")
     return parser

@@ -311,9 +311,11 @@ def hiding_distance(
     Both sides vanish off the (2^lam)^p blocks of equal committed prefixes, so
     the trace distance is one batched real ``eigvalsh`` over those blocks. The
     bit-0 side is cross-checked against the multi-key distance with one
-    generated copy per key.
+    generated copy per key: the distance between the sector forms of the
+    chain's ends, xi_0 and xi_p.
     """
-    from .prsg import PrsParams, multi_key_report
+    from .prsg import PrsParams, _sector_chain
+    from .sectors import relation_classes, sector_trace_distance
 
     _check_sizes(lam, n, p)
     if t < 0:
@@ -338,8 +340,10 @@ def hiding_distance(
         DensityOperator.from_dense(side, (n,) * size)  # validate both as density operators
     _, blocks = _diagonal_blocks(side0 - side1, prefixes)
     td = 0.5 * float(np.abs(np.linalg.eigvalsh(blocks)).sum())
-    multikey = multi_key_report(multikey_params, budgets)
-    td_multikey = multikey.quantities["td_real_ideal"]
+    space = relation_classes(n, lam, size, budgets)
+    td_multikey = sector_trace_distance(
+        _sector_chain(0, multikey_params, space), _sector_chain(p, multikey_params, space)
+    )
     quantities = {
         "td_hiding": td,
         "td_multikey_route": td_multikey,

@@ -42,6 +42,7 @@ from .sectors import (
 from .tolerances import ATOL_CHAIN, ATOL_IDENTITY
 from .typestates import (
     TypeVector,
+    apply_phase,
     enumerate_types,
     is_l_fold_prefix_cf,
     keyed_members,
@@ -83,17 +84,7 @@ def generate(k: int, lam: int, theta: PureState) -> PureState:
     """Apply the keyed phase pattern to the lam-bit prefix of a one-register state."""
     if theta.n_registers != 1:
         raise ValueError("the generator acts on a single-register state")
-    n = theta.register_shape[0]
-    if n < lam:
-        raise ValueError(f"state has {n} qubits, need at least lam={lam}")
-    if not 0 <= k < (1 << lam):
-        raise ValueError(f"key {k} does not fit in {lam} bits")
-    shift = n - lam
-    amps = {
-        label: -amp if ((k & (label[0] >> shift)).bit_count() & 1) else amp
-        for label, amp in theta.amplitudes.items()
-    }
-    return PureState._unchecked(theta.register_shape, amps)
+    return apply_phase(k, lam, theta, [0])
 
 
 # ---------------------------------------------------------------------------

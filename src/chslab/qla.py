@@ -410,7 +410,7 @@ def _diagonal_blocks(mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 
 
 # ---------------------------------------------------------------------------
-# Ensemble trace distance on the joint support (Gram technique)
+# Ensemble trace distance, one support component at a time
 # ---------------------------------------------------------------------------
 
 
@@ -445,35 +445,20 @@ def _support_components(members: list[tuple[float, PureState]]) -> list[list[int
 
 
 def _component_matrix(members, idx_list, labels) -> np.ndarray:
-    """Signed mixture on one support component, in a small orthonormal basis.
+    """Signed mixture on one support component, in its computational sub-basis.
 
-    When the union of supports is small the computational sub-basis is already
-    orthonormal; when a few members span a large support, orthonormalize
-    through the Gram matrix of pairwise inner products (rank-truncated, so
-    near-duplicate members cannot inflate the dimension).
+    The component's basis labels are orthonormal, so the mixture is the sum of
+    the members' weighted outer products on them; ``labels`` numbers them.
     """
-    s, m = len(labels), len(idx_list)
-    if s <= max(m, 64):
-        v = np.zeros((m, s), dtype=complex)
-        w = np.empty(m)
-        for row, i in enumerate(idx_list):
-            weight, state = members[i]
-            w[row] = weight
-            for label, amp in state.amplitudes.items():
-                v[row, labels[label]] = amp
-        return (v.T * w) @ v.conj()
-    states = [members[i][1] for i in idx_list]
-    w = np.array([members[i][0] for i in idx_list])
-    gram = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        gram[a, a] = 1.0
-        for b in range(a + 1, m):
-            gram[a, b] = states[a].inner(states[b])
-            gram[b, a] = gram[a, b].conjugate()
-    vals, vecs = np.linalg.eigh(gram)
-    mask = vals > REL_RANK_CUTOFF * vals.max()
-    coords = (vecs[:, mask] / np.sqrt(vals[mask])).conj().T @ gram  # rank x m
-    return (coords * w) @ coords.conj().T
+    DEFAULT_BUDGETS.check_dense_dim(len(labels), "gram_trace_distance component")
+    v = np.zeros((len(idx_list), len(labels)), dtype=complex)
+    w = np.empty(len(idx_list))
+    for row, i in enumerate(idx_list):
+        weight, state = members[i]
+        w[row] = weight
+        for label, amp in state.amplitudes.items():
+            v[row, labels[label]] = amp
+    return (v.T * w) @ v.conj()
 
 
 def gram_trace_distance(e1: DensityOperator, e2: DensityOperator) -> float:
@@ -481,9 +466,10 @@ def gram_trace_distance(e1: DensityOperator, e2: DensityOperator) -> float:
 
     The joint support of all members splits into connected components of
     shared basis labels; on each component the signed mixture
-    ``sum p_i |a_i><a_i| - sum q_j |b_j><b_j|`` is expressed in an orthonormal
-    basis of the member span and its trace norm is accumulated. Equals the
-    dense-path trace distance whenever both can run.
+    ``sum p_i |a_i><a_i| - sum q_j |b_j><b_j|`` is written densely over the
+    component's own basis labels and its trace norm is accumulated. Equals the
+    dense-path trace distance whenever both can run; a component wider than
+    the default dense budget raises ``BudgetExceeded``.
     """
     if not (e1.is_ensemble and e2.is_ensemble):
         raise ValueError("gram_trace_distance needs ensemble-form density operators")

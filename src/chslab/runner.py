@@ -153,7 +153,10 @@ def _run_typestats(params: dict, seed: int, trials: int, budgets: Budgets) -> Ex
     if exact_count <= 20_000:
         exact = typestates.exact_cf_probability(lam, m_suffix, ell, t, budgets)
         quantities["cf_probability_exact"] = exact
-        flags["estimate_within_4_sigma_of_exact"] = abs(exact - estimate) <= 4 * stderr + 1e-9
+        # the binomial sigma at the exact probability: the plug-in one is ~0
+        # when every draw agrees, and would fail the flag on honest runs
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        flags["estimate_within_4_sigma_of_exact"] = abs(exact - estimate) <= 4 * sigma + 1e-9
     else:
         quantities["cf_probability_exact"] = None
     return ExperimentReport(

@@ -202,9 +202,14 @@ def sample_type(
     """Uniform multiset of size ``t`` over ``N`` strings.
 
     Uses the stars-and-bars bijection: a uniform ``t``-combination of
-    ``[N + t - 1]`` maps to a multiset by subtracting the index rank.
+    ``[N + t - 1]`` maps to a multiset by subtracting the index rank. numpy
+    draws the combination in int64, so ``N + t - 1`` must stay below 2**63.
     """
     width = _width_of(N)
+    if N + t - 1 >= 1 << 63:
+        raise ValueError(
+            f"cannot sample t={t} of N={N} strings: N + t - 1 must be below 2**63"
+        )
     positions = np.sort(rng.choice(N + t - 1, size=t, replace=False))
     elements = tuple(int(p) - i for i, p in enumerate(positions))
     return TypeVector(elements, width, width if prefix_bits is None else prefix_bits)

@@ -193,7 +193,8 @@ def test_gram_trace_distance_matches_dense(seed):
 
 
 def test_gram_trace_distance_large_support_branch():
-    # Support of 128 basis labels with 3 members forces the Gram-matrix route.
+    # Five members share one component of 128 basis labels, far more labels
+    # than members: a wide, low-rank component.
     rng = np.random.default_rng(23)
     shape = (7,)
     members1 = [(1 / 3, _random_sparse_state(rng, shape, 128)) for _ in range(3)]
@@ -204,14 +205,22 @@ def test_gram_trace_distance_large_support_branch():
 
 
 def test_gram_trace_distance_handles_duplicate_members():
-    # A repeated member makes the Gram matrix singular; rank truncation must
-    # still reproduce the dense answer.
+    # A repeated member makes the members linearly dependent; the component's
+    # mixture must still reproduce the dense answer.
     rng = np.random.default_rng(29)
     state = _random_sparse_state(rng, (7,), 128)
     other = _random_sparse_state(rng, (7,), 128)
     e1 = DensityOperator.from_ensemble([(0.5, state), (0.3, state), (0.2, other)])
     e2 = DensityOperator.from_ensemble([(1.0, _random_sparse_state(rng, (7,), 128))])
     assert gram_trace_distance(e1, e2) == pytest.approx(trace_distance(e1, e2), abs=1e-8)
+
+
+def test_gram_trace_distance_refuses_a_component_wider_than_the_dense_budget():
+    # Two full-support 13-qubit states share one component of 8192 labels.
+    rng = np.random.default_rng(31)
+    wide = [pure_op(_random_sparse_state(rng, (13,), 1 << 13)) for _ in range(2)]
+    with pytest.raises(BudgetExceeded, match="dense dimension 8192 exceeds budget 4096"):
+        gram_trace_distance(*wide)
 
 
 def test_inv_sqrt_on_support():

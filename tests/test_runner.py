@@ -331,6 +331,10 @@ def test_cli_unknown_experiment():
         ["prsg-td", "--lam", "3", "--n", "2"],
         ["pgm", "--n", "0"],
         ["prsg-td", "--lam", "2", "--n", "6", "--t", "3", "--max-type-count", "10"],
+        ["prsg-td", "--lam", "x", "--n", "3"],
+        # 2^(lam + m_suffix) + t - 1 reaches 2^63, past numpy's int64 sampler
+        ["typestats", "--lam", "70"],
+        ["typestats", "--lam", "62", "--m-suffix", "2"],
     ],
 )
 def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
@@ -371,6 +375,24 @@ def test_cli_typestats_rejects_out_of_range_input_in_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "chs-lab typestats: need lam >= 1, ell >= 1, t >= 1, m_suffix >= 0\n"
+
+
+def test_cli_typestats_samples_the_largest_alphabet_below_int64(capsys):
+    assert main(["typestats", "--lam", "62", "--trials", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quantities"]["cf_probability_estimate"] == "1"  # floats print as strings
+    assert report["flags"] == {}  # no exact value to compare at this size
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_typestats_flag_holds_on_a_single_trial(seed):
+    # exact value 7/9: one draw is a hit or a miss, 0.78 or 0.22 from it, so
+    # the flag needs the binomial sigma sqrt(q (1 - q) / trials), not the
+    # plug-in one, which is ~0 whenever every draw agrees
+    config = ExperimentConfig("typestats", {"lam": 3, "ell": 1, "t": 2}, seed=seed, trials=1)
+    report = run(config)
+    assert report.quantities["cf_probability_exact"] == pytest.approx(7 / 9, abs=1e-15)
+    assert report.flags["estimate_within_4_sigma_of_exact"]
 
 
 # Past n (N (N + 1) ... (N + size - 1) > 2^1022 for N = 2^n) the mixture

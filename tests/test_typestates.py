@@ -155,6 +155,15 @@ def test_sample_type_conditioned_acceptance_and_exhaustion():
         sample_type_conditioned(2, 3, lambda _: False, rng, max_rejects=50)
 
 
+def test_sample_type_refuses_positions_beyond_int64():
+    rng = rng_for(1)
+    assert max(sample_type(1 << 62, 2, rng).elements) < 1 << 62
+    with pytest.raises(ValueError, match=r"N \+ t - 1 must be below 2\*\*63"):
+        sample_type(1 << 63, 1, rng)
+    with pytest.raises(ValueError, match=r"cannot sample t=2 of N=18446744073709551616"):
+        sample_type(1 << 64, 2, rng)
+
+
 def test_apply_phase_examples():
     from chslab.qla import PureState
 
