@@ -364,7 +364,7 @@ def determinism() -> CriterionResult:
             ),
             ExperimentConfig("commit-hiding", {"lam": 2, "n": 3, "p": 1, "t": 1}, seed=7),
             ExperimentConfig("pgm", {"n": 2, "m": 1}, seed=7),
-            ExperimentConfig("typestats", {"lam": 4, "ell": 1, "t": 3}, seed=7, trials=2000),
+            ExperimentConfig("typestats", {"lam": 4, "ell": 1, "t": 3, "trials": 2000}, seed=7),
         ]
         for config in configs:
             first = run(config).canonical_bytes()

@@ -5,10 +5,12 @@
     chs-lab acceptance
 
 A sweep prints one CSV table with a row per value; it takes no --format or
---timing. The experiment's parameters can also come from a JSON object in a
-file (--config FILE); explicit flags override file values. A file that cannot
-be read, is not a JSON object or holds a key that is not a parameter of the
-experiment is refused with exit code 2.
+--timing, and refuses a flag that is not a parameter of its experiment. The
+experiment's parameters can also come from a JSON object in a file (--config
+FILE); explicit flags override file values. A file that cannot be read, is not
+a JSON object or holds a key that is not a parameter of the experiment is
+refused with exit code 2. ``--out`` writes exactly the text that is printed,
+and a path that cannot be written is refused with exit code 2 as well.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .budgets import BudgetExceeded, Budgets
 from .reporting import format_float
@@ -24,12 +27,10 @@ from .runner import ALIASES, SCHEMAS, ExperimentConfig, run, schema_of, sweep
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed; fixes all randomness")
-    parser.add_argument("--trials", type=int, default=10_000, help="Monte-Carlo trial count")
-    parser.add_argument("--out", type=str, default=None, help="report output path")
+    parser.add_argument("--out", type=str, default=None, help="also write the printed text here")
     parser.add_argument("--config", type=str, default=None, help="JSON object of parameters")
-    parser.add_argument("--max-dense-dim", type=int, default=None)
-    parser.add_argument("--max-type-count", type=int, default=None)
-    parser.add_argument("--max-subset-pairs", type=int, default=None)
+    for budget in fields(Budgets):
+        parser.add_argument(f"--{budget.name.replace('_', '-')}", type=int, default=None)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:
@@ -59,8 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config_file(args: argparse.Namespace, experiment: str) -> dict:
-    """Flag values over the ``--config`` file's; a bad file raises ``ValueError``."""
+    """Flag values over the ``--config`` file's; bad files and foreign flags raise ValueError."""
     names = schema_of(experiment)
+    # a sweep parses every experiment's flags before it knows its experiment
+    flags = {n: getattr(args, n, None) for schema in SCHEMAS.values() for n in schema}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    foreign = [f"--{name.replace('_', '-')}" for name in sorted(flags) if name not in names]
+    if foreign:
+        raise ValueError(f"not parameters of {experiment}: {', '.join(foreign)}")
     from_file = {}
     if args.config:
         try:
@@ -77,25 +84,24 @@ def _merge_config_file(args: argparse.Namespace, experiment: str) -> dict:
             raise ValueError(
                 f"config {args.config!r} has keys that are not {experiment} parameters: {unknown}"
             )
-    params = {}
-    for name in names:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            params[name] = flag_value
-        elif name in from_file:
-            params[name] = from_file[name]
-    return params
+    merged = {**from_file, **flags}
+    return {name: merged[name] for name in names if name in merged}
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
-    overrides = {}
-    if args.max_dense_dim is not None:
-        overrides["max_dense_dim"] = args.max_dense_dim
-    if args.max_type_count is not None:
-        overrides["max_type_count"] = args.max_type_count
-    if args.max_subset_pairs is not None:
-        overrides["max_subset_pairs"] = args.max_subset_pairs
-    return Budgets(**overrides) if overrides else Budgets()
+    limits = {budget.name: getattr(args, budget.name) for budget in fields(Budgets)}
+    return Budgets(**{name: limit for name, limit in limits.items() if limit is not None})
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to ``out`` when given, then print it; a bad path raises ``ValueError``."""
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write {out!r}: {err.strerror or err}") from None
+    sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,16 +123,13 @@ def main(argv: list[str] | None = None) -> int:
                 experiment=experiment,
                 params=_merge_config_file(args, experiment),
                 seed=args.seed,
-                trials=args.trials,
-                output_path=args.out,
-                format="csv",
                 budgets=_budgets(args),
             )
             reports, table = sweep(base, args.axis, values)
+            _emit(table, args.out)
         except ValueError as err:
             sys.stderr.write(f"chs-lab sweep: {err}\n")
             return 2
-        sys.stdout.write(table)
         return 0 if all(r.passed() for r in reports) else 1
 
     experiment = args.command
@@ -135,16 +138,13 @@ def main(argv: list[str] | None = None) -> int:
             experiment=experiment,
             params=_merge_config_file(args, experiment),
             seed=args.seed,
-            trials=args.trials,
-            output_path=args.out,
-            format=args.format,
             budgets=_budgets(args),
         )
         report = run(config)
+        _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     except (ValueError, BudgetExceeded) as err:
         sys.stderr.write(f"chs-lab {experiment}: {err}\n")
         return 2
-    sys.stdout.write(report.to_csv() if args.format == "csv" else report.to_json())
     if args.timing:
         sys.stderr.write(f"wall clock: {format_float(report.duration_s)}s\n")
     return 0 if report.passed() else 1

@@ -1,10 +1,11 @@
-"""Experiment runner: config validation, dispatch, sweeps, serialization.
+"""Experiment runner: config validation, dispatch and sweeps.
 
 Every experiment is a pure function of (params, seed, budgets); the seed fully
 determines all randomized outputs through counter-based substreams, so
 re-running any config reproduces every numeric field bit-exactly. Reports are
 serialized without wall-clock timing, which keeps the artifacts byte-identical
-across repeated runs.
+across repeated runs. The runner writes nothing: ``run`` returns the report and
+``sweep`` the reports and their CSV table, and the caller decides where they go.
 
 Each experiment's layer (``prsg``, ``commitments`` or ``pgm``) is imported when
 ``execute`` dispatches to it, not when this module loads: every ``chs-lab``
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 from . import typestates
@@ -29,19 +31,11 @@ class ExperimentConfig:
     experiment: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    trials: int = 10_000
-    output_path: str | None = None
-    format: str = "json"
     budgets: Budgets = DEFAULT_BUDGETS
 
     def __post_init__(self):
         # an int or numpy integer, stored as an int; a bool, float or string is refused
         object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
-        object.__setattr__(self, "trials", _as_index(self.trials, "trials"))
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
 
 
 # Parameter schemas: name -> (type, default); default None means required.
@@ -68,6 +62,7 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
         "m_suffix": (int, 0),
         "ell": (int, 1),
         "t": (int, 2),
+        "trials": (int, 10_000),
     },
 }
 
@@ -75,20 +70,15 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
 def _checked_value(experiment: str, name: str, kind: type, value):
     """``value`` as ``kind``, without rounding, truncating or reinterpreting it.
 
-    An int parameter takes an int, an integral float, or a string of an int
-    (the form ``chs-lab sweep`` passes from the command line); booleans and
-    anything non-integral are rejected.
+    An int parameter takes an int or numpy integer (as the seed does), an
+    integral float, or a string of an int (the form the command line passes);
+    booleans and anything non-integral are rejected.
     """
     if kind is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        if isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError:
-                pass
+        with suppress(ValueError):
+            return int(value) if isinstance(value, str) else _as_index(value, name)
     elif isinstance(value, kind):
         return value
     raise ValueError(
@@ -125,13 +115,14 @@ def validate_params(experiment: str, params: dict) -> dict:
     return resolved
 
 
-def _run_typestats(params: dict, seed: int, trials: int, budgets: Budgets) -> ExperimentReport:
-    lam, m_suffix, ell, t = params["lam"], params["m_suffix"], params["ell"], params["t"]
+def _run_typestats(params: dict, seed: int, budgets: Budgets) -> ExperimentReport:
+    lam, m_suffix, ell, t, trials = (params[k] for k in ("lam", "m_suffix", "ell", "t", "trials"))
     if lam < 1 or ell < 1 or t < 1 or m_suffix < 0:
         raise ValueError("need lam >= 1, ell >= 1, t >= 1, m_suffix >= 0")
     rng = rng_for(seed)
     estimate = typestates.estimate_cf_probability(lam, m_suffix, ell, t, trials, rng, budgets)
-    stderr = math.sqrt(max(estimate * (1 - estimate), 1e-12) / trials)
+    # the plug-in standard error: 0 when every draw agrees
+    stderr = math.sqrt(estimate * (1 - estimate) / trials)
     # Collision-rate readings of the per-pair probability: the source text
     # prints O(1/2^n - 2 ell); the surrounding argument needs O(1/(2^n - 2 ell)).
     reading_literal = 1.0 / 2**lam - 2 * ell
@@ -215,7 +206,7 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
 
         report = pgm.pgm_report(pgm.PgmParams(**params), budgets)
     elif experiment == "typestats":
-        report = _run_typestats(params, seed, config.trials, budgets)
+        report = _run_typestats(params, seed, budgets)
     else:  # unreachable after validate_params
         raise ValueError(config.experiment)
     report.experiment = config.experiment
@@ -224,14 +215,10 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Execute, stamp timing, and serialize to ``output_path`` when given."""
+    """Execute and stamp the wall-clock duration, which no serialization carries."""
     start = time.perf_counter()
     report = execute(config)
     report.duration_s = time.perf_counter() - start
-    if config.output_path:
-        payload = report.to_json() if config.format == "json" else report.to_csv()
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
     return report
 
 
@@ -257,22 +244,14 @@ def sweep(
     Every config is validated before the first run starts, so bad input, an
     empty ``values`` included, fails the whole sweep with a ``ValueError``.
     The runs execute one at a time, so the budgets of one run bound the
-    sweep's memory too. The returned CSV combines all rows; it is also written
-    to ``base.output_path`` when set.
+    sweep's memory too. The returned CSV table combines all rows.
     """
     if axis not in schema_of(base.experiment):
         raise ValueError(f"axis {axis!r} is not a parameter of {base.experiment}")
     if not values:
         raise ValueError(f"sweep of {axis!r} needs at least one value")
-    configs = [
-        replace(base, params={**base.params, axis: value}, output_path=None)
-        for value in values
-    ]
+    configs = [replace(base, params={**base.params, axis: value}) for value in values]
     for config in configs:
         validate_params(config.experiment, config.params)
     reports = [_sweep_one(config) for config in configs]
-    table = combined_csv(reports)
-    if base.output_path:
-        with open(base.output_path, "w", encoding="utf-8") as handle:
-            handle.write(table)
-    return reports, table
+    return reports, combined_csv(reports)

@@ -175,6 +175,8 @@ def _class_group(
     a prefix take suffixes 0, 1, ...), and its tuples divided by the
     automorphism count ``|Aut(shape)|`` are its sectors, exactly.
     """
+    if len(shape) > 1 << n:  # more distinct letters than n-bit strings
+        return None
     ordered = {}
     for columns in subspaces(len(shape) - 1, lam):
         prefixes = (0,) + columns

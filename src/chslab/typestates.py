@@ -104,8 +104,16 @@ def _width_of(N: int) -> int:
 
 
 def distinct_orderings(elements: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in a fixed sorted order."""
-    return sorted(set(itertools.permutations(elements)))
+    """Distinct permutations of a multiset, in sorted order.
+
+    Built position by position from the values still left, so the work grows
+    with the distinct orderings, never with all ``len(elements)!`` permutations.
+    """
+    values = sorted(set(elements))
+    orderings = [()]
+    for _ in elements:
+        orderings = [o + (v,) for o in orderings for v in values if o.count(v) < elements.count(v)]
+    return orderings
 
 
 def type_state(T: TypeVector) -> PureState:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ def test_validate_params():
         {"lam": "2.5", "n": 3},
         {"lam": "two", "n": 3},
         {"lam": None, "n": 3},
+        {"lam": np.True_, "n": 3},
     ],
 )
 def test_validate_params_rejects_instead_of_coercing(params):
@@ -50,23 +52,22 @@ def test_validate_params_accepts_integral_values():
         validate_params("commit-binding", {"lam": 1, "n": 2, "adversary": 3})
 
 
-def test_repeated_runs_are_byte_identical(tmp_path):
-    config = ExperimentConfig(
-        "prsg-td",
-        {"lam": 2, "n": 3, "ell": 1, "t": 1},
-        seed=7,
-        output_path=str(tmp_path / "a.json"),
-    )
-    run(config)
-    first = (tmp_path / "a.json").read_bytes()
-    config_b = ExperimentConfig(
-        "prsg-td",
-        {"lam": 2, "n": 3, "ell": 1, "t": 1},
-        seed=7,
-        output_path=str(tmp_path / "b.json"),
-    )
-    run(config_b)
-    assert first == (tmp_path / "b.json").read_bytes()
+def test_validate_params_accepts_numpy_integers():
+    # the rule ExperimentConfig.seed follows: an int or numpy integer, stored as an int
+    resolved = validate_params("prsg-td", {"lam": np.int64(2), "n": np.uint8(3)})
+    assert resolved == {"lam": 2, "n": 3, "ell": 1, "t": 0}
+    assert all(type(value) is int for value in resolved.values())
+
+
+def test_trials_accepts_an_integral_string_like_every_int_parameter():
+    assert validate_params("typestats", {"lam": 1, "trials": "3"})["trials"] == 3
+
+
+def test_repeated_runs_are_byte_identical():
+    config = ExperimentConfig("prsg-td", {"lam": 2, "n": 3, "ell": 1, "t": 1}, seed=7)
+    first = run(config).canonical_bytes()
+    config_b = ExperimentConfig("prsg-td", {"lam": 2, "n": 3, "ell": 1, "t": 1}, seed=7)
+    assert first == run(config_b).canonical_bytes()
 
 
 def test_report_serialization_round_trips_floats():
@@ -97,15 +98,30 @@ def test_config_refuses_a_seed_that_is_not_an_integer(seed):
         ExperimentConfig("pgm", {"n": 1}, seed=seed)
 
 
-@pytest.mark.parametrize("trials", [True, 2.5, 0, "3"])
+@pytest.mark.parametrize("trials", [True, 2.5, 0])
 def test_config_refuses_trials_that_are_not_a_positive_integer(trials):
     with pytest.raises(ValueError, match="trials"):
-        ExperimentConfig("typestats", {"lam": 1}, seed=1, trials=trials)
+        run(ExperimentConfig("typestats", {"lam": 1, "trials": trials}, seed=1))
 
 
 def test_config_stores_numpy_integer_trials_as_an_int():
-    config = ExperimentConfig("typestats", {"lam": 1}, seed=1, trials=np.int64(5))
-    assert type(config.trials) is int and config.trials == 5
+    report = run(ExperimentConfig("typestats", {"lam": 1, "trials": np.int64(5)}, seed=1))
+    assert type(report.params["trials"]) is int and report.params["trials"] == 5
+
+
+def test_config_has_only_what_every_run_reads():
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert names == ["experiment", "params", "seed", "budgets"]
+
+
+def test_typestats_report_echoes_trials():
+    report = run(ExperimentConfig("typestats", {"lam": 3, "trials": 20}, seed=1))
+    assert json.loads(report.to_json())["params"] == {
+        "lam": 3, "m_suffix": 0, "ell": 1, "t": 2, "trials": 20
+    }
+    header, row = report.to_csv().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["param_trials"] == "20"
+    assert validate_params("typestats", {"lam": 3})["trials"] == 10_000
 
 
 def test_config_stores_a_numpy_integer_seed_as_an_int():
@@ -116,19 +132,19 @@ def test_config_stores_a_numpy_integer_seed_as_an_int():
     assert json.loads(report.to_json())["seed"] == 3
 
 
-def test_sweep_lambda_monotone(tmp_path):
-    base = ExperimentConfig(
-        "prsg-td",
-        {"n": 4, "ell": 1, "t": 1},
-        seed=3,
-        output_path=str(tmp_path / "sweep.csv"),
-    )
+def test_sweep_lambda_monotone(tmp_path, capsys):
+    base = ExperimentConfig("prsg-td", {"n": 4, "ell": 1, "t": 1}, seed=3)
     reports, table = sweep(base, "lam", [1, 2, 3])
     tds = [r.quantities["td_real_ideal"] for r in reports]
     assert tds == sorted(tds, reverse=True)
     lines = table.strip().split("\n")
     assert len(lines) == 4  # header + 3 rows
-    assert (tmp_path / "sweep.csv").exists()
+    # the CLI prints the same table and writes exactly that to --out
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "prsg-td", "--axis", "lam", "--values", "1,2,3", "--n", "4", "--t", "1"]
+    assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
+    assert out.exists()
+    assert out.read_text() == capsys.readouterr().out == table
 
 
 def test_sweep_binding_bound_column():
@@ -161,6 +177,23 @@ def test_cli_sweep_has_no_format_or_timing_flag(flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     # single-experiment commands keep both flags
     assert main(["pgm", "--n", "1", "--m", "0", *flag]) == 0
+
+
+def test_cli_sweep_refuses_flags_of_other_experiments_in_one_line(capsys):
+    argv = ["sweep", "prsg-td", "--axis", "lam", "--values", "1", "--n", "3"]
+    assert main([*argv, "--p", "3", "--adversary", "foo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chs-lab sweep: not parameters of prsg-td: --adversary, --p\n"
+    assert main(["sweep", "pgm", "--axis", "m", "--values", "0", "--n", "1", "--trials", "5"]) == 2
+
+
+def test_cli_sweep_of_trials_sets_trials(capsys):
+    argv = ["sweep", "typestats", "--axis", "trials", "--values", "10,20", "--lam", "3"]
+    assert main([*argv, "--seed", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    column = header.split(",").index("param_trials")
+    assert [row.split(",")[column] for row in rows] == ["10", "20"]
 
 
 def test_sweep_marks_failures_and_continues():
@@ -280,6 +313,39 @@ def test_cli_prints_the_report_in_the_requested_format(tmp_path, capsys):
     assert values.startswith("pgm,3,1,0,")
 
 
+@pytest.mark.parametrize(
+    "command", [["prsg-td", "--lam", "2"], ["sweep", "prsg-td", "--axis", "lam", "--values", "2"]],
+    ids=["run", "sweep"],
+)
+def test_cli_refuses_an_unwritable_out_path_in_one_line(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.json"
+    assert main([*command, "--n", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"chs-lab {command[0]}: cannot write ")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+
+
+def test_cli_has_no_trials_flag_outside_typestats(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["pgm", "--n", "2", "--trials", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+
+
+def test_cli_config_file_sets_typestats_trials(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"lam": 3, "trials": 50}))
+    assert main(["typestats", "--config", str(config_file), "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["trials"] == 50
+
+
+def test_cli_runs_a_two_shape_config_whose_permutations_are_too_many_to_list():
+    # 12 registers on a 2-string alphabet: blocks of up to C(12, 6) = 924 orderings,
+    # out of 12! permutations
+    assert main(["prsg-td", "--lam", "1", "--n", "1", "--ell", "6", "--t", "6"]) == 0
+
+
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"lam": 1, "n": 2, "ell": 1, "t": 1}))
@@ -381,6 +447,7 @@ def test_cli_typestats_samples_the_largest_alphabet_below_int64(capsys):
     assert main(["typestats", "--lam", "62", "--trials", "10"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["quantities"]["cf_probability_estimate"] == "1"  # floats print as strings
+    assert report["quantities"]["standard_error"] == "0"  # the plug-in value when all draws agree
     assert report["flags"] == {}  # no exact value to compare at this size
 
 
@@ -389,7 +456,7 @@ def test_typestats_flag_holds_on_a_single_trial(seed):
     # exact value 7/9: one draw is a hit or a miss, 0.78 or 0.22 from it, so
     # the flag needs the binomial sigma sqrt(q (1 - q) / trials), not the
     # plug-in one, which is ~0 whenever every draw agrees
-    config = ExperimentConfig("typestats", {"lam": 3, "ell": 1, "t": 2}, seed=seed, trials=1)
+    config = ExperimentConfig("typestats", {"lam": 3, "ell": 1, "t": 2, "trials": 1}, seed=seed)
     report = run(config)
     assert report.quantities["cf_probability_exact"] == pytest.approx(7 / 9, abs=1e-15)
     assert report.flags["estimate_within_4_sigma_of_exact"]
@@ -509,7 +576,7 @@ REPORT_KEYS = [
     ),
     (
         "typestats",
-        {"lam": 4, "ell": 1, "t": 3},
+        {"lam": 4, "ell": 1, "t": 3, "trials": 200},
         (
             [
                 "cf_probability_estimate", "standard_error", "miss_probability",
@@ -536,7 +603,7 @@ def test_public_surface_is_pinned():
         [*runner.SCHEMAS, *runner.ALIASES]
     )
     for experiment, params, keys in REPORT_KEYS:
-        report = run(ExperimentConfig(experiment, params, seed=1, trials=200))
+        report = run(ExperimentConfig(experiment, params, seed=1))
         assert (list(report.quantities), list(report.bounds), list(report.flags)) == keys, (
             experiment
         )

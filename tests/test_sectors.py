@@ -406,6 +406,12 @@ def test_block_dimensions_are_checked_against_the_dense_budget(capsys):
         relation_classes(3, 2, 3, Budgets(max_dense_dim=5))
     # Two letters have no sector of shape (1, 1, 1), so no block of it is built.
     assert [g.dim for g in relation_classes(1, 1, 3, Budgets(max_dense_dim=3)).groups] == [1, 3]
+    # The orderings of a shape are listed without listing all permutations.
+    assert shape_orderings((6, 6)).shape == (math.comb(12, 6), 12)
+    # Size 11 on four strings: the budget stops a shape of 4620 orderings; the
+    # shapes of five or more letters, which have no sector, are passed over.
+    with pytest.raises(BudgetExceeded, match=r"shape \(6, 3, 2\): dense dimension 4620"):
+        relation_classes(2, 2, 11)
     # ell + t = 8 would build blocks of 8!/3! = 6720 orderings.
     assert main(["prsg-td", "--lam", "2", "--n", "3", "--ell", "4", "--t", "4"]) == 2
     assert capsys.readouterr().err == (

@@ -25,6 +25,13 @@ from chslab.typestates import (
 )
 
 
+@pytest.mark.parametrize(
+    "elements", [(), (3,), (1, 1), (2, 0, 1), (0, 0, 1), (1, 0, 1, 0), (2, 2, 0, 1, 2), (5, 5, 5)]
+)
+def test_distinct_orderings_are_the_sorted_distinct_permutations(elements):
+    assert distinct_orderings(elements) == sorted(set(itertools.permutations(elements)))
+
+
 def test_type_state_singleton_and_collision():
     single = type_state(TypeVector((5,), 3, 3))
     assert single.amplitudes == {(5,): 1.0}
