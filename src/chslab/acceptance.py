@@ -21,8 +21,8 @@ from .commitments import (
     accept_probability,
     binding_experiment,
     builtin_adversaries,
-    commit_copy,
     honest_commit,
+    per_copy_fidelity,
 )
 from .haar import (
     HaarSampler,
@@ -33,12 +33,7 @@ from .haar import (
 )
 from .pgm import PgmParams, pgm_report
 from .prsg import HybridSpec, PrsParams, hybrid_state, multi_key_report, single_key_report
-from .qla import (
-    DensityOperator,
-    fidelity,
-    gram_trace_distance,
-    partial_trace_pure,
-)
+from .qla import gram_trace_distance
 from .runner import ExperimentConfig, rng_for, run
 from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_IDENTITY
 from .typestates import (
@@ -273,13 +268,7 @@ def commitment_binding() -> CriterionResult:
             for trial in range(100):
                 theta = sample_haar(n, rng)
                 params = CommitmentParams(lam=lam, n=n, p=1, theta=theta)
-                red0 = DensityOperator.from_dense(
-                    partial_trace_pure(commit_copy(0, params), [0]), (n,)
-                )
-                red1 = DensityOperator.from_dense(
-                    partial_trace_pure(commit_copy(1, params), [0]), (n,)
-                )
-                fidelity_ok &= fidelity(red0, red1) <= cap + ATOL_CHAIN
+                fidelity_ok &= per_copy_fidelity(params) <= cap + ATOL_CHAIN
             for p in (1, 2, 4):
                 theta = sample_haar(n, rng)
                 params = CommitmentParams(lam=lam, n=n, p=p, theta=theta)

@@ -7,7 +7,18 @@ offending dimension spelled out, instead of thrashing memory.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
+
+
+def _as_index(value, what: str) -> int:
+    """``value`` as a Python int: an int or numpy integer, but not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class BudgetExceeded(RuntimeError):
@@ -24,7 +35,9 @@ class Budgets:
 
     def __post_init__(self):
         for field in fields(self):
-            limit = getattr(self, field.name)
+            # an int or numpy integer, stored as an int; a bool or float is refused
+            limit = _as_index(getattr(self, field.name), field.name)
+            object.__setattr__(self, field.name, limit)
             if limit < 1:
                 raise ValueError(f"{field.name} must be >= 1, got {limit}")
 

@@ -91,6 +91,17 @@ def honest_commit(b: int, params: CommitmentParams, budgets: Budgets = DEFAULT_B
     return state
 
 
+def per_copy_fidelity(params: CommitmentParams, budgets: Budgets = DEFAULT_BUDGETS) -> float:
+    """Fidelity of the two bits' one-copy states reduced to the C register."""
+    reduced0, reduced1 = (
+        DensityOperator.from_dense(
+            partial_trace_pure(commit_copy(b, params), [0], budgets), (params.n,)
+        )
+        for b in (0, 1)
+    )
+    return fidelity(reduced0, reduced1, budgets)
+
+
 def accept_probability(
     b: int,
     committed: PureState,
@@ -218,10 +229,7 @@ def binding_experiment(
                 total += acc.real
         probs[b] = total
 
-    copy0, copy1 = commit_copy(0, params), commit_copy(1, params)
-    reduced0 = DensityOperator.from_dense(partial_trace_pure(copy0, [0], budgets), (n,))
-    reduced1 = DensityOperator.from_dense(partial_trace_pure(copy1, [0], budgets), (n,))
-    per_copy_fidelity = fidelity(reduced0, reduced1, budgets)
+    copy_fidelity = per_copy_fidelity(params, budgets)
     fidelity_cap = 2.0 ** -(n - lam)
     sum_bound = 1.0 + ((1.0 + 2.0 ** (-(n - lam) / 2.0)) / 2.0) ** p
 
@@ -229,12 +237,12 @@ def binding_experiment(
         "p0": probs[0],
         "p1": probs[1],
         "p0_plus_p1": probs[0] + probs[1],
-        "per_copy_fidelity": per_copy_fidelity,
+        "per_copy_fidelity": copy_fidelity,
     }
     bounds = {"sum_binding_bound": sum_bound, "per_copy_fidelity_bound": fidelity_cap}
     flags = {
         "p0_plus_p1_le_bound": probs[0] + probs[1] <= sum_bound + ATOL_CHAIN,
-        "per_copy_fidelity_le_bound": per_copy_fidelity <= fidelity_cap + ATOL_CHAIN,
+        "per_copy_fidelity_le_bound": copy_fidelity <= fidelity_cap + ATOL_CHAIN,
     }
     return ExperimentReport(
         experiment="commit-binding",
@@ -325,15 +333,14 @@ def hiding_distance(
     size = t + p
     kept_dim = 1 << (n * size)
     budgets.check_dense_dim(kept_dim, "hiding_distance")
-    # exact moments are real: type-state amplitudes are
-    side0 = exact_moment(N, size, budgets).to_dense(budgets).real
+    side0 = exact_moment(N, size, budgets).to_dense(budgets)
     flat = np.arange(kept_dim)
     prefixes = 0
     for i in range(p):
         prefix = (flat >> (n * (p - 1 - i) + n - lam)) & ((1 << lam) - 1)
         prefixes = (prefixes << lam) | prefix
     side0 *= prefixes[:, None] == prefixes[None, :]
-    side1 = exact_moment(N, t, budgets).to_dense(budgets).real if t else np.eye(1)
+    side1 = exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1)
     for _ in range(p):
         side1 = np.kron(side1, np.eye(N) / N)
     for side in (side0, side1):

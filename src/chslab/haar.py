@@ -19,12 +19,11 @@ given generator.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets, _as_index
 from .qla import DensityOperator, PureState
 from .typestates import enumerate_types, type_state
 
@@ -34,16 +33,6 @@ _KEY_MASK = (1 << 64) - 1
 # dimension, so a chunk's uniforms are 8 * _CHUNK_TRIALS doubles (128 KiB) at
 # every n, and its temporaries stay small next to the sampled rows.
 _CHUNK_TRIALS = 1 << 11
-
-
-def _as_index(value, what: str) -> int:
-    """``value`` as a Python int: an int or numpy integer, but not a bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def rng_for(seed: int) -> np.random.Generator:

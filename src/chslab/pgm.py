@@ -101,9 +101,7 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     d, m = params.d, params.m
     block_dim = d**m
     budgets.check_dense_dim(d**params.copies, "pgm_report")
-    moment = DensityOperator.from_dense(
-        exact_moment(d, params.copies, budgets).to_dense(budgets), (params.n,) * params.copies
-    ).dense.real  # type-state amplitudes are real
+    moment = exact_moment(d, params.copies, budgets).as_dense_operator(budgets).dense
     # M_ij: the first register is the leading digit of the flat index
     moment_blocks = moment.reshape(d, block_dim, d, block_dim).swapaxes(1, 2)
     diagonal = np.arange(d)

@@ -1,4 +1,4 @@
-"""Complex linear algebra over multi-register bit-string systems.
+"""Linear algebra over multi-register bit-string systems.
 
 A composite system is a tuple of registers; register ``i`` holds a classical
 string of ``register_shape[i]`` bits. A basis label is a tuple of ints, one per
@@ -7,7 +7,11 @@ the ``lam``-bit prefix of an ``n``-bit register value ``x`` is ``x >> (n - lam)`
 
 Pure states are sparse amplitude maps over basis labels; density operators are
 either dense Hermitian matrices or probability-weighted ensembles of pure
-states. All values are immutable after construction and safe to share across
+states. One builder, ``_mixture_matrix``, writes a weighted ensemble as a
+matrix, for ``DensityOperator.to_dense`` and for each support component of
+``gram_trace_distance``. A dense operator keeps the dtype of its entries: real
+amplitudes (every type state's) give a float64 matrix, complex ones a complex
+matrix. All values are immutable after construction and safe to share across
 threads; every function here is a pure function of its inputs.
 """
 
@@ -51,7 +55,7 @@ class PureState:
         for label, amp in self.amplitudes.items():
             _check_label(label, shape)
             norm_sq += (amp * amp.conjugate()).real
-        if abs(norm_sq - 1.0) > ATOL_STRUCTURAL:
+        if not abs(norm_sq - 1.0) <= ATOL_STRUCTURAL:  # NaN fails too
             raise ValueError(f"amplitudes have squared norm {norm_sq}, not 1")
 
     @classmethod
@@ -81,6 +85,8 @@ class PureState:
         dim = 1 << sum(shape)
         if vector.size != dim:
             raise ValueError(f"vector has dimension {vector.size}, shape implies {dim}")
+        if not np.isfinite(vector).all():
+            raise ValueError("vector has a non-finite entry")
         amps: dict[BasisLabel, complex] = {}
         for flat in np.flatnonzero(np.abs(vector) > 0):
             amps[unflatten_label(int(flat), shape)] = complex(vector[flat])
@@ -147,32 +153,31 @@ class DensityOperator:
         if (self.dense is None) == (self.ensemble is None):
             raise ValueError("exactly one of dense/ensemble must be given")
         if self.dense is not None:
-            mat = np.asarray(self.dense, dtype=complex)
+            mat = np.asarray(self.dense)
+            mat = mat.astype(np.result_type(mat, float), copy=False)  # real stays real
             dim = 1 << sum(self.register_shape)
             if mat.shape != (dim, dim):
                 raise ValueError(f"dense matrix shape {mat.shape} does not match dimension {dim}")
-            # A real matrix (every type-state operator) is checked in real arithmetic.
-            check = mat if mat.imag.any() else np.ascontiguousarray(mat.real)
-            if not np.allclose(check, check.conj().T, rtol=0, atol=ATOL_STRUCTURAL):
+            if not np.allclose(mat, mat.conj().T, rtol=0, atol=ATOL_STRUCTURAL):
                 raise ValueError("dense matrix is not Hermitian within tolerance")
             tr = np.trace(mat)
-            if abs(tr.real - 1.0) > ATOL_STRUCTURAL or abs(tr.imag) > ATOL_STRUCTURAL:
+            if not (abs(tr.real - 1.0) <= ATOL_STRUCTURAL and abs(tr.imag) <= ATOL_STRUCTURAL):
                 raise ValueError(f"dense matrix has trace {tr}, expected 1")
             # Full eigenvalue validation is cubic; keep it for small matrices and
             # rely on clamping in the consumers above that size.
-            if dim <= 256 and np.linalg.eigvalsh(check).min() < -ATOL_STRUCTURAL:
+            if dim <= 256 and np.linalg.eigvalsh(mat).min() < -ATOL_STRUCTURAL:
                 raise ValueError("dense matrix has an eigenvalue below -1e-9")
             object.__setattr__(self, "dense", mat)
         else:
             members = tuple((float(p), state) for p, state in self.ensemble)
             total = 0.0
             for p, state in members:
-                if p < -ATOL_STRUCTURAL:
-                    raise ValueError(f"ensemble probability {p} is negative")
+                if not p >= -ATOL_STRUCTURAL:  # NaN fails too
+                    raise ValueError(f"ensemble probability {p} is negative or NaN")
                 if state.register_shape != self.register_shape:
                     raise ValueError("ensemble member register shape mismatch")
                 total += p
-            if abs(total - 1.0) > ATOL_STRUCTURAL:
+            if not abs(total - 1.0) <= ATOL_STRUCTURAL:
                 raise ValueError(f"ensemble probabilities sum to {total}, expected 1")
             object.__setattr__(self, "ensemble", members)
 
@@ -186,7 +191,7 @@ class DensityOperator:
 
     @classmethod
     def from_dense(cls, matrix, register_shape) -> "DensityOperator":
-        return cls(tuple(register_shape), dense=np.asarray(matrix, dtype=complex))
+        return cls(tuple(register_shape), dense=matrix)
 
     @classmethod
     def from_ensemble(cls, members: Iterable[tuple[float, PureState]]) -> "DensityOperator":
@@ -204,20 +209,30 @@ class DensityOperator:
             return self.dense
         budgets.check_dense_dim(self.dim, "DensityOperator.to_dense")
         shape = self.register_shape
-        vectors = np.zeros((len(self.ensemble), self.dim), dtype=complex)
-        probs = np.empty(len(self.ensemble))
-        for row, (p, state) in enumerate(self.ensemble):
-            probs[row] = p
-            for label, amp in state.amplitudes.items():
-                vectors[row, flatten_label(label, shape)] = amp
-        if not vectors.imag.any():  # real amplitudes (type states): a quarter of the work
-            vectors = vectors.real
-        return ((vectors.T * probs) @ vectors.conj()).astype(complex, copy=False)
+        return _mixture_matrix(self.ensemble, lambda label: flatten_label(label, shape), self.dim)
 
     def as_dense_operator(self, budgets: Budgets = DEFAULT_BUDGETS) -> "DensityOperator":
         if self.dense is not None:
             return self
         return DensityOperator.from_dense(self.to_dense(budgets), self.register_shape)
+
+
+def _mixture_matrix(members, column, size: int) -> np.ndarray:
+    """``sum_i p_i |a_i><a_i|`` for weighted states ``(p_i, a_i)``, in ``size`` columns.
+
+    ``column`` numbers the basis labels; they are orthonormal, so the mixture is
+    the sum of the weighted outer products on them. Weights may be negative (a
+    signed mixture). The matrix is real when every amplitude is, else complex.
+    """
+    vectors = np.zeros((len(members), size), dtype=complex)
+    probs = np.empty(len(members))
+    for row, (p, state) in enumerate(members):
+        probs[row] = p
+        for label, amp in state.amplitudes.items():
+            vectors[row, column(label)] = amp
+    if not vectors.imag.any():  # real amplitudes (type states): a quarter of the work
+        vectors = vectors.real
+    return (vectors.T * probs) @ vectors.conj()
 
 
 def tensor(a, b):
@@ -374,7 +389,7 @@ def inv_sqrt_on_support(rho, rel_tol: float = REL_RANK_CUTOFF) -> np.ndarray:
     Eigenvalues above ``rel_tol`` times the largest map to ``lambda**-0.5``;
     the rest map to zero, so the result acts only on the support.
     """
-    mat = rho.to_dense() if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    mat = rho.to_dense() if isinstance(rho, DensityOperator) else np.asarray(rho)
     vals, vecs, kept = _support_eigh(mat, rel_tol)
     if not kept.any():
         raise ValueError("operator is zero (or negative); no support to invert on")
@@ -444,23 +459,6 @@ def _support_components(members: list[tuple[float, PureState]]) -> list[list[int
     return [groups[root] for root in sorted(groups)]
 
 
-def _component_matrix(members, idx_list, labels) -> np.ndarray:
-    """Signed mixture on one support component, in its computational sub-basis.
-
-    The component's basis labels are orthonormal, so the mixture is the sum of
-    the members' weighted outer products on them; ``labels`` numbers them.
-    """
-    DEFAULT_BUDGETS.check_dense_dim(len(labels), "gram_trace_distance component")
-    v = np.zeros((len(idx_list), len(labels)), dtype=complex)
-    w = np.empty(len(idx_list))
-    for row, i in enumerate(idx_list):
-        weight, state = members[i]
-        w[row] = weight
-        for label, amp in state.amplitudes.items():
-            v[row, labels[label]] = amp
-    return (v.T * w) @ v.conj()
-
-
 def gram_trace_distance(e1: DensityOperator, e2: DensityOperator) -> float:
     """Trace distance between two ensembles without densifying the full space.
 
@@ -489,7 +487,8 @@ def gram_trace_distance(e1: DensityOperator, e2: DensityOperator) -> float:
             for label in members[i][1].amplitudes:
                 if label not in labels:
                     labels[label] = len(labels)
-        block = _component_matrix(members, idx_list, labels)
+        DEFAULT_BUDGETS.check_dense_dim(len(labels), "gram_trace_distance component")
+        block = _mixture_matrix([members[i] for i in idx_list], labels.__getitem__, len(labels))
         by_dim.setdefault(block.shape[0], []).append(block)
     for mats in by_dim.values():
         stack = np.stack(mats)

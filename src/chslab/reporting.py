@@ -78,10 +78,7 @@ class ExperimentReport:
         return row
 
     def to_csv(self) -> str:
-        row = self.csv_columns()
-        header = ",".join(row)
-        values = ",".join(row.values())
-        return f"{header}\n{values}\n"
+        return combined_csv([self])
 
 
 def combined_csv(reports: list[ExperimentReport]) -> str:

@@ -21,8 +21,8 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 from . import typestates
-from .budgets import DEFAULT_BUDGETS, Budgets
-from .haar import _as_index, rng_for, sample_haar
+from .budgets import DEFAULT_BUDGETS, Budgets, _as_index
+from .haar import rng_for, sample_haar
 from .reporting import ExperimentReport, combined_csv
 
 

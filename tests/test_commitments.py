@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,7 @@ def test_per_copy_fidelity_bound_sampled():
                 partial_trace_pure(commit_copy(1, params), [0]), (n,)
             )
             assert fidelity(red0, red1) <= cap + 1e-9
+            assert commitments.per_copy_fidelity(params) == fidelity(red0, red1)
 
 
 def test_binomial_identity_behind_sum_bound():
@@ -271,6 +273,20 @@ def test_hiding_distance_refuses_bad_sizes_before_any_work(
         hiding_distance(lam, n, p, t=1)
     assert main(["commit-hiding", "--lam", str(lam), "--n", str(n), "--p", str(p)]) == 2
     assert capsys.readouterr().err.startswith("chs-lab commit-hiding: need ")
+
+
+def test_hiding_distance_keeps_its_moments_real():
+    # Both sides, their difference and the Hermitian check's temporaries are
+    # real 512 x 512 arrays: about 4.2 of them at the peak. Complex copies of
+    # the moments would double it.
+    dim = 1 << (3 * 3)
+    tracemalloc.start()
+    try:
+        hiding_distance(2, 3, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * dim * dim * 8
 
 
 def test_hiding_distance_crosscheck():

@@ -221,6 +221,17 @@ def test_exact_moment_small_cases():
     assert rank == math.comb(5, 2)
 
 
+def test_exact_moment_is_a_real_matrix_with_the_complex_route_entries():
+    moment = exact_moment(4, 2)
+    dense = moment.to_dense()
+    assert dense.dtype == np.float64
+    # the weighted outer products of the type states' dense (complex) vectors
+    vecs = np.array([state.dense() for _, state in moment.ensemble])
+    probs = np.array([p for p, _ in moment.ensemble])
+    assert not vecs.imag.any()
+    assert np.array_equal(dense, (vecs.real.T * probs) @ vecs.real)
+
+
 @pytest.mark.parametrize("N,t", [(2, 2), (4, 2), (4, 3)])
 def test_exact_moment_is_normalized_symmetric_projector(N, t):
     moment = exact_moment(N, t).to_dense()

@@ -52,6 +52,36 @@ def test_density_operator_validation():
         DensityOperator.from_dense(np.array([[0.5, 0.25 + 2e-6], [0.25, 0.5]]), (1,))
 
 
+def test_nan_fails_every_validation():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="squared norm nan"):
+        PureState((1,), {(0,): nan})
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState.from_dense([nan, 1.0], (1,))
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState.from_dense([np.inf, 0.0], (1,))
+    with pytest.raises(ValueError, match="probability nan"):
+        DensityOperator.from_ensemble([(nan, ZERO)])
+    with pytest.raises(ValueError, match="probability nan"):
+        DensityOperator.from_ensemble([(1.0, ZERO), (nan, ONE)])
+    with pytest.raises(ValueError):
+        DensityOperator.from_dense(np.array([[nan, 0.0], [0.0, 1.0]]), (1,))
+
+
+def test_dense_operators_keep_the_dtype_of_their_entries():
+    real = DensityOperator.from_dense(np.eye(2) / 2, (1,))
+    assert real.dense.dtype == np.float64
+    assert DensityOperator.from_dense([[1, 0], [0, 0]], (1,)).dense.dtype == np.float64
+    phased = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    assert DensityOperator.from_dense(phased, (1,)).dense.dtype == np.complex128
+    assert np.array_equal(DensityOperator.from_dense(phased, (1,)).dense, phased)
+    # the same rule for a mixture written out by to_dense
+    assert pure_op(PLUS).to_dense().dtype == np.float64
+    y_minus = PureState((1,), {(0,): 2**-0.5, (1,): -1j * 2**-0.5})
+    assert pure_op(y_minus).to_dense().dtype == np.complex128
+    assert np.allclose(pure_op(y_minus).to_dense(), phased, atol=1e-15)
+
+
 def test_tensor_pure_states():
     assert tensor(ZERO, ONE).amplitudes == {(0, 1): 1.0}
     uniform = tensor(PLUS, PLUS)

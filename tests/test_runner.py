@@ -412,6 +412,19 @@ def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
 
 
 @pytest.mark.parametrize("field", ["max_dense_dim", "max_type_count", "max_subset_pairs"])
+@pytest.mark.parametrize("limit", [True, 2.5, 8.0, "8", None])
+def test_budgets_refuse_limits_that_are_not_integers(field, limit):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {limit!r}"):
+        Budgets(**{field: limit})
+
+
+def test_budgets_store_numpy_integer_limits_as_ints():
+    budgets = Budgets(max_dense_dim=np.int64(64), max_type_count=np.uint8(9))
+    assert type(budgets.max_dense_dim) is int and budgets.max_dense_dim == 64
+    assert type(budgets.max_type_count) is int and budgets.max_type_count == 9
+
+
+@pytest.mark.parametrize("field", ["max_dense_dim", "max_type_count", "max_subset_pairs"])
 @pytest.mark.parametrize("limit", [0, -3])
 def test_budgets_reject_limits_below_one(field, limit, capsys):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got {limit}"):
