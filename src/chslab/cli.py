@@ -88,9 +88,12 @@ def _merge_config_file(args: argparse.Namespace, experiment: str) -> dict:
     return {name: merged[name] for name in names if name in merged}
 
 
-def _budgets(args: argparse.Namespace) -> Budgets:
+def _config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
+    """The flags, ``--config`` file, seed and budget limits of one run or sweep."""
+    params = _merge_config_file(args, experiment)
     limits = {budget.name: getattr(args, budget.name) for budget in fields(Budgets)}
-    return Budgets(**{name: limit for name, limit in limits.items() if limit is not None})
+    budgets = Budgets(**{name: limit for name, limit in limits.items() if limit is not None})
+    return ExperimentConfig(experiment, params, args.seed, budgets)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -114,18 +117,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "sweep":
-        experiment = args.experiment
         values = args.values.split(",")
         try:
             if "" in values:
                 raise ValueError(f"--values {args.values!r} has an empty entry")
-            base = ExperimentConfig(
-                experiment=experiment,
-                params=_merge_config_file(args, experiment),
-                seed=args.seed,
-                budgets=_budgets(args),
-            )
-            reports, table = sweep(base, args.axis, values)
+            reports, table = sweep(_config(args, args.experiment), args.axis, values)
             _emit(table, args.out)
         except ValueError as err:
             sys.stderr.write(f"chs-lab sweep: {err}\n")
@@ -134,13 +130,7 @@ def main(argv: list[str] | None = None) -> int:
 
     experiment = args.command
     try:
-        config = ExperimentConfig(
-            experiment=experiment,
-            params=_merge_config_file(args, experiment),
-            seed=args.seed,
-            budgets=_budgets(args),
-        )
-        report = run(config)
+        report = run(_config(args, experiment))
         _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     except (ValueError, BudgetExceeded) as err:
         sys.stderr.write(f"chs-lab {experiment}: {err}\n")

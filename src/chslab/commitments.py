@@ -36,7 +36,9 @@ from .typestates import phase_sign
 
 
 def _check_sizes(lam: int, n: int, p: int) -> None:
-    """Key bits, qubits per register and copies: n >= lam + 1 and p >= 1."""
+    """Key bits, qubits per register and copies: lam >= 1, n >= lam + 1 and p >= 1."""
+    if lam < 1:
+        raise ValueError("need at least one key bit")
     if n < lam + 1:
         raise ValueError(f"need n >= lam + 1, got n={n}, lam={lam}")
     if p < 1:
@@ -328,7 +330,7 @@ def hiding_distance(
     _check_sizes(lam, n, p)
     if t < 0:
         raise ValueError(f"need t >= 0 common copies, got t={t}")
-    multikey_params = PrsParams(lam=lam, n=n, ell=1, t=t, p=p)  # refuses lam < 1 up front
+    multikey_params = PrsParams(lam=lam, n=n, ell=1, t=t, p=p)
     N = 1 << n
     size = t + p
     kept_dim = 1 << (n * size)

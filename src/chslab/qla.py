@@ -104,11 +104,9 @@ class PureState:
         """<self|other> over the shared register shape."""
         if self.register_shape != other.register_shape:
             raise ValueError("register shapes differ")
-        small, big = self.amplitudes, other.amplitudes
-        if len(big) < len(small):
-            acc = sum(amp.conjugate() * small[label] for label, amp in big.items() if label in small)
-            return complex(acc)
-        acc = sum(amp.conjugate() * big[label] for label, amp in small.items() if label in big)
+        mine, theirs = self.amplitudes, other.amplitudes
+        small, big = sorted((mine, theirs), key=len)
+        acc = sum(mine[label].conjugate() * theirs[label] for label in small if label in big)
         return complex(acc)
 
     def tensor(self, other: "PureState") -> "PureState":
@@ -158,7 +156,7 @@ class DensityOperator:
             dim = 1 << sum(self.register_shape)
             if mat.shape != (dim, dim):
                 raise ValueError(f"dense matrix shape {mat.shape} does not match dimension {dim}")
-            if not np.allclose(mat, mat.conj().T, rtol=0, atol=ATOL_STRUCTURAL):
+            if not np.abs(mat - mat.conj().T).max() <= ATOL_STRUCTURAL:  # NaN fails too
                 raise ValueError("dense matrix is not Hermitian within tolerance")
             tr = np.trace(mat)
             if not (abs(tr.real - 1.0) <= ATOL_STRUCTURAL and abs(tr.imag) <= ATOL_STRUCTURAL):

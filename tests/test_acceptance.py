@@ -1,61 +1,40 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` or through the CLI as
-``chs-lab acceptance``; both execute the same criterion functions at the same
-tolerances.
+``chs-lab acceptance``; both run the entries of ``acceptance.CRITERIA`` at the
+same tolerances. Each entry is bound here as ``test_criterion_<name>``.
 """
 
-import pytest
-
 from chslab import acceptance
+from chslab.cli import main
 
 
-def _run(criterion):
-    result = criterion()
-    print(f"\n{'PASS' if result.passed else 'FAIL'}  {result.name}  "
-          f"[{result.duration_s:.1f}s]  {result.detail}")
-    assert result.passed, f"{result.name}: {result.detail}"
+def _criterion_test(name):
+    def test():
+        result = acceptance.run_criterion(name)
+        print(f"\n{'PASS' if result.passed else 'FAIL'}  {name}  "
+              f"[{result.duration_s:.1f}s]  {result.detail}")
+        assert result.passed, f"{name}: {result.detail}"
+
+    return test
 
 
-def test_criterion_haar_moment_oracle():
-    _run(acceptance.haar_moment_oracle)
+for _name in acceptance.CRITERIA:
+    globals()[f"test_criterion_{_name.replace('-', '_')}"] = _criterion_test(_name)
 
 
-def test_criterion_type_split_identity():
-    _run(acceptance.type_split_identity)
-
-
-def test_criterion_permutation_average():
-    _run(acceptance.permutation_average)
-
-
-def test_criterion_hybrid_equivalences():
-    _run(acceptance.hybrid_equivalences)
-
-
-def test_criterion_security_trend():
-    _run(acceptance.security_trend)
-
-
-def test_criterion_multi_key_chain():
-    _run(acceptance.multi_key_chain)
-
-
-def test_criterion_rank_attack():
-    _run(acceptance.rank_attack)
-
-
-def test_criterion_commitment_binding():
-    _run(acceptance.commitment_binding)
-
-
-def test_criterion_hiding_crosscheck():
-    _run(acceptance.hiding_crosscheck)
-
-
-def test_criterion_pgm_bound():
-    _run(acceptance.pgm_bound)
-
-
-def test_criterion_determinism():
-    _run(acceptance.determinism)
+def test_run_all_reports_a_failing_criterion(monkeypatch, capsys):
+    stubs = {"stub-pass": lambda: (True, "fine"), "stub-fail": lambda: (False, "broken")}
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    lines = []
+    results = acceptance.run_all(echo=lines.append)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("stub-pass", True, "fine"),
+        ("stub-fail", False, "broken"),
+    ]
+    assert lines[0] == f"PASS  {'stub-pass':24s} [{results[0].duration_s:7.1f}s]  fine"
+    assert lines[1] == f"FAIL  {'stub-fail':24s} [{results[1].duration_s:7.1f}s]  broken"
+    assert lines[2] == "1/2 acceptance criteria passed; FAILED: stub-fail"
+    assert main(["acceptance"]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == "1/2 acceptance criteria passed; FAILED: stub-fail"

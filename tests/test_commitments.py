@@ -275,6 +275,16 @@ def test_hiding_distance_refuses_bad_sizes_before_any_work(
     assert capsys.readouterr().err.startswith("chs-lab commit-hiding: need ")
 
 
+@pytest.mark.parametrize("lam", [0, -1])
+def test_binding_refuses_lam_below_one(lam, capsys):
+    assert main(["commit-binding", "--lam", str(lam), "--n", str(lam + 2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "chs-lab commit-binding: need at least one key bit\n"
+    with pytest.raises(ValueError, match="need at least one key bit"):
+        fixed_params(lam=lam, n=lam + 2)
+
+
 def test_hiding_distance_keeps_its_moments_real():
     # Both sides, their difference and the Hermitian check's temporaries are
     # real 512 x 512 arrays: about 4.2 of them at the peak. Complex copies of

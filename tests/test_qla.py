@@ -38,6 +38,23 @@ def test_pure_state_validation():
         PureState((1,), {})
 
 
+def test_inner_conjugates_self_whatever_the_sizes():
+    a = ZERO
+    c = PureState((1,), {(0,): 0.6j, (1,): 0.8})
+    for bra, ket in ((a, c), (c, a), (c, PLUS), (PLUS, c)):
+        assert bra.inner(ket) == pytest.approx(np.vdot(bra.dense(), ket.dense()), abs=1e-15)
+    assert c.inner(a) == pytest.approx(-0.6j, abs=1e-15)
+
+
+def test_hermitian_check_tolerance_is_absolute_1e_9():
+    def rho(skew):  # rho - rho^T has the entries +-skew
+        return np.array([[0.5, 0.25 + skew], [0.25, 0.5]])
+
+    DensityOperator.from_dense(rho(5e-10), (1,))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityOperator.from_dense(rho(2e-9), (1,))
+
+
 def test_density_operator_validation():
     with pytest.raises(ValueError):
         DensityOperator.from_dense(np.array([[0.5, 0.3], [0.1, 0.5]]), (1,))  # not Hermitian
