@@ -67,8 +67,8 @@ def haar_moment_oracle() -> tuple[bool, str]:
     for N, t in ((2, 2), (4, 2), (4, 3)):
         n = N.bit_length() - 1
         vecs = HaarSampler(n, rng_seed=101).statevectors(samples)
+        worst_td = max(worst_td, sampled_moment_distance(vecs, t))
         exact = exact_moment(N, t).to_dense()
-        worst_td = max(worst_td, sampled_moment_distance(vecs, t, exact))
         projector = symmetric_projector(N, t) / math.comb(N + t - 1, t)
         worst_proj = max(worst_proj, float(np.abs(exact - projector).max()))
     elapsed = time.perf_counter() - start

@@ -2,16 +2,28 @@
 
 The ensemble member for label ``x`` is the exact (m+1)-copy Haar moment ``M``
 with the phase pattern ``x`` applied to the first copy (the prefix is the
-whole register here): ``rho_x = D_x M D_x`` for a +-1 diagonal ``D_x``. Their
-unnormalized sum ``sigma`` is read off the moment: averaging the phases over
-x kills every entry of ``M`` between different first-register values, so
-``sigma`` is ``d`` times the diagonal blocks ``M_ii`` of ``M``'s grid of
-blocks over the first register, and its inverse root has a closed-form
-largest eigenvalue. Every ``D_x`` commutes with ``sigma``, so one sandwich
-``S M S`` of the moment, with ``S = sigma^(-1/2)``, gives every label's POVM
-element ``D_x (S M S) D_x``. Everything is real, and ``sigma`` is solved as
-its d blocks of size d^m in one batched eigendecomposition, never built as
-one dense (m+1)-copy matrix.
+whole register here): ``rho_x = D_x M D_x`` for a +-1 diagonal ``D_x``, and
+``sigma = sum_x rho_x``. ``M`` is the uniform mixture of the C = C(d+m, m+1)
+type states, so it is block diagonal over sectors, the multisets of the m+1
+register values. Take a sector with r distinct letters of multiplicities
+``mu_1, ..., mu_r`` (its shape, a partition of m+1) and, for each letter a,
+the unit vector ``g_a`` over the orderings that start with a. ``D_x`` scales
+``g_a`` by ``(-1)^(x . a)``, and ``M``'s block is ``|T><T| / C`` with
+``|T> = sum_a sqrt(mu_a / (m+1)) g_a``, so on the r-dim span of the ``g_a``:
+
+- the moment is ``M_ab = sqrt(mu_a mu_b) / ((m+1) C)``;
+- ``sum_x (-1)^(x . (a xor b)) = d [a == b]``, so sigma is ``d diag(M)``,
+  with one eigenvalue per letter, and is zero on the rest of the sector;
+- ``S = sigma^(-1/2)`` commutes with every ``D_x``, so one sandwich
+  ``A = S M S`` (it comes out as ``J / d``) gives every label's POVM element
+  ``D_x A D_x``, and every label the overlap ``Tr(M A)``.
+
+A sector's block depends only on its shape, and a shape with ``r <= d``
+parts stands for ``(d)_r / |Aut mu|`` sectors, so every quantity is a sum
+over the partitions of m+1 and its cost does not depend on d. Everything is
+real and no d-dimensional object is built. ``phase_ensemble_state`` builds
+one ``rho_x`` densely, the independent reference where ``d^(m+1)`` fits the
+dense budget.
 
 ``pgm_report`` is the entry point: one report with the overlap quantity, its
 (m+1)/d cap, the inverse-root norm and the PGM success probability.
@@ -20,14 +32,17 @@ one dense (m+1)-copy matrix.
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import exact_moment
-from .qla import DensityOperator, _inv_sqrt_weights, _on_support, _support_eigh
+from .qla import DensityOperator
 from .reporting import ExperimentReport
+from .sectors import MAX_NORMALISER, _partitions
 from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_STRUCTURAL, REL_RANK_CUTOFF
 from .typestates import phase_sign
 
@@ -69,6 +84,40 @@ def phase_ensemble_state(
     return DensityOperator.from_dense(moment * np.outer(diag, diag), (params.n,) * params.copies)
 
 
+def _partition_count(size: int, cap: int) -> tuple[int, int]:
+    """``(k, p(k))`` for ``k = size``, or for the first ``k < size`` with ``p(k) > cap``.
+
+    ``p`` is the partition function, from Euler's pentagonal recurrence; it
+    increases with ``k``, so stopping at the first value above ``cap`` bounds
+    the work by the cap, not by ``size``.
+    """
+    counts = [1]
+    for k in range(1, size + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            total += sign * counts[k - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= k:
+                total += sign * counts[k - j * (3 * j + 1) // 2]
+            j += 1
+        counts.append(total)
+        if total > cap:
+            break
+    return len(counts) - 1, counts[-1]
+
+
+def _label_sums(r: int, n: int) -> np.ndarray:
+    """``sum_x (-1)^(x . (a xor b))`` over the n-bit labels x, for letters a, b < r.
+
+    Each of the n bits contributes a factor ``1 + (-1)^bit``; letters below r
+    leave every bit from ``(r - 1).bit_length()`` on zero, a factor 2 each.
+    """
+    width = (r - 1).bit_length()
+    letters = np.arange(r)
+    bits = ((letters[:, None] ^ letters[None, :])[:, :, None] >> np.arange(width)) & 1
+    return np.prod(2.0 - 2.0 * bits, axis=2) * 2.0 ** (n - width)
+
+
 def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
     """The overlap Q = E_x Tr(rho_x S rho_x S), S = sigma^(-1/2), and the PGM success.
 
@@ -77,53 +126,70 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     submultiplicativity ingredient that yields the cap.
 
     The POVM elements are S rho_x S, completed on the null space of sigma with
-    weight I/d so they sum to the identity; the null completion contributes
-    nothing to any reported trace because every rho_x is supported inside
-    sigma. The source bound for arbitrary measurements is stated as an equality
-    with an unspecified constant, which is untestable as written; it is treated
-    as an upper bound with the fitted constant reported.
+    weight I/d so they sum to the identity. The source bound for arbitrary
+    measurements is stated as an equality with an unspecified constant, which
+    is untestable as written; it is treated as an upper bound with the fitted
+    constant reported.
 
-    Every D_x commutes with sigma, hence with S and the null completion, so
-    S rho_x S = D_x A D_x for the one sandwich A = S M S: each label has
-    overlap Tr(M A) and success Tr(M A) + Tr(null_completion M), and the POVM
-    elements sum to A o (signs^T signs) + (I - P), with o the entrywise
-    product over M's d x d grid of blocks M_ij over the first register and
-    row x of signs the phase pattern x on that register. The moment is built
-    and validated once; sigma is never built. Since
-    sum_x (-1)^(x . (i xor j)) = d [i == j], sigma = sum_x D_x M D_x keeps
-    only the diagonal blocks of that grid, times d: its blocks are d M_ii.
-    One batched eigendecomposition of those d real blocks of size d^m gives
-    S, the support projector P and the norm of S block by block, with one
-    cutoff relative to the largest eigenvalue over all blocks, and
-    A_ij = S_i M_ij S_j is one batched product. One Q feeds every check that
-    mentions it.
+    Everything is read off the multiplicity shapes mu, the partitions of m+1
+    into r <= d parts, one r-dim block per shape (see the module docstring).
+    A shape stands for (d)_r / |Aut mu| sectors, out of C = C(d+m, m+1), and
+    every sector of a shape has the same block. In units of 1/C the moment
+    block is ``sqrt(mu_a mu_b) / (m+1)`` and sigma is d times its diagonal, so
+    C drops out of A = S M S and of the completeness residual, and enters Q,
+    the null overlap and the norm of S only as the weight of each shape. The
+    partitions of m+1 are checked against the type-enumeration budget, and a
+    C beyond the float range is refused.
     """
-    d, m = params.d, params.m
-    block_dim = d**m
-    budgets.check_dense_dim(d**params.copies, "pgm_report")
-    moment = exact_moment(d, params.copies, budgets).as_dense_operator(budgets).dense
-    # M_ij: the first register is the leading digit of the flat index
-    moment_blocks = moment.reshape(d, block_dim, d, block_dim).swapaxes(1, 2)
-    diagonal = np.arange(d)
-    moment_diagonal = moment_blocks[diagonal, diagonal]
-    vals, vecs, kept = _support_eigh(d * moment_diagonal, REL_RANK_CUTOFF)
-    inv_root = _on_support(vecs, _inv_sqrt_weights(vals, kept))
-    null_projector = np.eye(block_dim) - _on_support(vecs, kept.astype(float))
-    sandwich = inv_root[:, None] @ moment_blocks @ inv_root[None, :]
-    signs = np.stack([_phase_signs(x, d) for x in range(d)])
-    residual = sandwich * (signs.T @ signs)[:, :, None, None]
-    residual[diagonal, diagonal] += null_projector - np.eye(block_dim)
-    completeness_error = float(np.abs(residual).max())
+    n, m, copies = params.n, params.m, params.copies
+    k, count = _partition_count(copies, budgets.max_type_count)
+    more = f" (at least those of {k})" if k < copies else ""
+    budgets.check_type_count(count, f"pgm_report: the partitions of m+1={copies}{more}")
+    # C(2^n+m, m+1) >= 2^n, so a larger n is refused before 2^n is formed
+    normaliser = math.comb(params.d + m, copies) if n < MAX_NORMALISER.bit_length() else None
+    if normaliser is None or normaliser > MAX_NORMALISER:
+        raise ValueError(
+            f"n={n} is too large for m={m}: the moment's normaliser C(2^n+m, m+1) "
+            "is beyond the float range"
+        )
+    d = params.d
+    by_parts: dict[int, list[tuple[int, ...]]] = {}
+    for shape in _partitions(copies):
+        if len(shape) <= d:
+            by_parts.setdefault(len(shape), []).append(shape)
+    largest = float(d)  # sigma on the one-letter shape (m+1,)
+    q_mean = null_overlap = completeness_error = 0.0
+    smallest = math.inf
+    for r, shapes in by_parts.items():
+        tuples = math.perm(d, r)  # r distinct letters, in order
+        weight = np.array([
+            tuples // math.prod(math.factorial(c) for c in Counter(shape).values()) / normaliser
+            for shape in shapes
+        ])
+        mu = np.array(shapes, dtype=float)
+        moment = np.sqrt(mu[:, :, None] * mu[:, None, :]) / copies
+        diagonal = np.diagonal(moment, axis1=1, axis2=2)
+        sigma = float(d) * diagonal
+        kept = sigma > REL_RANK_CUTOFF * largest
+        smallest = min(smallest, float(sigma[kept].min()))
+        inv_root = np.where(kept, 1.0 / np.sqrt(sigma), 0.0)
+        sandwich = inv_root[:, :, None] * moment * inv_root[:, None, :]
+        q_mean += float(weight @ np.einsum("kab,kba->k", moment, sandwich))
+        null = (~kept).astype(float)
+        null_overlap += float(weight @ (null * diagonal).sum(axis=1))
+        residual = sandwich * _label_sums(r, n)
+        residual[:, np.arange(r), np.arange(r)] += null - 1.0
+        completeness_error = max(completeness_error, float(np.abs(residual).max()))
     if completeness_error > 1e-8:
         raise RuntimeError(
             f"POVM completeness violated by {completeness_error}; "
             "null-space completion is broken"
         )
-    q_mean = float(np.einsum("ijab,jiba->", moment_blocks, sandwich))
-    null_overlap = float(np.einsum("iab,iba->", null_projector, moment_diagonal))
     guess = q_mean + null_overlap / d
-    norm_measured = float(1.0 / np.sqrt(vals[kept].min()))
-    norm_formula = math.sqrt(math.comb(d + m, m + 1) * (m + 1) / d)
+    norm_measured = math.sqrt(normaliser / smallest)
+    norm_formula = math.sqrt(normaliser * copies / d)
+    # 1e-8 absolute, but no finer than the float spacing of a norm that grows like sqrt(C)
+    norm_tolerance = max(ATOL_CROSS_PATH, 8 * sys.float_info.epsilon * norm_formula)
     rate = math.sqrt(m / d + m**7 / d**3) if m else 0.0
     quantities = {
         "q_mean": q_mean,
@@ -141,7 +207,7 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     }
     flags = {
         "q_le_bound": q_mean <= (m + 1) / d + ATOL_CHAIN,
-        "inv_sqrt_norm_matches_formula": abs(norm_measured - norm_formula) <= ATOL_CROSS_PATH,
+        "inv_sqrt_norm_matches_formula": abs(norm_measured - norm_formula) <= norm_tolerance,
         "guess_ge_random": guess >= 1.0 / d - ATOL_CHAIN,
         "guess_le_sqrt_q": guess <= math.sqrt(q_mean) + ATOL_CHAIN,
         "povm_complete": completeness_error <= ATOL_STRUCTURAL,

@@ -38,6 +38,10 @@ def _reference_row(n, seed, trial):
     """Box-Muller of the trial's Philox words, one word at a time in scalar floats."""
     dim = 1 << n
     words = HaarSampler(n, seed).generator(trial).bit_generator.random_raw(2 * dim)
+    return _reference_row_of_words(words, dim)
+
+
+def _reference_row_of_words(words, dim):
     u = [((int(w) >> 11) + 1) * 2.0**-53 for w in words]
     row = np.array([
         math.sqrt(-math.log(u[j]))
@@ -96,7 +100,7 @@ def _box_muller_of_words(words, dim):
     """Rows of ``haar._box_muller`` for rows of ``2 * dim`` raw Philox words."""
     u = ((words.reshape(-1, 2 * dim) >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
     rows = np.empty((len(u), dim), dtype=complex)
-    haar._box_muller(u, rows)
+    haar._box_muller(u, rows, haar._turn_table())
     return rows
 
 
@@ -123,6 +127,32 @@ def test_extreme_words_give_finite_normals():
     assert abs(rows[0, 0]) == pytest.approx(1.0, rel=1e-15)
     assert rows[0, 1] == 0
     assert np.abs(rows[1]) == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15)
+
+
+def _word(u_times_2_53):
+    """The raw word whose uniform is ``u_times_2_53 / 2^53``."""
+    return (u_times_2_53 - 1) << 11
+
+
+def test_phases_on_turn_table_edges_match_the_scalar_reference():
+    # phase uniforms u = 1 (the table's last entry), u * 2^12 integral on
+    # either side of each entry, u = 2^-53 and u just below 1
+    table = [j << 41 for j in (1, 2, 1023, 2048, 3071, 4095, 4096)]
+    phases = [1, 2, 3, *table, *(u - 1 for u in table), *(u + 1 for u in table[:-1])]
+    dim = 4
+    moduli = [_word(1 << 52), _word(3), _word(1 << 53), _word(12345 << 30)]
+    for start in range(0, len(phases), dim):
+        phase = (phases[start : start + dim] + [1 << 53] * dim)[:dim]
+        words = np.array(moduli + [_word(u) for u in phase], dtype=np.uint64)
+        row = _box_muller_of_words(words, dim)[0]
+        assert np.abs(row - _reference_row_of_words(words, dim)).max() < 1e-14
+
+
+def test_turn_table_covers_the_whole_turn():
+    cos, sin = haar._turn_table()
+    assert len(cos) == len(sin) == (1 << haar._TURN_BITS) + 1
+    assert (cos[0], sin[0]) == (1.0, 0.0)
+    assert abs(cos[-1] - 1.0) < 1e-16 and abs(sin[-1]) < 1e-15
 
 
 def test_statevectors_rejects_a_negative_count():
@@ -256,15 +286,45 @@ def test_exact_moment_unitary_invariance(N, t):
 
 
 def test_monte_carlo_moment_error_halves_with_4x_samples():
-    exact = exact_moment(4, 2).to_dense()
-
     def mc_error(samples, seed):
         vecs = HaarSampler(2, rng_seed=seed).statevectors(samples)
-        return sampled_moment_distance(vecs, 2, exact)
+        return sampled_moment_distance(vecs, 2)
 
     small = np.mean([mc_error(2000, s) for s in (55, 56, 57)])
     large = np.mean([mc_error(8000, s) for s in (58, 59, 60)])
     assert 0.3 < large / small < 0.75  # consistent with a -1/2 slope
+
+
+def _dense_moment_distance(vecs, t, exact):
+    """The trace distance from the N^t-dim tensor powers of the rows."""
+    samples = len(vecs)
+    power = vecs
+    for _ in range(t - 1):
+        power = np.einsum("bi,bj->bij", power, vecs).reshape(samples, -1)
+    sampled = power.T @ power.conj() / samples
+    vals = np.linalg.eigvalsh(0.5 * (sampled + sampled.conj().T) - exact)
+    return 0.5 * float(np.abs(vals).sum())
+
+
+@pytest.mark.parametrize("N,t", [(2, 2), (4, 2), (4, 3)])
+def test_type_basis_moment_distance_matches_the_dense_route(N, t):
+    vecs = HaarSampler(N.bit_length() - 1, rng_seed=31).statevectors(3000)
+    dense = _dense_moment_distance(vecs, t, exact_moment(N, t).to_dense())
+    assert abs(sampled_moment_distance(vecs, t) - dense) < 1e-12
+    # a far-off sample: every row the same basis vector
+    basis = np.zeros((10, N), dtype=complex)
+    basis[:, 1] = 1.0
+    dense = _dense_moment_distance(basis, t, exact_moment(N, t).to_dense())
+    assert abs(sampled_moment_distance(basis, t) - dense) < 1e-12
+    assert dense > 0.5
+
+
+def test_moment_distance_checks_its_budgets():
+    vecs = HaarSampler(3, rng_seed=1).statevectors(4)
+    with pytest.raises(BudgetExceeded, match="types exceed enumeration budget 100"):
+        sampled_moment_distance(vecs, 3, Budgets(max_type_count=100))
+    with pytest.raises(BudgetExceeded, match=r"sampled_moment_distance\(N=8, t=3\): dense"):
+        sampled_moment_distance(vecs, 3, Budgets(max_dense_dim=100))
 
 
 def test_moment_enumeration_budget():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chslab import pgm
-from chslab.budgets import BudgetExceeded
+from chslab.budgets import BudgetExceeded, Budgets
+from chslab.cli import main
 from chslab.haar import exact_moment
 from chslab.pgm import PgmParams, _phase_signs, pgm_report, phase_ensemble_state
 from chslab.qla import DensityOperator, inv_sqrt_on_support, support_projector
@@ -146,7 +147,7 @@ def _per_label_reference(params):
 
 
 @pytest.mark.parametrize(
-    "n,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
+    "n,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]
 )
 def test_report_matches_the_per_label_reference(n, m):
     params = PgmParams(n=n, m=m)
@@ -161,47 +162,31 @@ def test_report_matches_the_per_label_reference(n, m):
         assert report.quantities["fitted_constant"] == pytest.approx(guess / rate, abs=1e-12)
 
 
-def _counting(monkeypatch, name, calls):
-    original = getattr(pgm, name)
-
-    def counted(*args, **kwargs):
-        calls.append((name, args[0]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(pgm, name, counted)
+@pytest.mark.parametrize("m", [2, 8])
+def test_overlap_bound_and_norm_formula_across_n(m):
+    # the closed form reaches far past the dense budget; the norm grows like sqrt(C)
+    for n in range(1, 41):
+        report = pgm_report(PgmParams(n=n, m=m))
+        d = 2**n
+        assert report.flags["q_le_bound"], n
+        assert report.quantities["q_mean"] <= (m + 1) / d * (1 + 1e-12), n
+        formula = math.sqrt(math.comb(d + m, m + 1) * (m + 1) / d)
+        assert report.bounds["inv_sqrt_norm_formula"] == formula
+        assert report.quantities["inv_sqrt_norm_measured"] == pytest.approx(formula, rel=1e-15)
+        assert report.flags["inv_sqrt_norm_matches_formula"], n
+        assert report.flags["povm_complete"] and report.quantities["completeness_error"] < 1e-15
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2)])
-def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m):
-    params = PgmParams(n=n, m=m)
-    calls = []
-    for name in ("exact_moment", "_support_eigh", "_phase_signs"):
-        _counting(monkeypatch, name, calls)
-    eighs = []
-    original_eigh = np.linalg.eigh
+def test_report_builds_no_dense_moment_and_flags_its_own_q(monkeypatch, n, m):
+    def refused(*args, **kwargs):
+        raise AssertionError("pgm_report built a dense or d-dimensional operator")
 
-    def counted_eigh(mat, *args, **kwargs):
-        eighs.append(mat.shape)
-        return original_eigh(mat, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    validations = []
-    original_from_dense = DensityOperator.from_dense.__func__
-
-    def counted_from_dense(cls, *args, **kwargs):
-        validations.append(args[0].shape)
-        return original_from_dense(cls, *args, **kwargs)
-
-    monkeypatch.setattr(DensityOperator, "from_dense", classmethod(counted_from_dense))
-    report = pgm_report(params)
-    names = [name for name, _ in calls]
-    assert names.count("exact_moment") == 1
-    # sigma's blocks are eigendecomposed once: S, the support and the norm of S share it
-    assert names.count("_support_eigh") == 1
-    assert len(eighs) == 1
-    # the moment is validated once; no per-label state is built
-    assert len(validations) <= 1
-    assert [x for name, x in calls if name == "_phase_signs"] == list(range(params.d))
+    for name in ("exact_moment", "phase_ensemble_state", "_phase_signs"):
+        monkeypatch.setattr(pgm, name, refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(DensityOperator, "from_dense", classmethod(refused))
+    report = pgm_report(PgmParams(n=n, m=m))
     # every flag that mentions Q tests the published q_mean
     q_mean = report.quantities["q_mean"]
     assert report.bounds["sqrt_q"] == math.sqrt(q_mean)
@@ -211,9 +196,30 @@ def test_report_builds_each_operator_once_and_flags_its_own_q(monkeypatch, n, m)
     )
 
 
-def test_report_checks_the_dense_budget_before_building_the_moment(monkeypatch):
-    calls = []
-    _counting(monkeypatch, "exact_moment", calls)
-    with pytest.raises(BudgetExceeded, match="pgm_report: dense dimension 16384 exceeds"):
-        pgm_report(PgmParams(n=7, m=1))
-    assert calls == []
+def test_report_checks_the_shape_budget_and_the_float_range(capsys):
+    # p(2) = 2 shapes fit a budget of 2, p(3) = 3 do not; p(46) > 1e5 stops the count at 46
+    pgm_report(PgmParams(n=7, m=1), Budgets(max_type_count=2))
+    with pytest.raises(BudgetExceeded, match="partitions of m.1=3: 3 types exceed"):
+        pgm_report(PgmParams(n=7, m=2), Budgets(max_type_count=2))
+    with pytest.raises(BudgetExceeded, match=r"m\+1=101 \(at least those of 46\): 105558 types"):
+        pgm_report(PgmParams(n=1, m=100))
+    # C(2^1022, 1) = 2^1022 is the largest normaliser whose reciprocal is a normal float
+    assert pgm_report(PgmParams(n=1022, m=0)).flags["q_le_bound"]
+    for n, m in [(1023, 0), (512, 1), (10**12, 1)]:
+        with pytest.raises(ValueError, match=f"n={n} is too large for m={m}"):
+            pgm_report(PgmParams(n=n, m=m))
+    assert main(["pgm", "--n", "1023", "--m", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("chs-lab pgm: n=1023 is too large")
+
+
+def test_cli_runs_twenty_qubits_under_the_default_budgets(capsys):
+    assert main(["pgm", "--n", "20", "--m", "8"]) == 0
+    assert '"q_le_bound": true' in capsys.readouterr().out
+
+
+def test_label_sums_are_products_over_the_bits():
+    for n, r in [(1, 1), (1, 2), (3, 5), (4, 16)]:
+        signs = np.stack([_phase_signs(x, 2**n) for x in range(2**n)])
+        assert np.array_equal(pgm._label_sums(r, n), (signs.T @ signs)[:r, :r])
+    assert np.array_equal(pgm._label_sums(3, 1000), 2.0**1000 * np.eye(3))
