@@ -324,8 +324,8 @@ def hiding_distance(
     generated copy per key: the distance between the sector forms of the
     chain's ends, xi_0 and xi_p.
     """
-    from .prsg import PrsParams, _sector_chain
-    from .sectors import relation_classes, sector_trace_distance
+    from .prsg import PrsParams, multikey_mixture
+    from .sectors import sector_trace_distance
 
     _check_sizes(lam, n, p)
     if t < 0:
@@ -349,9 +349,9 @@ def hiding_distance(
         DensityOperator.from_dense(side, (n,) * size)  # validate both as density operators
     _, blocks = _diagonal_blocks(side0 - side1, prefixes)
     td = 0.5 * float(np.abs(np.linalg.eigvalsh(blocks)).sum())
-    space = relation_classes(n, lam, size, budgets)
     td_multikey = sector_trace_distance(
-        _sector_chain(0, multikey_params, space), _sector_chain(p, multikey_params, space)
+        multikey_mixture(0, multikey_params, budgets),
+        multikey_mixture(p, multikey_params, budgets),
     )
     quantities = {
         "td_hiding": td,

@@ -8,13 +8,15 @@ finite mixtures of (phased) type states, so every distance in the eight-step
 hybrid chain between them is computed exactly, with no sampling.
 
 Every report, the rank attack included, builds those mixtures block by block
-over relation classes of sectors (``sectors.relation_classes``): one block per
-multiplicity shape and GF(2)-relation space of the letters' ``lam``-bit
-prefixes, weighted by the exact number of sectors in the class, so the cost
-does not grow with ``n``. ``hybrid_state`` builds the hybrids as PureState
-ensembles; it, the tests' ensemble form of the multi-key chain and the full
-sector enumeration are the independent routes that the tests compare the
-class blocks against.
+over relation classes of sectors (``sectors.relation_classes``), so the cost
+does not grow with ``n``. Each hybrid and each multi-key chain state is one
+call of ``sectors.product_mixture``: which register ranges hold one type
+state, which ranges are keyed (their prefixes folded) or independent (their
+multisets sorted), which orderings or rows are admitted, and the exact member
+count. Hybrids 1 and 8 are the chain states xi_0 and xi_1 of one key.
+``hybrid_state`` builds the hybrids as PureState ensembles; it, the tests'
+ensemble form of the multi-key chain and the full sector enumeration are the
+independent routes that the tests compare the class blocks against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +34,7 @@ from .reporting import ExperimentReport
 from .sectors import (
     SectorMixture,
     SectorSpace,
-    arrangements,
-    indicator_mixture,
-    reciprocals,
+    product_mixture,
     relation_classes,
     sector_support_overlap,
     sector_trace_distance,
@@ -173,30 +173,6 @@ def hybrid_state(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Densit
     return DensityOperator((p.n,) * size, ensemble=tuple(members))
 
 
-# ---------------------------------------------------------------------------
-# Sector-block hybrids
-# ---------------------------------------------------------------------------
-#
-# Every register has width n, so each hybrid and chain state is block diagonal
-# over sectors (see ``sectors``). On every sector each state is
-# weight(o) * [key(o) = key(o')] over orderings o, o':
-# - keyed groups: averaging the key's sign outer products over all keys leaves
-#   the indicator that the XOR of the group's lam-bit prefixes agrees;
-# - split or product states: the key is the sorted multiset in the first
-#   registers, and the weight 1/(d_A d_B) of |A>|B> (for a split of a type,
-#   the split count cancels against d_A d_B to the type's own 1/d).
-# Keys and weights read prefixes as ``letter >> space.shift`` and compare
-# letters only for equality, so a class's representative row stands for every
-# sector of its class. The weights are normalized by the exact member counts,
-# Python ints that may exceed any fixed width, each reciprocal correctly
-# rounded; the traces of the blocks summing to 1 checks the weights.
-
-
-def _fold(values: np.ndarray, positions, shift: int) -> np.ndarray:
-    """(..., 1) XOR of the prefixes at the given positions of every ordering."""
-    return np.bitwise_xor.reduce(values[..., list(positions)] >> shift, axis=-1)[..., None]
-
-
 def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> list[np.ndarray]:
     """Per shape group, which rows are ell-fold lam-prefix collision-free.
 
@@ -222,57 +198,44 @@ def _cf_count(space: SectorSpace, cf: list[np.ndarray]) -> int:
 def _sector_hybrid(
     index: int, p: PrsParams, space: SectorSpace, cf: list[np.ndarray] | None = None
 ) -> SectorMixture:
-    """Hybrid ``index`` in sector form; ``cf`` is needed for hybrids 2 and 3."""
-    ell, t, size, shift = p.ell, p.t, space.size, space.shift
-    n = _hybrid_size(index, p, _cf_count(space, cf) if cf else 0)
-    if n == 0:
+    """Hybrid ``index`` in sector form; ``cf`` is needed for hybrids 2 and 3.
+
+    One row of ``product_mixture`` arguments per hybrid, over the ranges of
+    all registers, of the ``ell`` generated copies and of the ``t`` common
+    copies. Hybrids 2 and 3 admit the collision-free rows ``cf``.
+    """
+    whole, first, rest = (0, space.size), (0, p.ell), (p.ell, space.size)
+    normaliser = _hybrid_size(index, p, _cf_count(space, cf) if cf else 0)
+    if normaliser == 0:
         raise _empty_hybrid(index, p)
-    if index in (2, 3):
-        cf_of = {group: mask[:, None] for group, mask in zip(space.groups, cf)}
-
-    def describe(group):
-        values = group.values()
-        first = values[..., :ell]
-        keys = _fold(values, range(ell), shift) if index <= 2 else np.sort(first, axis=-1)
-        distinct = group.shape == (1,) * size
-        if index in (2, 3):
-            return keys, cf_of[group] * (1 / (n * group.dim))
-        if index <= 5:
-            return keys, (distinct if index == 5 else True) / (n * group.dim)
-        d_a, d_b = arrangements(first), arrangements(values[..., ell:])
-        if index == 6:
-            allowed = distinct
-        elif index == 7:
-            allowed = (d_a == math.factorial(ell)) & (d_b == math.factorial(t))
-        else:
-            allowed = True
-        return keys, allowed * reciprocals(n, d_a * d_b)
-
-    return indicator_mixture(space, describe)
+    # index: (type factors, folded keys, sorted keys, ranges of distinct letters)
+    factors, folds, sorts, distinct = {
+        1: ((whole,), (first,), (), ()),
+        2: ((whole,), (first,), (), ()),
+        3: ((whole,), (), (first,), ()),
+        4: ((whole,), (), (first,), ()),
+        5: ((whole,), (), (first,), (whole,)),
+        6: ((first, rest), (), (first,), (whole,)),
+        7: ((first, rest), (), (first,), (first, rest)),
+        8: ((first, rest), (), (first,), ()),
+    }[index]
+    admitted = cf if index in (2, 3) else None
+    return product_mixture(space, normaliser, factors, folds, sorts, distinct, admitted)
 
 
 def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
     """Multi-key chain state xi_j in sector form.
 
-    The first j ell-register groups hold independent ell-copy moments (key:
-    each group's sorted multiset), the remaining p - j groups are keyed (key:
-    each group's prefix fold), and the common copies follow.
+    The first j ell-register groups hold independent ell-copy moments (sorted
+    keys), the other p - j groups are keyed (folded keys), and the remaining
+    registers, the keyed groups and the common copies, hold one type state.
     """
-    N, ell, shift = space.N, p.ell, space.shift
-    groups = [range(g * ell, (g + 1) * ell) for g in range(p.p)]
-    keyed_size = space.size - j * ell
-    n = math.comb(N + ell - 1, ell) ** j * math.comb(N + keyed_size - 1, keyed_size)
-
-    def describe(group):
-        values = group.values()
-        keys = [np.sort(values[..., g], axis=-1) for g in groups[:j]]
-        keys += [_fold(values, g, shift) for g in groups[j:]]
-        orderings = arrangements(values[..., j * ell :])
-        for g in groups[:j]:
-            orderings = orderings * arrangements(values[..., g])
-        return np.concatenate(keys, axis=-1), reciprocals(n, orderings)
-
-    return indicator_mixture(space, describe)
+    N, ell, size = space.N, p.ell, space.size
+    groups = tuple((g * ell, (g + 1) * ell) for g in range(p.p))
+    rest = size - j * ell
+    normaliser = math.comb(N + ell - 1, ell) ** j * math.comb(N + rest - 1, rest)
+    factors = groups[:j] + ((j * ell, size),)
+    return product_mixture(space, normaliser, factors, folds=groups[j:], sorts=groups[:j])
 
 
 def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
@@ -300,14 +263,6 @@ def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGE
 # ---------------------------------------------------------------------------
 
 _CONSECUTIVE = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
-
-
-def _real_ideal_td(lam: int, n: int, ell: int, t: int, budgets: Budgets = DEFAULT_BUDGETS) -> float:
-    params = PrsParams(lam=lam, n=n, ell=ell, t=t)
-    space = relation_classes(n, lam, ell + t, budgets)
-    return sector_trace_distance(
-        _sector_hybrid(1, params, space), _sector_hybrid(8, params, space)
-    )
 
 
 def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
@@ -394,7 +349,13 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
         current = _sector_chain(j + 1, params, space)
         td_j = sector_trace_distance(previous, current)
         previous = current
-        single = _real_ideal_td(lam, n, ell, (p - j - 1) * ell + t, budgets)
+        # the single-key chain xi_0 -> xi_1 on the (p - j) ell + t registers left
+        single_params = replace(params, t=(p - j - 1) * ell + t, p=1)
+        single_space = space if j == 0 else relation_classes(n, lam, (p - j) * ell + t, budgets)
+        single = sector_trace_distance(
+            _sector_chain(0, single_params, single_space),
+            _sector_chain(1, single_params, single_space),
+        )
         quantities[f"td_xi{j}_xi{j + 1}"] = td_j
         quantities[f"single_key_td_j{j}"] = single
         all_links_ok &= td_j <= single + ATOL_CHAIN

@@ -334,19 +334,15 @@ def trace_distance(
     return 0.5 * float(np.abs(_difference_eigenvalues(rho, sigma, budgets)).sum())
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def fidelity(
     rho: DensityOperator, sigma: DensityOperator, budgets: Budgets = DEFAULT_BUDGETS
 ) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     When one argument is pure this reduces to <psi|sigma|psi>, which is used
-    as a shortcut.
+    as a shortcut. Otherwise both square roots follow the package's support
+    rule: eigenvalues at or below ``REL_RANK_CUTOFF`` times the largest count
+    as zero, so eigenvalue noise off the support adds nothing.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -354,10 +350,10 @@ def fidelity(
         if a.is_ensemble and len(a.ensemble) == 1:
             psi = a.ensemble[0][1].dense(budgets)
             return float(np.real(psi.conjugate() @ b.to_dense(budgets) @ psi))
-    root = _psd_sqrt(rho.to_dense(budgets))
-    inner = root @ sigma.to_dense(budgets) @ root
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sqrt(vals).sum() ** 2)
+    vals, vecs, kept = _support_eigh(rho.to_dense(budgets), REL_RANK_CUTOFF)
+    root = _on_support(vecs, np.sqrt(np.where(kept, vals, 0.0)))
+    vals, _, kept = _support_eigh(root @ sigma.to_dense(budgets) @ root, REL_RANK_CUTOFF)
+    return float(np.sqrt(vals[kept]).sum() ** 2)
 
 
 def _support_eigh(mat: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

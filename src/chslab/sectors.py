@@ -1,17 +1,16 @@
 """Mixtures stored as one real block per relation class of sectors.
 
 When every register has the same width, a type state lives on the orderings
-of one multiset of register values, its *sector*. A mixture of such states
-(and of tensor products of them) is block diagonal over sectors, and its block
-on a sector S is a matrix in the basis of S's distinct orderings.
+of one multiset of register values, its *sector*. Every state of the security
+proof is a key-averaged mixture of products of type states, so it is block
+diagonal over sectors, and ``product_mixture`` writes its block on a sector in
+the basis of the sector's distinct orderings; its docstring states the one
+block convention.
 
-The mixtures built from this module have, on every sector, the form
-``weight(o) * [key(o) == key(o')]`` over orderings ``o, o'``: a builder only
-says, per ordering, which key it carries and which weight. Sectors that share
-one multiplicity shape (``(2, 1)`` for ``{a, a, b}``) form a group. The keys
-are prefix XORs and sorted multisets, so within a group a sector's block
-depends only on the GF(2)-linear relations among its letters' ``lam``-bit
-prefixes, and the weights only on the shape and on those relations. Even-weight
+Sectors that share one multiplicity shape (``(2, 1)`` for ``{a, a, b}``) form
+a group. The keys are prefix XORs and sorted multisets, so within a group a
+sector's block depends only on the GF(2)-linear relations among its letters'
+``lam``-bit prefixes, and the weights only on the shape. Even-weight
 relations are the relations among the differences ``x_i - x_1``, a subspace
 ``V`` of ``GF(2)^(r-1)`` for ``r`` letters, and ``V`` also says which letters
 share a prefix. ``relation_classes`` therefore enumerates, per shape, the
@@ -35,7 +34,7 @@ import sys
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -81,10 +80,6 @@ class ShapeGroup:
     @property
     def dim(self) -> int:
         return self.orderings.shape[0]
-
-    def values(self) -> np.ndarray:
-        """(rows, dim, size) register values of every ordering of every row."""
-        return self.letters[:, self.orderings]
 
     def elements(self) -> np.ndarray:
         """(rows, size) each row's multiset, one entry per copy."""
@@ -259,21 +254,53 @@ class SectorMixture:
         )
 
 
-Describe = Callable[[ShapeGroup], tuple[np.ndarray, np.ndarray]]
+def product_mixture(
+    space: SectorSpace,
+    normaliser: int,
+    factors: tuple[tuple[int, int], ...],
+    folds: tuple[tuple[int, int], ...] = (),
+    sorts: tuple[tuple[int, int], ...] = (),
+    distinct: tuple[tuple[int, int], ...] = (),
+    admitted: list[np.ndarray] | None = None,
+) -> SectorMixture:
+    """A mixture of products of type states, as blocks ``w(o) * [key(o) == key(o')]``.
 
+    Over orderings ``o, o'`` of every row, with register ranges ``(a, b)``
+    for ``[a, b)``. The ``factors`` are consecutive ranges covering every
+    register, each holding one type state, so
+    ``w(o) = 1 / (normaliser * prod_f arrangements(o[f]))``, correctly rounded
+    from the exact Python int ``normaliser``. The key is the XOR of the
+    ``lam``-bit prefixes (``letter >> space.shift``) over each range of
+    ``folds``, which is what averaging a keyed phase over all keys leaves,
+    and the sorted multiset over each range of ``sorts``. Orderings with a
+    repeated letter in a range of ``distinct``, and rows outside ``admitted``
+    (per group, a ``(rows,)`` mask; None admits every row), weigh 0.
 
-def indicator_mixture(space: SectorSpace, describe: Describe) -> SectorMixture:
-    """Blocks ``weight(o) * [key(o) == key(o')]`` on every row.
-
-    ``describe(group)`` returns the keys, ``(rows, dim, k)`` integers compared
-    row by row, and the weights, broadcastable to ``(rows, dim)``. The weight
-    must be equal on orderings with equal keys, so every block is symmetric.
+    A row's letters are distinct, so the weights and the multiset keys follow
+    from the shape's orderings alone (over all registers, the arrangements
+    are the block dimension); only the folds read the letters. A group whose
+    rows all have one block stores it as one read-only view.
     """
     blocks = []
-    for group in space.groups:
-        keys, weight = describe(group)
-        same = (keys[:, :, None] == keys[:, None, :]).all(axis=-1)
-        blocks.append(same * np.broadcast_to(weight, same.shape[:2])[:, :, None])
+    for g, group in enumerate(space.groups):
+        order, shape = group.orderings, (len(group.counts), group.dim, group.dim)
+        arranged = {
+            (a, b): group.dim if b - a == space.size else arrangements(order[:, a:b])
+            for a, b in {*factors, *distinct}
+        }
+        weight = reciprocals(normaliser, math.prod(arranged[f] for f in factors))
+        for a, b in distinct:
+            weight = weight * (arranged[a, b] == math.factorial(b - a))
+        block = np.reshape(weight, (-1, 1))  # row o of a block weighs w(o)
+        for a, b in sorts:
+            key = np.sort(order[:, a:b], axis=1)
+            block = (key[:, None] == key[None, :]).all(axis=-1) * block
+        for a, b in folds:
+            key = np.bitwise_xor.reduce(group.letters[:, order[:, a:b]] >> space.shift, axis=-1)
+            block = (key[:, :, None] == key[:, None, :]) * block
+        if admitted is not None:
+            block = admitted[g][:, None, None] * block
+        blocks.append(block if block.shape == shape else np.broadcast_to(block, shape))
     return SectorMixture(space, tuple(blocks))
 
 
@@ -335,10 +362,14 @@ def arrangements(values: np.ndarray) -> np.ndarray:
     return math.factorial(m) // np.tril(same).sum(axis=-1).prod(axis=-1)
 
 
-def reciprocals(n: int, denominators: np.ndarray) -> np.ndarray:
-    """``1 / (n * denominators)`` elementwise for a Python int ``n``, each value
-    correctly rounded from the exact integer product, so no size of ``n``
-    overflows."""
-    values, inverse = np.unique(denominators, return_inverse=True)
-    exact = np.array([1 / (n * v) for v in values.tolist()])
-    return exact[inverse].reshape(denominators.shape)
+def reciprocals(n: int, denominators):
+    """``1 / (n * d)`` for a Python int ``n`` and an int or 1-D integer array of ``d``.
+
+    Each value is correctly rounded from the exact integer product, so no
+    size of ``n`` overflows.
+    """
+    if isinstance(denominators, int):
+        return 1 / (n * denominators)
+    flat = denominators.tolist()
+    exact = {d: 1 / (n * d) for d in set(flat)}
+    return np.array([exact[d] for d in flat])

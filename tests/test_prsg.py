@@ -10,7 +10,6 @@ from chslab.haar import exact_moment
 from chslab.prsg import (
     HybridSpec,
     PrsParams,
-    _real_ideal_td,
     generate,
     hybrid_mixture,
     hybrid_state,
@@ -146,7 +145,8 @@ def test_two_parameter_rate_fit_describes_the_sweep():
     for lam in (1, 2, 3):
         for n in (3, 4):
             for t in (1, 2):
-                points[(lam, n, 1, t)] = _real_ideal_td(lam, n, 1, t)
+                report = single_key_report(PrsParams(lam=lam, n=n, ell=1, t=t))
+                points[(lam, n, 1, t)] = report.quantities["td_real_ideal"]
     keys = sorted(points)
     design = np.array(
         [
@@ -165,19 +165,30 @@ def test_two_parameter_rate_fit_describes_the_sweep():
 def test_real_ideal_distance_is_recomputed_under_each_budget():
     # A value computed under the default budgets must not answer a later call
     # whose budget forbids the enumeration.
-    assert _real_ideal_td(2, 3, 1, 1) == pytest.approx(0.14583333333333334, abs=1e-12)
+    params, chain = PrsParams(lam=2, n=3, ell=1, t=1), PrsParams(lam=2, n=3, ell=1, t=0, p=2)
+    td = single_key_report(params).quantities["td_real_ideal"]
+    assert td == pytest.approx(0.14583333333333334, abs=1e-12)
     with pytest.raises(BudgetExceeded):
-        _real_ideal_td(2, 3, 1, 1, Budgets(max_type_count=10))
-    single_key_report(PrsParams(lam=2, n=3, ell=1, t=1))
+        single_key_report(params, Budgets(max_type_count=10))
+    multi_key_report(chain)
     with pytest.raises(BudgetExceeded):
-        single_key_report(PrsParams(lam=2, n=3, ell=1, t=1), Budgets(max_type_count=10))
+        multi_key_report(chain, Budgets(max_type_count=10))
+    assert single_key_report(params).quantities["td_real_ideal"] == td
 
 
 def test_multikey_reduces_to_single_key():
+    # At p = 1 the chain is the single-key experiment: its one link, its
+    # single-key bound and the total are the real/ideal distance, which the
+    # ensemble route gives too.
     report = multi_key_report(PrsParams(lam=2, n=3, ell=1, t=1, p=1))
-    assert report.quantities["td_real_ideal"] == pytest.approx(
-        _real_ideal_td(2, 3, 1, 1), abs=1e-12
+    params = PrsParams(lam=2, n=3, ell=1, t=1)
+    single = single_key_report(params).quantities["td_real_ideal"]
+    ensembles = gram_trace_distance(
+        hybrid_state(HybridSpec(1, params)), hybrid_state(HybridSpec(8, params))
     )
+    assert single == pytest.approx(ensembles, abs=1e-12)
+    for key in ("td_real_ideal", "td_xi0_xi1", "single_key_td_j0"):
+        assert report.quantities[key] == pytest.approx(single, abs=1e-12)
 
 
 def test_multikey_chain_monotonicity():

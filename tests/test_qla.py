@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chslab.budgets import BudgetExceeded, Budgets
-from chslab.haar import exact_moment
+from chslab.haar import exact_moment, sample_haar
 from chslab.qla import (
     DensityOperator,
     PureState,
@@ -208,6 +208,23 @@ def test_fidelity_values_and_errors():
     assert fidelity(half, pure_op(ZERO)) == pytest.approx(0.5, abs=1e-10)
     with pytest.raises(ValueError):
         fidelity(half, DensityOperator.from_dense(np.eye(4) / 4, (2,)))
+
+
+def test_fidelity_of_rank_deficient_dense_states_ignores_eigenvalue_noise():
+    # F(|theta><theta|, I/d) = 1/d. As a dense operator |theta><theta| has d - 1
+    # eigenvalues of rounding noise around zero; their square roots are ~1e-8.
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for n in (1, 2, 3):
+        d = 1 << n
+        mixed = DensityOperator.from_dense(np.eye(d) / d, (n,))
+        for _ in range(60):
+            theta = sample_haar(n, rng)
+            vec = theta.dense()
+            dense = DensityOperator.from_dense(np.outer(vec, vec.conj()), (n,))
+            for a, b in ((dense, mixed), (mixed, dense)):
+                worst = max(worst, abs(fidelity(a, b) - 1 / d))
+    assert worst < 1e-12
 
 
 def test_fidelity_multiplicative_over_tensor():

@@ -66,7 +66,7 @@ def _sector_dense(mixture) -> np.ndarray:
     dense = np.zeros((N**size, N**size))
     radix = N ** np.arange(size - 1, -1, -1)
     for group, block in zip(mixture.space.groups, mixture.blocks):
-        flat = group.values() @ radix  # (count, dim)
+        flat = group.letters[:, group.orderings] @ radix  # (count, dim)
         dense[flat[:, :, None], flat[:, None, :]] = block
     return dense
 
@@ -270,7 +270,7 @@ def test_sector_counts_cover_every_type(N, size):
         assert group.dim == math.factorial(size) // math.prod(
             math.factorial(m) for m in group.shape
         )
-        assert (arrangements(group.values()) == group.dim).all()
+        assert (arrangements(group.letters[:, group.orderings]) == group.dim).all()
 
 
 def test_subspace_enumerator_yields_every_subspace_once():
@@ -378,6 +378,48 @@ def test_every_mixture_has_unit_trace(lam, n, ell, t, p):
             assert np.array_equal(block, block.transpose(0, 2, 1))
     for j in range(params.p + 1):
         assert multikey_mixture(j, params).trace() == pytest.approx(1.0, abs=ATOL)
+
+
+@pytest.mark.parametrize(
+    "lam, n, ell, t",
+    [
+        (1, 1, 1, 0),
+        (2, 3, 1, 0),
+        (1, 1, 3, 0),
+        (2, 3, 1, 2),
+        (1, 2, 2, 2),
+        (3, 4, 2, 1),
+        (2, 4, 1, 3),
+        (8, 38, 1, 2),
+    ],
+)
+def test_real_and_ideal_hybrids_are_the_one_key_chain_ends(lam, n, ell, t):
+    # H1 is xi_0 and H8 is xi_1 of the one-key chain, bit for bit, so the
+    # multi-key report's single-key links are chain distances.
+    budgets = Budgets(max_type_count=10**90)
+    params = PrsParams(lam=lam, n=n, ell=ell, t=t)
+    for index, j in ((1, 0), (8, 1)):
+        hybrid = hybrid_mixture(HybridSpec(index, params), budgets)
+        chain = multikey_mixture(j, params, budgets)
+        assert len(hybrid.blocks) == len(chain.blocks)
+        for x, y in zip(hybrid.blocks, chain.blocks):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+
+
+def test_every_report_gets_its_space_through_prsg():
+    # _on_sectors patches prsg.relation_classes; it must reach every report,
+    # commit-hiding's chain included.
+    params = PrsParams(lam=1, n=2, ell=1, t=1, p=2)
+    calls = [
+        (single_key_report, params),
+        (multi_key_report, params),
+        (impossibility_attack, params),
+        (hiding_distance, 1, 2, 2, 1),
+    ]
+    for call, *args in calls:
+        with mock.patch.object(prsg, "relation_classes", wraps=relation_classes) as spy:
+            call(*args)
+        assert spy.called, call.__name__
 
 
 def test_budgets_are_enforced_on_the_sector_route():
