@@ -13,17 +13,19 @@ the unit vector ``g_a`` over the orderings that start with a. ``D_x`` scales
 
 - the moment is ``M_ab = sqrt(mu_a mu_b) / ((m+1) C)``;
 - ``sum_x (-1)^(x . (a xor b)) = d [a == b]``, so sigma is ``d diag(M)``,
-  with one eigenvalue per letter, and is zero on the rest of the sector;
+  with one eigenvalue ``d mu_a / ((m+1) C) >= d / ((m+1) C)`` per letter,
+  positive on the whole span, and is zero on the rest of the sector;
 - ``S = sigma^(-1/2)`` commutes with every ``D_x``, so one sandwich
   ``A = S M S`` (it comes out as ``J / d``) gives every label's POVM element
   ``D_x A D_x``, and every label the overlap ``Tr(M A)``.
 
 A sector's block depends only on its shape, and a shape with ``r <= d``
 parts stands for ``(d)_r / |Aut mu|`` sectors, so every quantity is a sum
-over the partitions of m+1 and its cost does not depend on d. Everything is
-real and no d-dimensional object is built. ``phase_ensemble_state`` builds
-one ``rho_x`` densely, the independent reference where ``d^(m+1)`` fits the
-dense budget.
+over the partitions of m+1 and its cost does not depend on d. The
+type-enumeration budget counts the partitions as they are enumerated, so a
+refusal stops one past the budget. Everything is real and no d-dimensional
+object is built. ``phase_ensemble_state`` builds one ``rho_x`` densely, the
+independent reference where ``d^(m+1)`` fits the dense budget.
 
 ``pgm_report`` is the entry point: one report with the overlap quantity, its
 (m+1)/d cap, the inverse-root norm and the PGM success probability.
@@ -43,7 +45,7 @@ from .haar import exact_moment
 from .qla import DensityOperator
 from .reporting import ExperimentReport
 from .sectors import MAX_NORMALISER, _partitions
-from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_STRUCTURAL, REL_RANK_CUTOFF
+from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_STRUCTURAL
 from .typestates import phase_sign
 
 
@@ -84,28 +86,6 @@ def phase_ensemble_state(
     return DensityOperator.from_dense(moment * np.outer(diag, diag), (params.n,) * params.copies)
 
 
-def _partition_count(size: int, cap: int) -> tuple[int, int]:
-    """``(k, p(k))`` for ``k = size``, or for the first ``k < size`` with ``p(k) > cap``.
-
-    ``p`` is the partition function, from Euler's pentagonal recurrence; it
-    increases with ``k``, so stopping at the first value above ``cap`` bounds
-    the work by the cap, not by ``size``.
-    """
-    counts = [1]
-    for k in range(1, size + 1):
-        total, j = 0, 1
-        while j * (3 * j - 1) // 2 <= k:
-            sign = 1 if j % 2 else -1
-            total += sign * counts[k - j * (3 * j - 1) // 2]
-            if j * (3 * j + 1) // 2 <= k:
-                total += sign * counts[k - j * (3 * j + 1) // 2]
-            j += 1
-        counts.append(total)
-        if total > cap:
-            break
-    return len(counts) - 1, counts[-1]
-
-
 def _label_sums(r: int, n: int) -> np.ndarray:
     """``sum_x (-1)^(x . (a xor b))`` over the n-bit labels x, for letters a, b < r.
 
@@ -125,26 +105,40 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     pinned to the closed form sqrt(C(d+m, m+1) (m+1) / d), which is the
     submultiplicativity ingredient that yields the cap.
 
-    The POVM elements are S rho_x S, completed on the null space of sigma with
-    weight I/d so they sum to the identity. The source bound for arbitrary
-    measurements is stated as an equality with an unspecified constant, which
-    is untestable as written; it is treated as an upper bound with the fitted
-    constant reported.
+    The POVM elements are S rho_x S. On each shape's span sigma is positive,
+    its entries d mu_a / ((m+1) C) at least d / ((m+1) C), so S is defined on
+    the whole span and the elements sum to the identity there; off the spans
+    sigma and every rho_x vanish, so the I/d that completes the POVM there
+    adds nothing, and the success probability is Q itself. So
+    ``guess_probability`` is ``q_mean``, and the ``guess_le_sqrt_q`` flag
+    (Q <= sqrt(Q), true for every Q in [0, 1]) holds by construction: it
+    stays in the report's schema but checks nothing. The source bound
+    for arbitrary measurements is stated as an equality with an unspecified
+    constant, which is untestable as written; it is treated as an upper bound
+    with the fitted constant reported.
 
     Everything is read off the multiplicity shapes mu, the partitions of m+1
     into r <= d parts, one r-dim block per shape (see the module docstring).
     A shape stands for (d)_r / |Aut mu| sectors, out of C = C(d+m, m+1), and
     every sector of a shape has the same block. In units of 1/C the moment
     block is ``sqrt(mu_a mu_b) / (m+1)`` and sigma is d times its diagonal, so
-    C drops out of A = S M S and of the completeness residual, and enters Q,
-    the null overlap and the norm of S only as the weight of each shape. The
-    partitions of m+1 are checked against the type-enumeration budget, and a
-    C beyond the float range is refused.
+    C drops out of A = S M S and of the completeness residual, and enters Q
+    and the norm of S only as the weight of each shape. The partitions of m+1
+    are enumerated up to one past the type-enumeration budget, whose check
+    counts the ones enumerated, and a C beyond the float range is refused.
     """
     n, m, copies = params.n, params.m, params.copies
-    k, count = _partition_count(copies, budgets.max_type_count)
-    more = f" (at least those of {k})" if k < copies else ""
-    budgets.check_type_count(count, f"pgm_report: the partitions of m+1={copies}{more}")
+    by_parts: dict[int, list[tuple[int, ...]]] = {}
+    enumerated = 0
+    for shape in _partitions(copies):
+        enumerated += 1
+        if enumerated > budgets.max_type_count:
+            break
+        by_parts.setdefault(len(shape), []).append(shape)
+    budgets.check_type_count(
+        enumerated,
+        f"pgm_report: the partitions of m+1={copies} (enumerated up to one past the budget)",
+    )
     # C(2^n+m, m+1) >= 2^n, so a larger n is refused before 2^n is formed
     normaliser = math.comb(params.d + m, copies) if n < MAX_NORMALISER.bit_length() else None
     if normaliser is None or normaliser > MAX_NORMALISER:
@@ -153,14 +147,11 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
             "is beyond the float range"
         )
     d = params.d
-    by_parts: dict[int, list[tuple[int, ...]]] = {}
-    for shape in _partitions(copies):
-        if len(shape) <= d:
-            by_parts.setdefault(len(shape), []).append(shape)
-    largest = float(d)  # sigma on the one-letter shape (m+1,)
-    q_mean = null_overlap = completeness_error = 0.0
+    q_mean = completeness_error = 0.0
     smallest = math.inf
     for r, shapes in by_parts.items():
+        if r > d:
+            continue
         tuples = math.perm(d, r)  # r distinct letters, in order
         weight = np.array([
             tuples // math.prod(math.factorial(c) for c in Counter(shape).values()) / normaliser
@@ -168,24 +159,19 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
         ])
         mu = np.array(shapes, dtype=float)
         moment = np.sqrt(mu[:, :, None] * mu[:, None, :]) / copies
-        diagonal = np.diagonal(moment, axis1=1, axis2=2)
-        sigma = float(d) * diagonal
-        kept = sigma > REL_RANK_CUTOFF * largest
-        smallest = min(smallest, float(sigma[kept].min()))
-        inv_root = np.where(kept, 1.0 / np.sqrt(sigma), 0.0)
+        sigma = float(d) * np.diagonal(moment, axis1=1, axis2=2)
+        smallest = min(smallest, float(sigma.min()))
+        inv_root = 1.0 / np.sqrt(sigma)
         sandwich = inv_root[:, :, None] * moment * inv_root[:, None, :]
         q_mean += float(weight @ np.einsum("kab,kba->k", moment, sandwich))
-        null = (~kept).astype(float)
-        null_overlap += float(weight @ (null * diagonal).sum(axis=1))
         residual = sandwich * _label_sums(r, n)
-        residual[:, np.arange(r), np.arange(r)] += null - 1.0
+        residual[:, np.arange(r), np.arange(r)] -= 1.0
         completeness_error = max(completeness_error, float(np.abs(residual).max()))
     if completeness_error > 1e-8:
         raise RuntimeError(
             f"POVM completeness violated by {completeness_error}; "
-            "null-space completion is broken"
+            "the elements D_x S M S D_x do not sum to the identity on the shapes' spans"
         )
-    guess = q_mean + null_overlap / d
     norm_measured = math.sqrt(normaliser / smallest)
     norm_formula = math.sqrt(normaliser * copies / d)
     # 1e-8 absolute, but no finer than the float spacing of a norm that grows like sqrt(C)
@@ -194,9 +180,9 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     quantities = {
         "q_mean": q_mean,
         "inv_sqrt_norm_measured": norm_measured,
-        "guess_probability": guess,
+        "guess_probability": q_mean,
         "completeness_error": completeness_error,
-        "fitted_constant": (guess / rate) if rate else float("nan"),
+        "fitted_constant": (q_mean / rate) if rate else float("nan"),
     }
     bounds = {
         "q_bound": (m + 1) / d,
@@ -208,8 +194,8 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     flags = {
         "q_le_bound": q_mean <= (m + 1) / d + ATOL_CHAIN,
         "inv_sqrt_norm_matches_formula": abs(norm_measured - norm_formula) <= norm_tolerance,
-        "guess_ge_random": guess >= 1.0 / d - ATOL_CHAIN,
-        "guess_le_sqrt_q": guess <= math.sqrt(q_mean) + ATOL_CHAIN,
+        "guess_ge_random": q_mean >= 1.0 / d - ATOL_CHAIN,
+        "guess_le_sqrt_q": q_mean <= math.sqrt(q_mean) + ATOL_CHAIN,
         "povm_complete": completeness_error <= ATOL_STRUCTURAL,
     }
     return ExperimentReport(

@@ -13,7 +13,7 @@ does not grow with ``n``. Each hybrid and each multi-key chain state is one
 call of ``sectors.product_mixture``: which register ranges hold one type
 state, which ranges are keyed (their prefixes folded) or independent (their
 multisets sorted), which orderings or rows are admitted, and the exact member
-count. Hybrids 1 and 8 are the chain states xi_0 and xi_1 of one key.
+count. Hybrids 1 and 8 are built as the one-key chain's ends xi_0 and xi_1.
 ``hybrid_state`` builds the hybrids as PureState ensembles; it, the tests'
 ensemble form of the multi-key chain and the full sector enumeration are the
 independent routes that the tests compare the class blocks against.
@@ -198,11 +198,12 @@ def _cf_count(space: SectorSpace, cf: list[np.ndarray]) -> int:
 def _sector_hybrid(
     index: int, p: PrsParams, space: SectorSpace, cf: list[np.ndarray] | None = None
 ) -> SectorMixture:
-    """Hybrid ``index`` in sector form; ``cf`` is needed for hybrids 2 and 3.
+    """Hybrid ``index`` of 2..7 in sector form; ``cf`` is needed for hybrids 2 and 3.
 
     One row of ``product_mixture`` arguments per hybrid, over the ranges of
     all registers, of the ``ell`` generated copies and of the ``t`` common
-    copies. Hybrids 2 and 3 admit the collision-free rows ``cf``.
+    copies. Hybrids 2 and 3 admit the collision-free rows ``cf``. Hybrids 1
+    and 8 are the one-key chain's ends, ``_sector_chain(0 | 1)``.
     """
     whole, first, rest = (0, space.size), (0, p.ell), (p.ell, space.size)
     normaliser = _hybrid_size(index, p, _cf_count(space, cf) if cf else 0)
@@ -210,28 +211,27 @@ def _sector_hybrid(
         raise _empty_hybrid(index, p)
     # index: (type factors, folded keys, sorted keys, ranges of distinct letters)
     factors, folds, sorts, distinct = {
-        1: ((whole,), (first,), (), ()),
         2: ((whole,), (first,), (), ()),
         3: ((whole,), (), (first,), ()),
         4: ((whole,), (), (first,), ()),
         5: ((whole,), (), (first,), (whole,)),
         6: ((first, rest), (), (first,), (whole,)),
         7: ((first, rest), (), (first,), (first, rest)),
-        8: ((first, rest), (), (first,), ()),
     }[index]
     admitted = cf if index in (2, 3) else None
     return product_mixture(space, normaliser, factors, folds, sorts, distinct, admitted)
 
 
 def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
-    """Multi-key chain state xi_j in sector form.
+    """Multi-key chain state xi_j in sector form; with one key, xi_0, xi_1 are hybrids 1, 8.
 
-    The first j ell-register groups hold independent ell-copy moments (sorted
-    keys), the other p - j groups are keyed (folded keys), and the remaining
+    The key count is read off the space: ell-register key groups, then t
+    common copies. The first j groups hold independent ell-copy moments
+    (sorted keys), the others are keyed (folded keys), and the remaining
     registers, the keyed groups and the common copies, hold one type state.
     """
     N, ell, size = space.N, p.ell, space.size
-    groups = tuple((g * ell, (g + 1) * ell) for g in range(p.p))
+    groups = tuple((g * ell, (g + 1) * ell) for g in range((size - p.t) // ell))
     rest = size - j * ell
     normaliser = math.comb(N + ell - 1, ell) ** j * math.comb(N + rest - 1, rest)
     factors = groups[:j] + ((j * ell, size),)
@@ -242,6 +242,8 @@ def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Sect
     """Sector form of ``hybrid_state(spec)``: the same operator, block by block."""
     p = spec.params
     space = relation_classes(p.n, p.lam, p.ell + p.t, budgets)
+    if spec.index in (1, 8):
+        return _sector_chain(int(spec.index == 8), p, space)
     cf = _conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
     return _sector_hybrid(spec.index, p, space, cf)
 
@@ -269,12 +271,12 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     """Exact distance between the real and ideal experiments plus the hybrid chain.
 
     The real state is hybrid 1 (keyed phases on a uniform type) and the ideal
-    state is hybrid 8 (two independent types); the report carries every
-    consecutive-hybrid distance and the claimed decay rates for the steps that
-    are not exact equalities. When no prefix collision-free type exists the
-    conditioned hybrids 2 and 3 are undefined and the chain fields are left
-    out, with a note; so are they when fewer than ell + t strings exist, which
-    empties hybrids 5 to 7.
+    state is hybrid 8 (two independent types), the one-key chain's ends xi_0
+    and xi_1; the report carries every consecutive-hybrid distance and the
+    claimed decay rates for the steps that are not exact equalities. When no
+    prefix collision-free type exists the conditioned hybrids 2 and 3 are
+    undefined and the chain fields are left out, with a note; so are they
+    when fewer than ell + t strings exist, which empties hybrids 5 to 7.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     quantities: dict[str, float] = {}
@@ -282,8 +284,7 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     notes: list[str] = []
 
     space = relation_classes(n, lam, ell + t, budgets)
-    h1 = _sector_hybrid(1, params, space)
-    h8 = _sector_hybrid(8, params, space)
+    h1, h8 = _sector_chain(0, params, space), _sector_chain(1, params, space)
     quantities["td_real_ideal"] = sector_trace_distance(h1, h8)
 
     cf = _conditioned_sectors(space, params, budgets)
@@ -350,7 +351,7 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
         td_j = sector_trace_distance(previous, current)
         previous = current
         # the single-key chain xi_0 -> xi_1 on the (p - j) ell + t registers left
-        single_params = replace(params, t=(p - j - 1) * ell + t, p=1)
+        single_params = replace(params, t=(p - j - 1) * ell + t)
         single_space = space if j == 0 else relation_classes(n, lam, (p - j) * ell + t, budgets)
         single = sector_trace_distance(
             _sector_chain(0, single_params, single_space),
@@ -388,7 +389,8 @@ def impossibility_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) 
 
     rho0 and rho1 are hybrids 1 and 8 with the register groups swapped: one
     unitary on both, which keeps the ranks and carries Pi along, so the sector
-    blocks of hybrids 1 and 8 (generated copies first) give the same numbers.
+    blocks of hybrids 1 and 8, the one-key chain's ends xi_0 and xi_1
+    (generated copies first), give the same numbers.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     space = relation_classes(n, lam, ell + t, budgets)
@@ -397,7 +399,7 @@ def impossibility_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) 
     if max(rank0_formula, rank1_formula) > sys.float_info.max:
         raise ValueError(f"n={n} is too large: the rank formulas exceed the float range")
     rank0, rank1, tr_rho0, tr_rho1 = sector_support_overlap(
-        _sector_hybrid(1, params, space), _sector_hybrid(8, params, space)
+        _sector_chain(0, params, space), _sector_chain(1, params, space)
     )
     quantities = {
         "tr_pi_rho0": tr_rho0,

@@ -21,9 +21,10 @@ number of sectors it stands for. The cost depends on ``lam`` and the shape,
 not on ``n``, and a space never has more rows than sectors.
 
 A trace distance is one batched ``eigvalsh`` per group and a support
-projection one batched ``eigh``, each row weighted by its count. Every sector
-on its own, each with count 1, is the same structure; the tests build it as
-the independent reference.
+projection one batched ``eigh``, each row weighted by its count; a group
+whose rows share one block is solved once. Every sector on its own, each
+with count 1, is the same structure; the tests build it as the independent
+reference.
 """
 
 from __future__ import annotations
@@ -279,7 +280,8 @@ def product_mixture(
     A row's letters are distinct, so the weights and the multiset keys follow
     from the shape's orderings alone (over all registers, the arrangements
     are the block dimension); only the folds read the letters. A group whose
-    rows all have one block stores it as one read-only view.
+    rows all have one block stores it as one read-only view (row stride 0),
+    which the spectral helpers solve once.
     """
     blocks = []
     for g, group in enumerate(space.groups):
@@ -317,11 +319,15 @@ def _check_same_space(a: SectorMixture, b: SectorMixture) -> None:
 
 
 def sector_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
-    """Half the trace norm of ``a - b``, summed over the rows' blocks."""
+    """Half the trace norm of ``a - b``, summed over the rows' blocks, each shared one once."""
     _check_same_space(a, b)
     total = 0.0
     for group, x, y in zip(a.space.groups, a.blocks, b.blocks):
-        total += float(group.weights() @ np.abs(np.linalg.eigvalsh(x - y)).sum(axis=1))
+        if x.strides[0] or y.strides[0]:
+            norms = np.abs(np.linalg.eigvalsh(x - y)).sum(axis=1)
+        else:  # both one shared block (row stride 0): solve it once, a copy per row
+            norms = np.abs(np.linalg.eigvalsh(x[:1] - y[:1])).sum(axis=1).repeat(len(x))
+        total += float(group.weights() @ norms)
     return 0.5 * total
 
 
@@ -331,11 +337,15 @@ def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int
     Eigenvalues count when strictly above ``REL_RANK_CUTOFF`` times the largest
     over all blocks, as for the whole operator. Pi keeps the eigenvectors V of
     a's blocks (one batched ``eigh`` per shape group); Tr(Pi b) sums
-    Tr(V^T B V) over the rows. Ranks are exact Python ints.
+    Tr(V^T B V) over the rows. b's spectrum is solved once for a shared group.
+    Ranks are exact Python ints.
     """
     _check_same_space(a, b)
     eigs = [np.linalg.eigh(x) for x in a.blocks]
-    vals_b = [np.linalg.eigvalsh(y) for y in b.blocks]
+    vals_b = [
+        np.linalg.eigvalsh(y) if y.strides[0] else np.linalg.eigvalsh(y[:1]).repeat(len(y), 0)
+        for y in b.blocks
+    ]
     top_a = max(float(w.max()) for w, _ in eigs)
     top_b = max(float(w.max()) for w in vals_b)
     rank_a = rank_b = 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,12 +198,23 @@ def test_report_builds_no_dense_moment_and_flags_its_own_q(monkeypatch, n, m):
 
 
 def test_report_checks_the_shape_budget_and_the_float_range(capsys):
-    # p(2) = 2 shapes fit a budget of 2, p(3) = 3 do not; p(46) > 1e5 stops the count at 46
+    # p(2) = 2 shapes fit a budget of 2, p(3) = 3 do not; the p(101) ~ 2e8
+    # shapes of m = 100 are enumerated only up to one past the budget
     pgm_report(PgmParams(n=7, m=1), Budgets(max_type_count=2))
-    with pytest.raises(BudgetExceeded, match="partitions of m.1=3: 3 types exceed"):
+    with pytest.raises(BudgetExceeded, match=r"m\+1=3 \(enumerated .*\): 3 types exceed"):
         pgm_report(PgmParams(n=7, m=2), Budgets(max_type_count=2))
-    with pytest.raises(BudgetExceeded, match=r"m\+1=101 \(at least those of 46\): 105558 types"):
-        pgm_report(PgmParams(n=1, m=100))
+    assert main(["pgm", "--n", "1", "--m", "100"]) == 2
+    assert re.fullmatch(
+        r"chs-lab pgm: pgm_report: the partitions of m\+1=101 \(enumerated up to one past "
+        r"the budget\): 100001 types exceed enumeration budget 100000\n",
+        capsys.readouterr().err,
+    )
+    # a budget past the machine int range enumerates every shape
+    report = pgm_report(PgmParams(n=1, m=3))
+    for cap in (2**63, 10**400):
+        assert pgm_report(PgmParams(n=1, m=3), Budgets(max_type_count=cap)) == report
+    assert main(["pgm", "--n", "1", "--m", "3", "--max-type-count", str(10**21)]) == 0
+    assert '"q_le_bound": true' in capsys.readouterr().out
     # C(2^1022, 1) = 2^1022 is the largest normaliser whose reciprocal is a normal float
     assert pgm_report(PgmParams(n=1022, m=0)).flags["q_le_bound"]
     for n, m in [(1023, 0), (512, 1), (10**12, 1)]:

@@ -191,6 +191,20 @@ def test_multikey_reduces_to_single_key():
         assert report.quantities[key] == pytest.approx(single, abs=1e-12)
 
 
+@pytest.mark.parametrize("lam, n, ell, t", [(2, 3, 1, 1), (1, 2, 2, 0), (2, 3, 2, 1)])
+def test_one_key_routes_ignore_the_key_count(lam, n, ell, t):
+    # H1 and H8 are the one-key chain's ends, built by the chain builder,
+    # which reads the key count off the space: p = 3 changes no output.
+    one, three = PrsParams(lam, n, ell, t), PrsParams(lam, n, ell, t, p=3)
+    assert single_key_report(one).to_json() == single_key_report(three).to_json()
+    assert impossibility_attack(one).to_json() == impossibility_attack(three).to_json()
+    for index in range(1, 9):
+        x, y = (hybrid_mixture(HybridSpec(index, params)) for params in (one, three))
+        assert [(b.shape, b.tobytes()) for b in x.blocks] == [
+            (b.shape, b.tobytes()) for b in y.blocks
+        ]
+
+
 def test_multikey_chain_monotonicity():
     report = multi_key_report(PrsParams(lam=2, n=3, ell=1, t=1, p=2))
     assert report.flags["links_le_single_key"]

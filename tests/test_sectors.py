@@ -28,6 +28,7 @@ from chslab.prsg import (
     HybridSpec,
     PrsParams,
     _conditioned_sectors,
+    _sector_chain,
     _sector_hybrid,
     hybrid_mixture,
     hybrid_state,
@@ -542,6 +543,12 @@ def test_conditioned_hybrids_keep_equal_key_patterns_with_different_weights_apar
         assert np.abs(_sector_dense(mixture) - dense).max() < ATOL
 
 
+def _lam_free_chain(params, space):
+    """Hybrids H4 to H8: H4-H7 from the hybrid table, H8 as the one-key chain's xi_1."""
+    hybrids = [_sector_hybrid(index, params, space) for index in range(4, 8)]
+    return hybrids + [_sector_chain(1, params, space)]
+
+
 def test_sector_blocks_repeat_per_shape_group():
     # At (lam, n, ell, t) = (2, 6, 1, 2) the 45,760 sectors fall in 6 relation
     # classes: 1 of shape (3,), 2 of (2, 1) (whether the letters share a
@@ -556,6 +563,42 @@ def test_sector_blocks_repeat_per_shape_group():
     def distinct(mixture):
         return [len(np.unique(block, axis=0)) for block in mixture.blocks]
 
-    assert distinct(_sector_hybrid(1, params, space)) == [1, 2, 3]
-    for index in range(4, 9):
-        assert distinct(_sector_hybrid(index, params, space)) == [1, 1, 1]
+    assert distinct(_sector_chain(0, params, space)) == [1, 2, 3]
+    for mixture in _lam_free_chain(params, space):
+        assert distinct(mixture) == [1, 1, 1]
+
+
+def test_shared_groups_are_solved_once():
+    # The lam-free hybrids store each group's one block as a view with row
+    # stride 0, so every eigvalsh of a lam-free pair, and of the rank attack's
+    # H8 spectrum, runs on one row per group, not on the 1, 2 and 3 rows. The
+    # results equal the per-row solve on materialised copies bit for bit.
+    params = PrsParams(lam=2, n=6, ell=1, t=2)
+    space = relation_classes(6, 2, 3)
+    chain = _lam_free_chain(params, space)
+    h1 = _sector_chain(0, params, space)
+    eigvalsh = np.linalg.eigvalsh
+
+    def run(route):
+        """The four lam-free distances and the H1/H8 overlap, with the eigvalsh stack sizes."""
+        stacks = []
+
+        def spy(a):
+            stacks.append(a.shape[0])
+            return eigvalsh(a)
+
+        with mock.patch.object(np.linalg, "eigvalsh", spy):
+            pairs = zip(chain, chain[1:])
+            distances = [sector_trace_distance(route(x), route(y)) for x, y in pairs]
+            overlap = sector_support_overlap(h1, route(chain[-1]))
+        return distances, overlap, stacks
+
+    def materialised(mixture):
+        return SectorMixture(mixture.space, tuple(np.array(block) for block in mixture.blocks))
+
+    distances, overlap, stacks = run(lambda mixture: mixture)
+    assert stacks == [1, 1, 1] * 5
+    reference = run(materialised)
+    assert reference[2] == [1, 2, 3] * 5
+    assert (distances, overlap) == reference[:2]
+    assert all(type(rank) is int for rank in overlap[:2])
