@@ -7,6 +7,7 @@ offending dimension spelled out, instead of thrashing memory.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 
@@ -19,6 +20,15 @@ def _as_index(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def format_count(count: int) -> str:
+    """``count`` in decimal up to 30 digits, beyond that its power of ten.
+
+    Python refuses to write an int of more than 4300 digits in decimal, and a
+    count that long is read by its order of magnitude anyway.
+    """
+    return str(count) if count < 10**30 else f"about 10^{math.log10(count):.1f}"
 
 
 class BudgetExceeded(RuntimeError):
@@ -44,19 +54,22 @@ class Budgets:
     def check_dense_dim(self, dim: int, what: str) -> None:
         if dim > self.max_dense_dim:
             raise BudgetExceeded(
-                f"{what}: dense dimension {dim} exceeds budget {self.max_dense_dim}"
+                f"{what}: dense dimension {format_count(dim)} exceeds budget "
+                f"{format_count(self.max_dense_dim)}"
             )
 
     def check_type_count(self, count: int, what: str) -> None:
         if count > self.max_type_count:
             raise BudgetExceeded(
-                f"{what}: {count} types exceed enumeration budget {self.max_type_count}"
+                f"{what}: {format_count(count)} types exceed enumeration budget "
+                f"{format_count(self.max_type_count)}"
             )
 
     def check_subset_pairs(self, count: int, what: str) -> None:
         if count > self.max_subset_pairs:
             raise BudgetExceeded(
-                f"{what}: {count} subset pairs exceed budget {self.max_subset_pairs}"
+                f"{what}: {format_count(count)} subset pairs exceed budget "
+                f"{format_count(self.max_subset_pairs)}"
             )
 
 

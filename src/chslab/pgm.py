@@ -20,10 +20,10 @@ the unit vector ``g_a`` over the orderings that start with a. ``D_x`` scales
   ``D_x A D_x``, and every label the overlap ``Tr(M A)``.
 
 A sector's block depends only on its shape, and a shape with ``r <= d``
-parts stands for ``(d)_r / |Aut mu|`` sectors, so every quantity is a sum
-over the partitions of m+1 and its cost does not depend on d. The
-type-enumeration budget counts the partitions as they are enumerated, so a
-refusal stops one past the budget. Everything is real and no d-dimensional
+parts stands for ``(d)_r / |Aut mu| > 0`` sectors, so every quantity is a
+sum over the partitions of m+1 into at most d parts, the only ones walked.
+The type-enumeration budget counts them as they are walked, so a refusal
+stops one past the budget. Everything is real and no d-dimensional
 object is built. ``phase_ensemble_state`` builds one ``rho_x`` densely, the
 independent reference where ``d^(m+1)`` fits the dense budget.
 
@@ -123,21 +123,22 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     every sector of a shape has the same block. In units of 1/C the moment
     block is ``sqrt(mu_a mu_b) / (m+1)`` and sigma is d times its diagonal, so
     C drops out of A = S M S and of the completeness residual, and enters Q
-    and the norm of S only as the weight of each shape. The partitions of m+1
-    are enumerated up to one past the type-enumeration budget, whose check
-    counts the ones enumerated, and a C beyond the float range is refused.
+    and the norm of S only as the weight of each shape. Only those shapes, each
+    with (d)_r > 0 sectors, are walked, up to one past the type-enumeration
+    budget, whose check counts them; a C beyond the float range is refused.
     """
     n, m, copies = params.n, params.m, params.copies
+    max_parts = min(copies, 1 << min(n, copies.bit_length()))  # min(m+1, d), 2^n never formed
     by_parts: dict[int, list[tuple[int, ...]]] = {}
     enumerated = 0
-    for shape in _partitions(copies):
-        enumerated += 1
+    for enumerated, shape in enumerate(_partitions(copies, max_parts), 1):
         if enumerated > budgets.max_type_count:
             break
         by_parts.setdefault(len(shape), []).append(shape)
     budgets.check_type_count(
         enumerated,
-        f"pgm_report: the partitions of m+1={copies} (enumerated up to one past the budget)",
+        f"pgm_report: the partitions of m+1={copies} into at most {max_parts} parts "
+        "(enumerated up to one past the budget)",
     )
     # C(2^n+m, m+1) >= 2^n, so a larger n is refused before 2^n is formed
     normaliser = math.comb(params.d + m, copies) if n < MAX_NORMALISER.bit_length() else None
@@ -150,8 +151,6 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     q_mean = completeness_error = 0.0
     smallest = math.inf
     for r, shapes in by_parts.items():
-        if r > d:
-            continue
         tuples = math.perm(d, r)  # r distinct letters, in order
         weight = np.array([
             tuples // math.prod(math.factorial(c) for c in Counter(shape).values()) / normaliser

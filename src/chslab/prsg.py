@@ -196,17 +196,22 @@ def _cf_count(space: SectorSpace, cf: list[np.ndarray]) -> int:
 
 
 def _sector_hybrid(
-    index: int, p: PrsParams, space: SectorSpace, cf: list[np.ndarray] | None = None
+    index: int,
+    p: PrsParams,
+    space: SectorSpace,
+    cf: list[np.ndarray] | None = None,
+    cf_count: int = 0,
 ) -> SectorMixture:
-    """Hybrid ``index`` of 2..7 in sector form; ``cf`` is needed for hybrids 2 and 3.
+    """Hybrid ``index`` of 2..7 in sector form; hybrids 2 and 3 need ``cf`` and ``cf_count``.
 
     One row of ``product_mixture`` arguments per hybrid, over the ranges of
     all registers, of the ``ell`` generated copies and of the ``t`` common
-    copies. Hybrids 2 and 3 admit the collision-free rows ``cf``. Hybrids 1
-    and 8 are the one-key chain's ends, ``_sector_chain(0 | 1)``.
+    copies. Hybrids 2 and 3 admit the collision-free rows ``cf``, which stand
+    for ``cf_count = _cf_count(space, cf)`` sectors. Hybrids 1 and 8 are the
+    one-key chain's ends, ``_sector_chain(0 | 1)``.
     """
     whole, first, rest = (0, space.size), (0, p.ell), (p.ell, space.size)
-    normaliser = _hybrid_size(index, p, _cf_count(space, cf) if cf else 0)
+    normaliser = _hybrid_size(index, p, cf_count)
     if normaliser == 0:
         raise _empty_hybrid(index, p)
     # index: (type factors, folded keys, sorted keys, ranges of distinct letters)
@@ -245,7 +250,7 @@ def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Sect
     if spec.index in (1, 8):
         return _sector_chain(int(spec.index == 8), p, space)
     cf = _conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
-    return _sector_hybrid(spec.index, p, space, cf)
+    return _sector_hybrid(spec.index, p, space, cf, _cf_count(space, cf) if cf else 0)
 
 
 def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
@@ -302,7 +307,7 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     else:
         previous = h1
         for i, j in _CONSECUTIVE:
-            current = h8 if j == 8 else _sector_hybrid(j, params, space, cf)
+            current = h8 if j == 8 else _sector_hybrid(j, params, space, cf, cf_count)
             quantities[f"td_h{i}_h{j}"] = sector_trace_distance(previous, current)
             previous = current
         step_sum = sum(quantities[f"td_h{i}_h{j}"] for i, j in _CONSECUTIVE)

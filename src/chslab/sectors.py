@@ -47,13 +47,16 @@ from .typestates import distinct_orderings
 MAX_NORMALISER = int(1 / sys.float_info.min)
 
 
-def _partitions(size: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples of positive integers summing to ``size``."""
+def _partitions(size: int, max_parts: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Non-increasing tuples of at most ``max_parts`` positive integers summing to ``size``.
+
+    Each has sectors over ``max_parts`` letters; heads from ``ceil(size / max_parts)`` up yield one.
+    """
     if size == 0:
         yield ()
         return
-    for head in range(min(size, largest or size), 0, -1):
-        for tail in _partitions(size - head, head):
+    for head in range(min(size, largest or size), -(-size // max_parts) - 1, -1):
+        for tail in _partitions(size - head, max_parts - 1, head):
             yield (head,) + tail
 
 
@@ -153,26 +156,25 @@ def _canonical(prefixes: tuple[int, ...]) -> tuple[int, ...]:
 
 def _class_group(
     n: int, lam: int, shape: tuple[int, ...], shift: int, budgets: Budgets
-) -> ShapeGroup | None:
-    """The relation classes of one shape, or None when no sector has the shape.
+) -> ShapeGroup:
+    """The relation classes of one shape of at most ``2^n`` parts.
 
-    A shape that has sectors is checked against the dense budget: each of its
-    rows becomes a dense block with one row and column per distinct ordering.
+    The shape is checked against the dense budget: each of its rows becomes a
+    dense block with one row and column per distinct ordering.
 
     For the difference relations V, letter 1 has prefix 0 and letter i + 1 the
     i-th column of V's annihilator basis, so the prefixes span k dimensions.
     The ordered letter tuples with relations V number
     ``2^lam * prod_{i<k} (2^lam - 2^i)`` (the injective maps of the difference
     span into GF(2)^lam) times ``prod_b (2^(n-lam))_{|b|}`` (distinct suffixes
-    within each prefix class b); that is 0 exactly when no sector has
-    relations V. Swapping two letters of equal multiplicity gives the same
-    sectors, with conjugate blocks, so one class is an orbit of such swaps on
-    the V that occur: its first V is the representative row (letters sharing
-    a prefix take suffixes 0, 1, ...), and its tuples divided by the
+    within each prefix class b), 0 exactly when no sector has relations V; over
+    all V they sum to the ``(2^n)_r > 0`` tuples of r <= 2^n distinct letters,
+    so the shape has a class. Swapping two letters of equal multiplicity gives
+    the same sectors, with conjugate blocks, so one class is an orbit of such
+    swaps on the V that occur: its first V is the representative row (letters
+    sharing a prefix take suffixes 0, 1, ...), and its tuples divided by the
     automorphism count ``|Aut(shape)|`` are its sectors, exactly.
     """
-    if len(shape) > 1 << n:  # more distinct letters than n-bit strings
-        return None
     ordered = {}
     for columns in subspaces(len(shape) - 1, lam):
         prefixes = (0,) + columns
@@ -180,8 +182,6 @@ def _class_group(
         count *= math.prod(math.perm(1 << (n - lam), b) for b in Counter(prefixes).values())
         if count:
             ordered[columns] = count << lam
-    if not ordered:
-        return None
     dim = math.factorial(sum(shape)) // math.prod(math.factorial(m) for m in shape)
     budgets.check_dense_dim(dim, f"sector blocks of shape {shape}")
     swaps = [i for i in range(len(shape) - 1) if shape[i] == shape[i + 1]]
@@ -235,8 +235,8 @@ def relation_classes(
             "the mixture weights would fall below the normal float range"
         )
     shift = (size - 1).bit_length()
-    groups = (_class_group(n, lam, shape, shift, budgets) for shape in _partitions(size))
-    return SectorSpace(N, size, shift, tuple(g for g in groups if g is not None))
+    groups = tuple(_class_group(n, lam, shape, shift, budgets) for shape in _partitions(size, N))
+    return SectorSpace(N, size, shift, groups)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets, format_count
 from .qla import DensityOperator, PureState
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,8 @@ def sample_type(
     width = _width_of(N)
     if N + t - 1 >= 1 << 63:
         raise ValueError(
-            f"cannot sample t={t} of N={N} strings: N + t - 1 must be below 2**63"
+            f"cannot sample t={t} of N={format_count(N)} strings: "
+            "N + t - 1 must be below 2**63"
         )
     positions = np.sort(rng.choice(N + t - 1, size=t, replace=False))
     elements = tuple(int(p) - i for i, p in enumerate(positions))

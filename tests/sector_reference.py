@@ -40,7 +40,7 @@ def sector_space(n: int, lam: int, size: int, budgets: Budgets = DEFAULT_BUDGETS
     """One row per multiset of ``size`` values of ``n`` bits, each with count 1."""
     N = 1 << n
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
-    groups = tuple(_shape_group(N, shape) for shape in _partitions(size) if len(shape) <= N)
+    groups = tuple(_shape_group(N, shape) for shape in _partitions(size, N))
     return SectorSpace(N, size, n - lam, groups)
 
 

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from chslab.cli import main
 from chslab.haar import exact_moment
 from chslab.pgm import PgmParams, _phase_signs, pgm_report, phase_ensemble_state
 from chslab.qla import DensityOperator, inv_sqrt_on_support, support_projector
+from chslab.sectors import _partitions
 from chslab.tolerances import ATOL_CHAIN
 
 
@@ -148,7 +151,8 @@ def _per_label_reference(params):
 
 
 @pytest.mark.parametrize(
-    "n,m", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]
+    "n,m",
+    [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1), (1, 2), (1, 3), (1, 7)],
 )
 def test_report_matches_the_per_label_reference(n, m):
     params = PgmParams(n=n, m=m)
@@ -199,16 +203,23 @@ def test_report_builds_no_dense_moment_and_flags_its_own_q(monkeypatch, n, m):
 
 def test_report_checks_the_shape_budget_and_the_float_range(capsys):
     # p(2) = 2 shapes fit a budget of 2, p(3) = 3 do not; the p(101) ~ 2e8
-    # shapes of m = 100 are enumerated only up to one past the budget
+    # shapes of m = 100 on 128 letters are walked only up to one past the budget
     pgm_report(PgmParams(n=7, m=1), Budgets(max_type_count=2))
-    with pytest.raises(BudgetExceeded, match=r"m\+1=3 \(enumerated .*\): 3 types exceed"):
+    with pytest.raises(
+        BudgetExceeded, match=r"m\+1=3 into at most 3 parts \(enumerated .*\): 3 types exceed"
+    ):
         pgm_report(PgmParams(n=7, m=2), Budgets(max_type_count=2))
-    assert main(["pgm", "--n", "1", "--m", "100"]) == 2
+    assert main(["pgm", "--n", "7", "--m", "100"]) == 2
     assert re.fullmatch(
-        r"chs-lab pgm: pgm_report: the partitions of m\+1=101 \(enumerated up to one past "
-        r"the budget\): 100001 types exceed enumeration budget 100000\n",
+        r"chs-lab pgm: pgm_report: the partitions of m\+1=101 into at most 101 parts "
+        r"\(enumerated up to one past the budget\): 100001 types exceed enumeration "
+        r"budget 100000\n",
         capsys.readouterr().err,
     )
+    # two letters: the 50 shapes of m+1 = 99 into at most 2 parts fit a budget of 50
+    pgm_report(PgmParams(n=1, m=98), Budgets(max_type_count=50))
+    with pytest.raises(BudgetExceeded, match=r"m\+1=100 into at most 2 parts .*: 51 types"):
+        pgm_report(PgmParams(n=1, m=99), Budgets(max_type_count=50))
     # a budget past the machine int range enumerates every shape
     report = pgm_report(PgmParams(n=1, m=3))
     for cap in (2**63, 10**400):
@@ -228,6 +239,23 @@ def test_report_checks_the_shape_budget_and_the_float_range(capsys):
 def test_cli_runs_twenty_qubits_under_the_default_budgets(capsys):
     assert main(["pgm", "--n", "20", "--m", "8"]) == 0
     assert '"q_le_bound": true' in capsys.readouterr().out
+
+
+def test_more_copies_than_letters_walk_only_the_shapes_with_sectors(capsys):
+    # m+1 = 101 copies of one qubit: 51 shapes of at most 2 parts, out of p(101) ~ 2e8
+    assert main(["pgm", "--n", "1", "--m", "100"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["flags"] and all(report["flags"].values())
+
+
+@pytest.mark.parametrize("n,m", [(1, 100), (2, 60), (3, 12), (1, 45)])
+def test_walked_shapes_stand_for_every_sector(n, m):
+    d = 2**n
+    sectors = sum(
+        math.perm(d, len(shape)) // math.prod(math.factorial(c) for c in Counter(shape).values())
+        for shape in _partitions(m + 1, min(m + 1, d))
+    )
+    assert sectors == math.comb(d + m, m + 1)
 
 
 def test_label_sums_are_products_over_the_bits():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chslab import runner
-from chslab.budgets import Budgets
+from chslab.budgets import Budgets, format_count
 from chslab.cli import main
 from chslab.reporting import combined_csv, format_float
 from chslab.runner import ExperimentConfig, run, sweep, validate_params
@@ -409,6 +409,31 @@ def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"chs-lab {argv[0]}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["prsg-td", "--lam", "1", "--n", "20000"], "exceed enumeration budget 100000"),
+        (["impossibility", "--lam", "1", "--n", "20000"], "exceed enumeration budget 100000"),
+        (["commit-hiding", "--lam", "1", "--n", "20000"], "exceeds budget 4096"),
+        (["typestats", "--lam", "20000"], "N + t - 1 must be below 2**63"),
+    ],
+)
+def test_cli_refuses_counts_too_long_to_print_in_one_line(argv, limit, capsys):
+    # 2^20000 letters: the counts have thousands of digits, past Python's int-to-str limit
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"chs-lab {argv[0]}: ") and captured.err.count("\n") == 1
+    assert limit in captured.err and "about 10^" in captured.err
+
+
+def test_counts_print_in_full_up_to_thirty_digits():
+    for count in (8192, 100001, 2**64, 10**30 - 1):
+        assert format_count(count) == str(count)
+    assert format_count(10**30) == "about 10^30.0"
+    assert format_count(2**20000) == "about 10^6020.6"
 
 
 @pytest.mark.parametrize("field", ["max_dense_dim", "max_type_count", "max_subset_pairs"])

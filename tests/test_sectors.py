@@ -27,6 +27,7 @@ from chslab.prsg import (
     _CONSECUTIVE,
     HybridSpec,
     PrsParams,
+    _cf_count,
     _conditioned_sectors,
     _sector_chain,
     _sector_hybrid,
@@ -43,6 +44,7 @@ from chslab.sectors import (
     SectorSpace,
     ShapeGroup,
     _canonical,
+    _partitions,
     arrangements,
     relation_classes,
     sector_support_overlap,
@@ -332,6 +334,39 @@ def test_class_counts_are_exact(n, lam, size):
             assert sum(group.counts) == len(reference.letters)
 
 
+def _every_partition(size, largest=None):
+    """Every partition of ``size``, in the walk's order: the unbounded reference."""
+    if size == 0:
+        yield ()
+        return
+    for head in range(min(size, largest or size), 0, -1):
+        for tail in _every_partition(size - head, head):
+            yield (head,) + tail
+
+
+def test_bounded_shape_walk_is_the_full_walk_filtered():
+    for size in range(26):
+        every = list(_every_partition(size))
+        for max_parts in range(1, size + 2):
+            expected = [shape for shape in every if len(shape) <= max_parts]
+            assert list(_partitions(size, max_parts)) == expected, (size, max_parts)
+
+
+def test_every_shape_with_at_most_N_parts_has_a_class():
+    # n <= 3 reaches shapes of exactly N = 8 parts; size 8 at n = 4, 5 adds
+    # 198 shapes of at most 8 of 16 or 32 letters and ~9 s, and is left out
+    budgets = Budgets(max_type_count=10**12, max_dense_dim=math.factorial(8))
+    for n in range(1, 6):
+        N = 1 << n
+        for lam, size in itertools.product(range(1, n + 1), range(1, 9 if n <= 3 else 8)):
+            space = relation_classes(n, lam, size, budgets)
+            shapes = [shape for shape in _every_partition(size) if len(shape) <= N]
+            assert [group.shape for group in space.groups] == shapes, (n, lam, size)
+            assert all(group.counts for group in space.groups)
+            sectors = sum(sum(group.counts) for group in space.groups)
+            assert sectors == math.comb(N + size - 1, size), (n, lam, size)
+
+
 @pytest.mark.parametrize("lam, n, ell, t", [(2, 16, 2, 2), (2, 20, 1, 2), (2, 70, 1, 2)])
 def test_reports_stay_normalised_at_large_n(lam, n, ell, t):
     budgets = Budgets(max_type_count=10**90)
@@ -452,7 +487,7 @@ def test_block_dimensions_are_checked_against_the_dense_budget(capsys):
     # The orderings of a shape are listed without listing all permutations.
     assert shape_orderings((6, 6)).shape == (math.comb(12, 6), 12)
     # Size 11 on four strings: the budget stops a shape of 4620 orderings; the
-    # shapes of five or more letters, which have no sector, are passed over.
+    # shapes of five or more letters, which have no sector, are never walked.
     with pytest.raises(BudgetExceeded, match=r"shape \(6, 3, 2\): dense dimension 4620"):
         relation_classes(2, 2, 11)
     # ell + t = 8 would build blocks of 8!/3! = 6720 orderings.
@@ -533,7 +568,8 @@ def test_conditioned_hybrids_keep_equal_key_patterns_with_different_weights_apar
     for space in (relation_classes(3, 2, 3), sector_space(3, 2, 3)):
         cf = _conditioned_sectors(space, params, DEFAULT_BUDGETS)
         assert not cf[2].all() and cf[2].any()
-        mixtures = {index: _sector_hybrid(index, params, space, cf) for index in (2, 3)}
+        count = _cf_count(space, cf)
+        mixtures = {index: _sector_hybrid(index, params, space, cf, count) for index in (2, 3)}
         for mixture in mixtures.values():
             for mask, blocks in zip(cf, mixture.blocks):
                 assert np.array_equal(np.trace(blocks, axis1=1, axis2=2) > 0, mask)
