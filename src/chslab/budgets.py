@@ -22,6 +22,25 @@ def _as_index(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def parse_int(text: str, what: str) -> int:
+    """``text`` read by ``int``, or a ``ValueError`` naming ``what``.
+
+    A signed string of decimal digits that ``int`` still refuses has more
+    digits than Python converts (``sys.get_int_max_str_digits()``); it is
+    refused by its digit count and first digits, not echoed in full.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():
+            raise ValueError(
+                f"{what} is too long: {len(digits)} digits, starting {digits[:10]}..."
+            ) from None
+        raise ValueError(f"{what} must be int, got {text!r}") from None
+
+
 def format_count(count: int) -> str:
     """``count`` in decimal up to 30 digits, beyond that its power of ten.
 

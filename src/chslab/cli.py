@@ -20,17 +20,27 @@ import json
 import sys
 from dataclasses import fields
 
-from .budgets import BudgetExceeded, Budgets
+from .budgets import BudgetExceeded, Budgets, parse_int
 from .reporting import format_float
 from .runner import ALIASES, SCHEMAS, ExperimentConfig, run, schema_of, sweep
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value; a refusal is argparse's one-line usage error."""
+    try:
+        return parse_int(text, "the value")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="64-bit seed; fixes all randomness")
+    parser.add_argument(
+        "--seed", type=_int_flag, default=0, help="64-bit seed; fixes all randomness"
+    )
     parser.add_argument("--out", type=str, default=None, help="also write the printed text here")
     parser.add_argument("--config", type=str, default=None, help="JSON object of parameters")
     for budget in fields(Budgets):
-        parser.add_argument(f"--{budget.name.replace('_', '-')}", type=int, default=None)
+        parser.add_argument(f"--{budget.name.replace('_', '-')}", type=_int_flag, default=None)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, names) -> None:

@@ -322,9 +322,9 @@ def hiding_distance(
     the trace distance is one batched real ``eigvalsh`` over those blocks. The
     bit-0 side is cross-checked against the multi-key distance with one
     generated copy per key: the distance between the sector forms of the
-    chain's ends, xi_0 and xi_p.
+    chain's ends, xi_0 and xi_p, built on one space.
     """
-    from .prsg import PrsParams, multikey_mixture
+    from .prsg import PrsParams, _sector_chain, relation_classes
     from .sectors import sector_trace_distance
 
     _check_sizes(lam, n, p)
@@ -349,9 +349,9 @@ def hiding_distance(
         DensityOperator.from_dense(side, (n,) * size)  # validate both as density operators
     _, blocks = _diagonal_blocks(side0 - side1, prefixes)
     td = 0.5 * float(np.abs(np.linalg.eigvalsh(blocks)).sum())
+    space = relation_classes(n, lam, size, budgets)
     td_multikey = sector_trace_distance(
-        multikey_mixture(0, multikey_params, budgets),
-        multikey_mixture(p, multikey_params, budgets),
+        _sector_chain(0, multikey_params, space), _sector_chain(p, multikey_params, space)
     )
     quantities = {
         "td_hiding": td,

@@ -14,6 +14,8 @@ call of ``sectors.product_mixture``: which register ranges hold one type
 state, which ranges are keyed (their prefixes folded) or independent (their
 multisets sorted), which orderings or rows are admitted, and the exact member
 count. Hybrids 1 and 8 are built as the one-key chain's ends xi_0 and xi_1.
+A report hands its chain to ``sectors.trace_distances`` as a generator of
+pairs, so it builds each state when it is needed and holds at most two.
 ``hybrid_state`` builds the hybrids as PureState ensembles; it, the tests'
 ensemble form of the multi-key chain and the full sector enumeration are the
 independent routes that the tests compare the class blocks against.
@@ -38,6 +40,7 @@ from .sectors import (
     relation_classes,
     sector_support_overlap,
     sector_trace_distance,
+    trace_distances,
 )
 from .tolerances import ATOL_CHAIN, ATOL_IDENTITY
 from .typestates import (
@@ -253,23 +256,26 @@ def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Sect
     return _sector_hybrid(spec.index, p, space, cf, _cf_count(space, cf) if cf else 0)
 
 
-def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
-    """Sector form of the multi-key chain state xi_j.
-
-    The first j key slots hold independent ell-copy moments; the tests check
-    it against the chain state built as a PureState ensemble.
-    """
-    if not 0 <= j <= params.p:
-        raise ValueError(f"chain index {j} out of range 0..{params.p}")
-    space = relation_classes(params.n, params.lam, params.p * params.ell + params.t, budgets)
-    return _sector_chain(j, params, space)
-
-
 # ---------------------------------------------------------------------------
 # Trace-distance reports
 # ---------------------------------------------------------------------------
 
 _CONSECUTIVE = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+
+
+def _chain_pairs(first: SectorMixture, middle, last: SectorMixture):
+    """The chain's ends ``(first, last)``, then, if ``middle`` has a state, its links.
+
+    The links join ``first``, the states of ``middle`` (built as they are
+    read) and ``last``; no state is held past its last pair.
+    """
+    yield first, last
+    linked = False
+    for state in middle:
+        yield first, state
+        first, linked = state, True
+    if linked:
+        yield first, last
 
 
 def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
@@ -289,40 +295,36 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     notes: list[str] = []
 
     space = relation_classes(n, lam, ell + t, budgets)
-    h1, h8 = _sector_chain(0, params, space), _sector_chain(1, params, space)
-    quantities["td_real_ideal"] = sector_trace_distance(h1, h8)
-
     cf = _conditioned_sectors(space, params, budgets)
     cf_count = _cf_count(space, cf)
     empty = [i for i in range(2, 8) if _hybrid_size(i, params, cf_count) == 0]
+    chain = (_sector_hybrid(j, params, space, cf, cf_count) for j in range(2, 8) if not empty)
+    pairs = _chain_pairs(_sector_chain(0, params, space), chain, _sector_chain(1, params, space))
+    quantities["td_real_ideal"], *steps = trace_distances(pairs)
+    # keep the quantity schema stable: without a chain its fields exist but are empty
+    for (i, j), step in zip(_CONSECUTIVE, steps or [None] * len(_CONSECUTIVE)):
+        quantities[f"td_h{i}_h{j}"] = step
     if empty:
         notes.append(
             f"hybrid chain unavailable: {_empty_hybrid(empty[0], params)}; "
             "only the direct real/ideal distance is reported"
         )
-        # keep the quantity schema stable: the chain fields exist but are empty
-        for i, j in _CONSECUTIVE:
-            quantities[f"td_h{i}_h{j}"] = None
         quantities["sum_consecutive"] = None
     else:
-        previous = h1
-        for i, j in _CONSECUTIVE:
-            current = h8 if j == 8 else _sector_hybrid(j, params, space, cf, cf_count)
-            quantities[f"td_h{i}_h{j}"] = sector_trace_distance(previous, current)
-            previous = current
-        step_sum = sum(quantities[f"td_h{i}_h{j}"] for i, j in _CONSECUTIVE)
+        step_sum = sum(steps)
         quantities["sum_consecutive"] = step_sum
         flags["td_le_sum_of_steps"] = quantities["td_real_ideal"] <= step_sum + ATOL_CHAIN
         flags["h2_h3_equivalent"] = quantities["td_h2_h3"] < ATOL_IDENTITY
         flags["h5_h6_equivalent"] = quantities["td_h5_h6"] < ATOL_IDENTITY
 
+    rate = (t + ell) ** (2 * ell) / 2**lam
     bounds = {
-        "rate_h1_h2": (t + ell) ** (2 * ell) / 2**lam,
-        "rate_h3_h4": (t + ell) ** (2 * ell) / 2**lam,
+        "rate_h1_h2": rate,
+        "rate_h3_h4": rate,
         "rate_h4_h5": (t + ell) ** 2 / 2**n,
         "rate_h6_h7": t * ell / 2**n,
         "rate_h7_h8": (t**2 + ell**2) / 2**n,
-        "rate_total": (t + ell) ** (2 * ell) / 2**lam,
+        "rate_total": rate,
     }
     notes.append("register order: generated copies first, then common copies")
     return ExperimentReport(
@@ -346,15 +348,14 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
     """
     lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
     space = relation_classes(n, lam, p * ell + t, budgets)
-    real = previous = _sector_chain(0, params, space)
+    chain = (_sector_chain(j, params, space) for j in range(1, p))
+    pairs = _chain_pairs(_sector_chain(0, params, space), chain, _sector_chain(p, params, space))
+    td_total, *links = trace_distances(pairs)
     quantities: dict[str, float] = {}
     flags: dict[str, bool] = {}
     step_sum = 0.0
     all_links_ok = True
-    for j in range(p):
-        current = _sector_chain(j + 1, params, space)
-        td_j = sector_trace_distance(previous, current)
-        previous = current
+    for j, td_j in enumerate(links or [td_total]):  # one key: the chain's one link is its ends
         # the single-key chain xi_0 -> xi_1 on the (p - j) ell + t registers left
         single_params = replace(params, t=(p - j - 1) * ell + t)
         single_space = space if j == 0 else relation_classes(n, lam, (p - j) * ell + t, budgets)
@@ -366,7 +367,6 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
         quantities[f"single_key_td_j{j}"] = single
         all_links_ok &= td_j <= single + ATOL_CHAIN
         step_sum += td_j
-    td_total = sector_trace_distance(real, previous)
     quantities["td_real_ideal"] = td_total
     quantities["sum_links"] = step_sum
     flags["links_le_single_key"] = bool(all_links_ok)

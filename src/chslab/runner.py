@@ -21,7 +21,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 from . import typestates
-from .budgets import DEFAULT_BUDGETS, Budgets, _as_index
+from .budgets import DEFAULT_BUDGETS, Budgets, _as_index, parse_int
 from .haar import rng_for, sample_haar
 from .reporting import ExperimentReport, combined_csv
 
@@ -74,16 +74,17 @@ def _checked_value(experiment: str, name: str, kind: type, value):
     integral float, or a string of an int (the form the command line passes);
     booleans and anything non-integral are rejected.
     """
+    what = f"{experiment} parameter {name!r}"
     if kind is int:
+        if isinstance(value, str):
+            return parse_int(value, what)
         if isinstance(value, float) and value.is_integer():
             return int(value)
         with suppress(ValueError):
-            return int(value) if isinstance(value, str) else _as_index(value, name)
+            return _as_index(value, name)
     elif isinstance(value, kind):
         return value
-    raise ValueError(
-        f"{experiment} parameter {name!r} must be {kind.__name__}, got {value!r}"
-    )
+    raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
 
 
 # Other names an experiment runs under; its report carries the name it was run as.
@@ -183,18 +184,14 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
     params = validate_params(config.experiment, config.params)
     seed, budgets = config.seed, config.budgets
     experiment = ALIASES.get(config.experiment, config.experiment)
-    if experiment == "prsg-td":
+    if experiment in ("prsg-td", "multikey-td", "impossibility"):
         from . import prsg
 
-        report = prsg.single_key_report(prsg.PrsParams(**params), budgets)
-    elif experiment == "multikey-td":
-        from . import prsg
-
-        report = prsg.multi_key_report(prsg.PrsParams(**params), budgets)
-    elif experiment == "impossibility":
-        from . import prsg
-
-        report = prsg.impossibility_attack(prsg.PrsParams(**params), budgets)
+        report = {
+            "prsg-td": prsg.single_key_report,
+            "multikey-td": prsg.multi_key_report,
+            "impossibility": prsg.impossibility_attack,
+        }[experiment](prsg.PrsParams(**params), budgets)
     elif experiment == "commit-binding":
         report = _run_commit_binding(params, seed, budgets)
     elif experiment == "commit-hiding":

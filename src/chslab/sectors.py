@@ -20,11 +20,14 @@ each class one representative row over a reduced width, weighted by the exact
 number of sectors it stands for. The cost depends on ``lam`` and the shape,
 not on ``n``, and a space never has more rows than sectors.
 
-A trace distance is one batched ``eigvalsh`` per group and a support
-projection one batched ``eigh``, each row weighted by its count; a group
-whose rows share one block is solved once. Every sector on its own, each
-with count 1, is the same structure; the tests build it as the independent
-reference.
+``trace_distances`` reads a report's pairs of mixtures as they are built and
+stacks their difference blocks by group, one per row or one for a group
+whose rows share a block; once the stacks hold ``_STACK`` entries, each
+group's stack is one ``eigvalsh``, each row weighted by its count. A support
+projection is one batched ``eigh`` per group. The arrays that depend only on
+the space (arrangement counts, key masks, row weights) are built once per
+space, in ``SectorSpace.tables``. Every sector on its own, each with count 1,
+is the same structure; the tests build it as the independent reference.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ import math
 import sys
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,19 +47,30 @@ from .typestates import distinct_orderings
 
 # The largest normaliser whose reciprocal is a normal float: 2**1022.
 MAX_NORMALISER = int(1 / sys.float_info.min)
+Ranges = tuple[tuple[int, int], ...]  # register ranges (a, b) for [a, b)
+# Difference-block entries gathered from pairs before each group's stack is solved.
+_STACK = 1 << 15
 
 
-def _partitions(size: int, max_parts: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+def _partitions(size: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing tuples of at most ``max_parts`` positive integers summing to ``size``.
 
-    Each has sectors over ``max_parts`` letters; heads from ``ceil(size / max_parts)`` up yield one.
+    In reverse lexicographic order; each has sectors over ``max_parts``
+    letters. Each step lowers by one the last part ``p`` whose rest (the parts
+    after it, plus the one taken from it) fits in the parts left at no more
+    than ``p - 1`` each, then refills the rest greedily: ``p - 1`` as often as
+    it fits, then the remainder.
     """
-    if size == 0:
-        yield ()
-        return
-    for head in range(min(size, largest or size), -(-size // max_parts) - 1, -1):
-        for tail in _partitions(size - head, max_parts - 1, head):
-            yield (head,) + tail
+    parts = [size] if size else []
+    while True:
+        yield tuple(parts)
+        rest = 1
+        while parts and rest > (parts[-1] - 1) * (max_parts - len(parts)):
+            rest += parts.pop()
+        if not parts:
+            return
+        low = parts.pop() - 1
+        parts += [low] * (rest // low + 1) + [rest % low] * (rest % low > 0)
 
 
 def shape_orderings(shape: tuple[int, ...]) -> np.ndarray:
@@ -66,8 +79,7 @@ def shape_orderings(shape: tuple[int, ...]) -> np.ndarray:
     return np.array(distinct_orderings(pattern), dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class ShapeGroup:
+class ShapeGroup(NamedTuple):
     """Rows of sectors with one multiplicity shape, each standing for many sectors.
 
     ``letters[c]`` holds row c's representative distinct values, letter ``i``
@@ -89,26 +101,50 @@ class ShapeGroup:
         """(rows, size) each row's multiset, one entry per copy."""
         return self.letters[:, np.repeat(np.arange(len(self.shape)), self.shape)]
 
-    def weights(self) -> np.ndarray:
-        """(rows,) sectors per row, each a correctly rounded float."""
-        return np.array([float(count) for count in self.counts])
-
     def total(self, per_row) -> int:
         """The exact sum over sectors of an integer given per row (a rank, a mask)."""
         return sum(c * k for c, k in zip(self.counts, per_row))
 
 
-@dataclass(frozen=True, eq=False)
-class SectorSpace:
+class SectorSpace(NamedTuple):
     """Every sector of ``size`` registers over ``N`` letters, by shape group.
 
-    A letter's ``lam``-bit prefix is ``letter >> shift``.
+    A letter's ``lam``-bit prefix is ``letter >> shift``. ``tables`` starts
+    empty and holds the arrays ``_table`` builds once for the space.
     """
 
     N: int
     size: int
     shift: int
     groups: tuple[ShapeGroup, ...]
+    tables: dict
+
+
+def _table(space: SectorSpace, g: int, kind: str, a: int = 0, b: int = 0):
+    """One array that depends only on group ``g`` of ``space``, built once per space.
+
+    ``weights``: (rows,) sectors per row, each a correctly rounded float. Over
+    the registers ``[a, b)``: ``arranged``, each ordering's arrangements there;
+    ``sorted``, (dim, dim) whether two orderings hold one multiset there;
+    ``folded``, (rows, dim, dim) whether they have one XOR of ``lam``-bit
+    prefixes there.
+    """
+    key = (g, kind, a, b)
+    if key not in space.tables:
+        group = space.groups[g]
+        values = group.orderings[:, a:b]
+        if kind == "weights":
+            space.tables[key] = np.array([float(count) for count in group.counts])
+        elif kind == "arranged":
+            space.tables[key] = arrangements(values)
+        else:  # each ordering's key there, compared along its last axis
+            if kind == "sorted":
+                values = np.sort(values, axis=1)
+            else:
+                letters = group.letters[:, values] >> space.shift
+                values = np.bitwise_xor.reduce(letters, axis=-1, keepdims=True)
+            space.tables[key] = (values[..., :, None, :] == values[..., None, :, :]).all(axis=-1)
+    return space.tables[key]
 
 
 def subspaces(m: int, max_dim: int) -> Iterator[tuple[int, ...]]:
@@ -236,11 +272,10 @@ def relation_classes(
         )
     shift = (size - 1).bit_length()
     groups = tuple(_class_group(n, lam, shape, shift, budgets) for shape in _partitions(size, N))
-    return SectorSpace(N, size, shift, groups)
+    return SectorSpace(N, size, shift, groups, {})
 
 
-@dataclass(frozen=True, eq=False)
-class SectorMixture:
+class SectorMixture(NamedTuple):
     """A mixture by shape group: ``blocks[g][c]`` is row c's ``(d, d)`` block."""
 
     space: SectorSpace
@@ -249,8 +284,8 @@ class SectorMixture:
     def trace(self) -> float:
         return float(
             sum(
-                group.weights() @ np.trace(block, axis1=1, axis2=2)
-                for group, block in zip(self.space.groups, self.blocks)
+                _table(self.space, g, "weights") @ np.trace(block, axis1=1, axis2=2)
+                for g, block in enumerate(self.blocks)
             )
         )
 
@@ -258,10 +293,10 @@ class SectorMixture:
 def product_mixture(
     space: SectorSpace,
     normaliser: int,
-    factors: tuple[tuple[int, int], ...],
-    folds: tuple[tuple[int, int], ...] = (),
-    sorts: tuple[tuple[int, int], ...] = (),
-    distinct: tuple[tuple[int, int], ...] = (),
+    factors: Ranges,
+    folds: Ranges = (),
+    sorts: Ranges = (),
+    distinct: Ranges = (),
     admitted: list[np.ndarray] | None = None,
 ) -> SectorMixture:
     """A mixture of products of type states, as blocks ``w(o) * [key(o) == key(o')]``.
@@ -278,57 +313,86 @@ def product_mixture(
     (per group, a ``(rows,)`` mask; None admits every row), weigh 0.
 
     A row's letters are distinct, so the weights and the multiset keys follow
-    from the shape's orderings alone (over all registers, the arrangements
-    are the block dimension); only the folds read the letters. A group whose
-    rows all have one block stores it as one read-only view (row stride 0),
-    which the spectral helpers solve once.
+    from the shape's orderings alone; only the folds read the letters. Each
+    is a ``_table`` of the space, built on its first use. The blocks are
+    read-only views; a group whose rows all have one block stores it once
+    (row stride 0), and the spectral helpers solve it once.
     """
     blocks = []
     for g, group in enumerate(space.groups):
-        order, shape = group.orderings, (len(group.counts), group.dim, group.dim)
-        arranged = {
-            (a, b): group.dim if b - a == space.size else arrangements(order[:, a:b])
-            for a, b in {*factors, *distinct}
-        }
+        arranged = {r: _table(space, g, "arranged", *r) for r in {*factors, *distinct}}
         weight = reciprocals(normaliser, math.prod(arranged[f] for f in factors))
         for a, b in distinct:
             weight = weight * (arranged[a, b] == math.factorial(b - a))
-        block = np.reshape(weight, (-1, 1))  # row o of a block weighs w(o)
-        for a, b in sorts:
-            key = np.sort(order[:, a:b], axis=1)
-            block = (key[:, None] == key[None, :]).all(axis=-1) * block
-        for a, b in folds:
-            key = np.bitwise_xor.reduce(group.letters[:, order[:, a:b]] >> space.shift, axis=-1)
-            block = (key[:, :, None] == key[:, None, :]) * block
+        same = True  # whether two orderings share every key, in an admitted row
+        for kind, ranges in (("sorted", sorts), ("folded", folds)):
+            for r in ranges:
+                same = same & _table(space, g, kind, *r)
         if admitted is not None:
-            block = admitted[g][:, None, None] * block
-        blocks.append(block if block.shape == shape else np.broadcast_to(block, shape))
+            same = same & admitted[g][:, None, None]
+        block = same * np.reshape(weight, (-1, 1))  # row o of a block weighs w(o)
+        blocks.append(np.broadcast_to(block, (len(group.counts), group.dim, group.dim)))
     return SectorMixture(space, tuple(blocks))
 
 
-def _check_same_space(a: SectorMixture, b: SectorMixture) -> None:
-    x, y = a.space, b.space
-    if x is y:
-        return
-    same = (x.N, x.size, x.shift, len(x.groups)) == (y.N, y.size, y.shift, len(y.groups))
-    if not same or not all(
-        g.counts == h.counts and np.array_equal(g.letters, h.letters)
-        for g, h in zip(x.groups, y.groups)
+def _check_same_space(x: SectorSpace, y: SectorSpace) -> None:
+    if x is not y and not (
+        x[:3] == y[:3]
+        and len(x.groups) == len(y.groups)
+        and all(
+            g.counts == h.counts and np.array_equal(g.letters, h.letters)
+            for g, h in zip(x.groups, y.groups)
+        )
     ):
-        raise ValueError(f"sector spaces differ: (N, size) = {(x.N, x.size)} vs {(y.N, y.size)}")
+        raise ValueError(f"sector spaces differ: (N, size) = {x[:2]} vs {y[:2]}")
+
+
+def trace_distances(pairs: Iterable[tuple[SectorMixture, SectorMixture]]) -> list[float]:
+    """Half the trace norm of ``a - b`` for each pair ``(a, b)`` of mixtures on one space.
+
+    The pairs are read one at a time and none is kept: each leaves its
+    difference blocks, one per row of each group or one for a group where
+    both mixtures share a block (row stride 0). Once they hold ``_STACK``
+    entries, each group's blocks are solved by one ``eigvalsh``, and each
+    pair's norms are weighted by the rows' counts and summed group by group,
+    in order, so a distance does not depend on the pairs solved with it.
+    """
+    space, batch, distances = None, [], []
+
+    def solve() -> None:
+        norms = [  # a stack of one array is solved without a copy
+            np.abs(np.linalg.eigvalsh(s[0] if len(s) == 1 else np.concatenate(s))).sum(axis=1)
+            for s in zip(*batch)
+        ]
+        for diffs in batch:
+            total = 0.0
+            for g, d in enumerate(diffs):
+                weights = _table(space, g, "weights")  # a shared block counts for every row
+                total += float(weights @ norms[g][: len(d)].repeat(len(weights) // len(d)))
+                norms[g] = norms[g][len(d) :]
+            distances.append(0.5 * total)
+        batch.clear()
+
+    for a, b in pairs:
+        space = space or a.space
+        for mixture in (a, b):
+            _check_same_space(space, mixture.space)
+        batch.append(
+            [
+                x - y if x.strides[0] or y.strides[0] else x[:1] - y[:1]
+                for x, y in zip(a.blocks, b.blocks)
+            ]
+        )
+        del a, b, mixture  # so the iterable can free this pair while it builds the next
+        if sum(d.size for diffs in batch for d in diffs) >= _STACK:
+            solve()
+    solve()
+    return distances
 
 
 def sector_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
-    """Half the trace norm of ``a - b``, summed over the rows' blocks, each shared one once."""
-    _check_same_space(a, b)
-    total = 0.0
-    for group, x, y in zip(a.space.groups, a.blocks, b.blocks):
-        if x.strides[0] or y.strides[0]:
-            norms = np.abs(np.linalg.eigvalsh(x - y)).sum(axis=1)
-        else:  # both one shared block (row stride 0): solve it once, a copy per row
-            norms = np.abs(np.linalg.eigvalsh(x[:1] - y[:1])).sum(axis=1).repeat(len(x))
-        total += float(group.weights() @ norms)
-    return 0.5 * total
+    """Half the trace norm of ``a - b``: ``trace_distances`` of the one pair."""
+    return trace_distances([(a, b)])[0]
 
 
 def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int, float, float]:
@@ -340,7 +404,7 @@ def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int
     Tr(V^T B V) over the rows. b's spectrum is solved once for a shared group.
     Ranks are exact Python ints.
     """
-    _check_same_space(a, b)
+    _check_same_space(a.space, b.space)
     eigs = [np.linalg.eigh(x) for x in a.blocks]
     vals_b = [
         np.linalg.eigvalsh(y) if y.strides[0] else np.linalg.eigvalsh(y[:1]).repeat(len(y), 0)
@@ -350,11 +414,11 @@ def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int
     top_b = max(float(w.max()) for w in vals_b)
     rank_a = rank_b = 0
     tr_a = tr_b = 0.0
-    for group, (w, v), w_b, y in zip(a.space.groups, eigs, vals_b, b.blocks):
+    for g, (group, (w, v), w_b, y) in enumerate(zip(a.space.groups, eigs, vals_b, b.blocks)):
         kept = w > REL_RANK_CUTOFF * top_a
         rank_a += group.total(kept.sum(axis=1).tolist())
         rank_b += group.total((w_b > REL_RANK_CUTOFF * top_b).sum(axis=1).tolist())
-        weights = group.weights()
+        weights = _table(a.space, g, "weights")
         tr_a += float(weights @ np.where(kept, w, 0.0).sum(axis=1))
         overlaps = np.einsum("pij,pij->pj", v, y @ v)
         tr_b += float(weights @ np.where(kept, overlaps, 0.0).sum(axis=1))

@@ -1,12 +1,17 @@
 """Every sector on its own: the reference that the relation classes are checked against.
 
+``partitions`` is the recursive shape walk and ``pairwise_trace_distance``
+the one-pair, one-``eigvalsh``-per-group distance: the references that
+``sectors._partitions`` and ``sectors.trace_distances`` must match exactly.
+
 ``sector_space`` has the signature of ``sectors.relation_classes`` and builds
 the same ``SectorSpace``, but with one row per sector, its real ``n``-bit
 letters and count 1. Patching it in for ``prsg.relation_classes`` runs every
 report on the full sector enumeration.
 
-``multikey_xi`` builds the multi-key chain state as a PureState ensemble, the
-reference that ``prsg.multikey_mixture`` is checked against.
+``multikey_mixture`` builds the multi-key chain state xi_j in sector form with
+``prsg``'s own builder, and ``multikey_xi`` builds it as a PureState ensemble,
+the reference that the sector form is checked against.
 """
 
 import itertools
@@ -14,12 +19,35 @@ import math
 
 import numpy as np
 
+from chslab import prsg
 from chslab.budgets import DEFAULT_BUDGETS, Budgets
 from chslab.haar import exact_moment
 from chslab.prsg import PrsParams
 from chslab.qla import DensityOperator, tensor
-from chslab.sectors import SectorSpace, ShapeGroup, _partitions, shape_orderings
+from chslab.sectors import SectorMixture, SectorSpace, ShapeGroup, _partitions, shape_orderings
 from chslab.typestates import distinct_orderings, enumerate_types, keyed_members
+
+
+def partitions(size: int, max_parts: int, largest: int | None = None):
+    """Non-increasing tuples of at most ``max_parts`` positive integers summing to ``size``."""
+    if size == 0:
+        yield ()
+        return
+    for head in range(min(size, largest or size), -(-size // max_parts) - 1, -1):
+        for tail in partitions(size - head, max_parts - 1, head):
+            yield (head,) + tail
+
+
+def pairwise_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
+    """Half the trace norm of ``a - b``, one ``eigvalsh`` per group of this pair alone."""
+    total = 0.0
+    for group, x, y in zip(a.space.groups, a.blocks, b.blocks):
+        if x.strides[0] or y.strides[0]:
+            norms = np.abs(np.linalg.eigvalsh(x - y)).sum(axis=1)
+        else:  # both one shared block (row stride 0): solve it once, a copy per row
+            norms = np.abs(np.linalg.eigvalsh(x[:1] - y[:1])).sum(axis=1).repeat(len(x))
+        total += float(np.array([float(count) for count in group.counts]) @ norms)
+    return 0.5 * total
 
 
 def _shape_group(N: int, shape: tuple[int, ...]) -> ShapeGroup:
@@ -41,7 +69,13 @@ def sector_space(n: int, lam: int, size: int, budgets: Budgets = DEFAULT_BUDGETS
     N = 1 << n
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
     groups = tuple(_shape_group(N, shape) for shape in _partitions(size, N))
-    return SectorSpace(N, size, n - lam, groups)
+    return SectorSpace(N, size, n - lam, groups, {})
+
+
+def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS):
+    """Chain state xi_j on the space ``prsg.relation_classes`` builds (tests patch it)."""
+    space = prsg.relation_classes(params.n, params.lam, params.p * params.ell + params.t, budgets)
+    return prsg._sector_chain(j, params, space)
 
 
 def multikey_xi(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> DensityOperator:

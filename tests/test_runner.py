@@ -226,6 +226,31 @@ def test_cli_sweep_rejects_bad_values_in_one_line(capsys):
     assert captured.err.count("\n") == 1 and "'lam' must be int" in captured.err
 
 
+LONG_INT = "1" + "0" * 5000  # more digits than Python converts to an int
+
+
+def test_cli_refuses_a_parameter_too_long_to_parse_by_its_length(capsys):
+    assert main(["prsg-td", "--lam", "1", "--n", LONG_INT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "parameter 'n' is too long: 5001 digits, starting 1000000000..." in captured.err
+    assert len(captured.err) < 120
+    with pytest.raises(ValueError, match="'lam' must be int, got '1.5'"):
+        validate_params("prsg-td", {"lam": "1.5", "n": 2})
+
+
+def test_cli_refuses_a_budget_flag_too_long_to_parse_by_its_length(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["prsg-td", "--lam", "1", "--n", "1", "--max-type-count", LONG_INT])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-type-count: the value is too long: 5001 digits" in err
+    assert LONG_INT[:100] not in err and len(err.splitlines()[-1]) < 150
+    with pytest.raises(SystemExit):
+        main(["prsg-td", "--lam", "1", "--n", "1", "--seed", "x"])
+    assert "argument --seed: the value must be int, got 'x'" in capsys.readouterr().err
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     """The ``chslab`` modules a fresh interpreter holds after running ``code``."""
     src = Path(__file__).resolve().parents[1] / "src"

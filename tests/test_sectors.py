@@ -11,15 +11,22 @@ to 1e-12.
 import itertools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sector_reference import multikey_xi, sector_space
+from sector_reference import (
+    multikey_mixture,
+    multikey_xi,
+    pairwise_trace_distance,
+    partitions,
+    sector_space,
+)
 
-from chslab import prsg
+from chslab import prsg, sectors
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.cli import main
 from chslab.commitments import hiding_distance
@@ -35,7 +42,6 @@ from chslab.prsg import (
     hybrid_state,
     impossibility_attack,
     multi_key_report,
-    multikey_mixture,
     single_key_report,
 )
 from chslab.qla import gram_trace_distance, trace_distance
@@ -51,6 +57,7 @@ from chslab.sectors import (
     sector_trace_distance,
     shape_orderings,
     subspaces,
+    trace_distances,
 )
 from chslab.tolerances import REL_RANK_CUTOFF
 
@@ -334,22 +341,16 @@ def test_class_counts_are_exact(n, lam, size):
             assert sum(group.counts) == len(reference.letters)
 
 
-def _every_partition(size, largest=None):
-    """Every partition of ``size``, in the walk's order: the unbounded reference."""
-    if size == 0:
-        yield ()
-        return
-    for head in range(min(size, largest or size), 0, -1):
-        for tail in _every_partition(size - head, head):
-            yield (head,) + tail
-
-
 def test_bounded_shape_walk_is_the_full_walk_filtered():
+    # The recursive walk is the reference: unbounded (at most ``size`` parts)
+    # and filtered up to size 25, and with each part bound up to size 14.
     for size in range(26):
-        every = list(_every_partition(size))
-        for max_parts in range(1, size + 2):
+        every = list(partitions(size, max(size, 1)))
+        for max_parts in range(1, size + 3):
             expected = [shape for shape in every if len(shape) <= max_parts]
             assert list(_partitions(size, max_parts)) == expected, (size, max_parts)
+            if size <= 14:
+                assert list(partitions(size, max_parts)) == expected, (size, max_parts)
 
 
 def test_every_shape_with_at_most_N_parts_has_a_class():
@@ -360,7 +361,7 @@ def test_every_shape_with_at_most_N_parts_has_a_class():
         N = 1 << n
         for lam, size in itertools.product(range(1, n + 1), range(1, 9 if n <= 3 else 8)):
             space = relation_classes(n, lam, size, budgets)
-            shapes = [shape for shape in _every_partition(size) if len(shape) <= N]
+            shapes = [shape for shape in partitions(size, size) if len(shape) <= N]
             assert [group.shape for group in space.groups] == shapes, (n, lam, size)
             assert all(group.counts for group in space.groups)
             sectors = sum(sum(group.counts) for group in space.groups)
@@ -552,6 +553,7 @@ def test_shared_blocks_count_once_per_sector():
             ShapeGroup(g.shape, g.letters[:2], shape_orderings(g.shape), counts)
             for g, counts in zip(sectors.groups, [(2, 2), (2, 4)])
         ),
+        {},
     )
     a, b = SectorMixture(rows, blocks_a), SectorMixture(rows, blocks_b)
     assert sector_support_overlap(a, b)[:2] == (rank_a, rank_b)
@@ -638,3 +640,90 @@ def test_shared_groups_are_solved_once():
     assert reference[2] == [1, 2, 3] * 5
     assert (distances, overlap) == reference[:2]
     assert all(type(rank) is int for rank in overlap[:2])
+
+
+def _report_states(params):
+    """Every state a single-key report builds, on one space: xi_0, xi_1, then H2..H7."""
+    budgets = Budgets(max_type_count=10**90)
+    space = relation_classes(params.n, params.lam, params.ell + params.t, budgets)
+    cf = _conditioned_sectors(space, params, DEFAULT_BUDGETS)
+    states = [_sector_chain(0, params, space), _sector_chain(1, params, space)]
+    for index in range(2, 8):
+        try:
+            states.append(_sector_hybrid(index, params, space, cf, _cf_count(space, cf)))
+        except ValueError as err:  # an empty conditioned set
+            assert "empty conditioned set" in str(err)
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.integers(1, 3),
+    n_extra=st.sampled_from([0, 1, 2, 9, 40]),
+    ell=st.integers(1, 2),
+    t=st.integers(0, 2),
+    picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=10),
+    stack=st.sampled_from([1, 5, 40, 300, sectors._STACK]),
+)
+def test_batched_distances_equal_the_per_pair_loop(lam, n_extra, ell, t, picks, stack):
+    # Pairs of per-row states (xi_0, H2, H3) and shared ones (row stride 0),
+    # stacked with a constant small enough that stacks are solved mid-stream:
+    # every distance is the one-pair loop's, bit for bit. A large n gives row
+    # counts that floats round.
+    states = _report_states(PrsParams(lam=lam, n=lam + n_extra, ell=ell, t=t))
+    pairs = [(states[i % len(states)], states[j % len(states)]) for i, j in picks]
+    with mock.patch.object(sectors, "_STACK", stack):
+        batched = trace_distances(iter(pairs))
+    assert batched == [pairwise_trace_distance(a, b) for a, b in pairs]
+    assert [sector_trace_distance(a, b) for a, b in pairs] == batched
+
+
+def test_a_report_solves_each_shape_group_once():
+    # prsg-td (2, 5, 1, 2): eight pairs on groups of 1, 2 and 3 rows fit one
+    # stack, so the report makes one eigvalsh per group. The four pairs with
+    # a per-row state (xi_0, H2, H3) stack a block per row, the four lam-free
+    # pairs one each. A constant of one entry solves every pair on its own,
+    # with the same report.
+    params = PrsParams(lam=2, n=5, ell=1, t=2)
+    eigvalsh = np.linalg.eigvalsh
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=eigvalsh) as spy:
+        report = single_key_report(params)
+    assert [call.args[0].shape[0] for call in spy.call_args_list] == [8, 4 * 2 + 4, 4 * 3 + 4]
+    with mock.patch.object(sectors, "_STACK", 1):
+        assert single_key_report(params).to_json() == report.to_json()
+
+
+def test_shape_tables_are_built_once_per_space():
+    params = PrsParams(lam=2, n=5, ell=1, t=2)
+    space = relation_classes(5, 2, 3)
+    with mock.patch.object(sectors, "arrangements", wraps=arrangements) as spy:
+        first = _sector_chain(0, params, space)
+        built = spy.call_count
+        again = _sector_chain(0, params, space)
+    assert built == len(space.groups) and spy.call_count == built
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(first.blocks, again.blocks))
+    assert all(not block.flags.writeable for block in first.blocks)
+
+
+def test_commit_hiding_builds_its_chain_space_once():
+    with mock.patch.object(prsg, "relation_classes", wraps=relation_classes) as spy:
+        hiding_distance(1, 2, 2, 1)
+    assert spy.call_count == 1
+
+
+def test_streamed_single_key_report_holds_few_states():
+    # The report reads its pairs as it builds them and stacks only their
+    # differences. At this point one state is 1.25 MiB; the route that solved
+    # one pair per call peaked at 5_181_105 bytes (tracemalloc, numpy 2.4),
+    # holding xi_0, xi_1 and two chain states at once.
+    parent_peak = 5_181_105
+    params = PrsParams(lam=8, n=30, ell=2, t=3)
+    budgets = Budgets(max_type_count=10**90)
+    single_key_report(PrsParams(lam=1, n=2, ell=2, t=3))  # first-call allocations
+    tracemalloc.start()
+    try:
+        single_key_report(params, budgets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.9 * parent_peak
