@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import prsg
 from .commitments import (
     CommitmentParams,
     accept_probability,
@@ -26,17 +25,20 @@ from .commitments import (
     honest_commit,
     per_copy_fidelity,
 )
+from .ensembles import HybridSpec, hybrid_state
 from .haar import (
     HaarSampler,
     exact_moment,
+    rng_for,
     sample_haar,
     sampled_moment_distance,
     symmetric_projector,
 )
 from .pgm import PgmParams, pgm_report
-from .prsg import HybridSpec, PrsParams, hybrid_state, multi_key_report, single_key_report
+from .prsg import PrsParams, multi_key_report, single_key_report
 from .qla import gram_trace_distance
-from .runner import ExperimentConfig, rng_for, run
+from .rank_attack import impossibility_attack
+from .runner import ExperimentConfig, run
 from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_IDENTITY
 from .typestates import (
     OrderedTuple,
@@ -212,7 +214,7 @@ def rank_attack() -> tuple[bool, str]:
     details = []
     ok = True
     for lam, n, ell, t in ((1, 2, 1, 1), (2, 2, 1, 1), (2, 5, 1, 2)):
-        report = prsg.impossibility_attack(PrsParams(lam=lam, n=n, ell=ell, t=t))
+        report = impossibility_attack(PrsParams(lam=lam, n=n, ell=ell, t=t))
         ok &= all(report.flags.values())
         details.append(
             f"lam={lam}, n={n}, t={t}: Tr(Pi rho0)={report.quantities['tr_pi_rho0']:.9f}, "

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .haar import exact_moment
+from .haar import exact_moment, rng_for, sample_haar
 from .qla import (
     DensityOperator,
     PureState,
@@ -290,6 +290,22 @@ def builtin_adversaries(
             open_r=lambda b: twist if b == 1 else np.eye(dim_r),
         ),
     }
+
+
+def binding_report(params: dict, seed: int, budgets: Budgets) -> ExperimentReport:
+    """The ``commit-binding`` experiment: one catalog adversary against a seeded theta.
+
+    ``params`` holds ``lam``, ``n``, ``p`` and the adversary's name. The seed's
+    stream samples the shared state, then the catalog's random rotation.
+    """
+    rng = rng_for(seed)
+    theta = sample_haar(params["n"], rng, budgets)
+    cparams = CommitmentParams(lam=params["lam"], n=params["n"], p=params["p"], theta=theta)
+    catalog = builtin_adversaries(cparams, rng)
+    name = params["adversary"]
+    if name not in catalog:
+        raise ValueError(f"unknown adversary {name!r}; choose from {sorted(catalog)}")
+    return binding_experiment(catalog[name], cparams, budgets)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ parts stands for ``(d)_r / |Aut mu| > 0`` sectors, so every quantity is a
 sum over the partitions of m+1 into at most d parts, the only ones walked.
 The type-enumeration budget counts them as they are walked, so a refusal
 stops one past the budget. Everything is real and no d-dimensional
-object is built. ``phase_ensemble_state`` builds one ``rho_x`` densely, the
-independent reference where ``d^(m+1)`` fits the dense budget.
+object is built. The tests build each ``rho_x`` densely, the independent
+reference where ``d^(m+1)`` fits the dense budget.
 
 ``pgm_report`` is the entry point: one report with the overlap quantity, its
 (m+1)/d cap, the inverse-root norm and the PGM success probability.
@@ -41,12 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .haar import exact_moment
-from .qla import DensityOperator
 from .reporting import ExperimentReport
 from .sectors import MAX_NORMALISER, _partitions
 from .tolerances import ATOL_CHAIN, ATOL_CROSS_PATH, ATOL_STRUCTURAL
-from .typestates import phase_sign
 
 
 @dataclass(frozen=True)
@@ -69,23 +66,6 @@ class PgmParams:
         return self.m + 1
 
 
-def _phase_signs(x: int, d: int) -> np.ndarray:
-    """Diagonal of the phase pattern x on one d-dimensional copy."""
-    return np.array([phase_sign(x, j) for j in range(d)], dtype=float)
-
-
-def phase_ensemble_state(
-    x: int, params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS
-) -> DensityOperator:
-    """Exact (m+1)-copy moment with phase pattern x on the first copy."""
-    if not 0 <= x < params.d:
-        raise ValueError(f"label {x} does not fit in {params.n} bits")
-    budgets.check_dense_dim(params.d ** params.copies, "phase_ensemble_state")
-    moment = exact_moment(params.d, params.copies, budgets).to_dense(budgets)
-    diag = np.kron(_phase_signs(x, params.d), np.ones(params.d**params.m))
-    return DensityOperator.from_dense(moment * np.outer(diag, diag), (params.n,) * params.copies)
-
-
 def _label_sums(r: int, n: int) -> np.ndarray:
     """``sum_x (-1)^(x . (a xor b))`` over the n-bit labels x, for letters a, b < r.
 
@@ -96,6 +76,68 @@ def _label_sums(r: int, n: int) -> np.ndarray:
     letters = np.arange(r)
     bits = ((letters[:, None] ^ letters[None, :])[:, :, None] >> np.arange(width)) & 1
     return np.prod(2.0 - 2.0 * bits, axis=2) * 2.0 ** (n - width)
+
+
+# Words (8 bytes) of walked shapes held before they are folded into the report's
+# sums, a shape of r parts taking r + 7 with its tuple header and list slot; and
+# entries of each (shapes, r, r) array of one fold.
+_PENDING = 1 << 21
+_BATCH = 1 << 18
+
+
+def _normaliser(n: int, m: int) -> int | None:
+    """The moment's normaliser C(2^n + m, m + 1), or None beyond ``MAX_NORMALISER``.
+
+    Never forms a larger int: C(N, i) grows with i up to N / 2 and is at least
+    2^i there, so the product over i stops within about 1022 steps.
+    """
+    if n >= MAX_NORMALISER.bit_length():  # C(2^n+m, m+1) >= 2^n
+        return None
+    N = (1 << n) + m
+    count = 1
+    for i in range(min(m + 1, N - m - 1)):
+        count = count * (N - i) // (i + 1)
+        if count > MAX_NORMALISER:
+            return None
+    return count
+
+
+def _shape_terms(
+    shapes: list[tuple[int, ...]], n: int, normaliser: int
+) -> tuple[float, float, float]:
+    """Q's terms, the smallest sigma entry and the completeness residual of shapes of r parts.
+
+    In units of 1/C, C the ``normaliser`` (see ``pgm_report``). A shape's
+    weight is its ``(d)_r / |Aut mu|`` sectors over C, ``|Aut mu|`` the product
+    over its parts of each part's position in its run of equal parts.
+    """
+    r, copies, d = len(shapes[0]), sum(shapes[0]), 1 << n
+    parts = np.array(shapes)  # exact: int64, or Python ints beyond its range
+    first = np.ones(parts.shape, dtype=bool)
+    first[:, 1:] = parts[:, 1:] != parts[:, :-1]
+    index = np.arange(r)
+    runs = index + 1 - np.maximum.accumulate(np.where(first, index, 0), axis=1)
+    auts = np.prod(runs, axis=1, dtype=float).tolist()  # exact below 2^53
+    for i in np.flatnonzero(np.array(auts) >= 2.0**53).tolist():
+        auts[i] = math.prod(runs[i].tolist())
+    tuples = math.perm(d, r)  # r distinct letters, in order
+    exact = {aut: tuples // int(aut) / normaliser for aut in set(auts)}
+    weight = np.array([exact[aut] for aut in auts])
+    mu = parts.astype(float)
+    moment = mu[:, :, None] * mu[:, None, :]
+    np.sqrt(moment, out=moment)
+    moment /= copies
+    sigma = float(d) * np.diagonal(moment, axis1=1, axis2=2)
+    inv_root = 1.0 / np.sqrt(sigma)
+    sandwich = inv_root[:, :, None] * moment
+    sandwich *= inv_root[:, None, :]
+    q = float(weight @ np.einsum("kab,kba->k", moment, sandwich))
+    del moment
+    residual = sandwich
+    residual *= _label_sums(r, n)
+    residual[:, index, index] -= 1.0
+    np.abs(residual, out=residual)
+    return q, float(sigma.min()), float(residual.max())
 
 
 def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
@@ -126,51 +168,59 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     and the norm of S only as the weight of each shape. Only those shapes, each
     with (d)_r > 0 sectors, are walked, up to one past the type-enumeration
     budget, whose check counts them; a C beyond the float range is refused.
+    The walk folds its shapes into each part count's sums as it goes, so
+    what it holds does not grow with the budget.
     """
     n, m, copies = params.n, params.m, params.copies
     max_parts = min(copies, 1 << min(n, copies.bit_length()))  # min(m+1, d), 2^n never formed
-    by_parts: dict[int, list[tuple[int, ...]]] = {}
+    normaliser = _normaliser(n, m)
+    # Per part count, in the order the walk meets it: the shapes not yet folded
+    # and Q's terms so far. Once _PENDING words are held, every count is folded.
+    pending: dict[int, list[tuple[int, ...]]] = {}
+    q_terms: dict[int, float] = {}
+    smallest, completeness_error, held = math.inf, 0.0, 0
+
+    def fold() -> None:
+        nonlocal smallest, completeness_error, held
+        for r, shapes in pending.items():
+            step = max(1, _BATCH // (r * r))
+            for i in range(0, len(shapes), step):
+                q, low, residual = _shape_terms(shapes[i : i + step], n, normaliser)
+                q_terms[r] += q
+                smallest = min(smallest, low)
+                completeness_error = max(completeness_error, residual)
+            shapes.clear()
+        held = 0
+
     enumerated = 0
     for enumerated, shape in enumerate(_partitions(copies, max_parts), 1):
         if enumerated > budgets.max_type_count:
             break
-        by_parts.setdefault(len(shape), []).append(shape)
+        if normaliser is not None:
+            r = len(shape)
+            if r not in pending:
+                pending[r], q_terms[r] = [], 0.0
+            pending[r].append(shape)
+            held += r + 7
+            if held >= _PENDING:
+                fold()
     budgets.check_type_count(
         enumerated,
         f"pgm_report: the partitions of m+1={copies} into at most {max_parts} parts "
         "(enumerated up to one past the budget)",
     )
-    # C(2^n+m, m+1) >= 2^n, so a larger n is refused before 2^n is formed
-    normaliser = math.comb(params.d + m, copies) if n < MAX_NORMALISER.bit_length() else None
-    if normaliser is None or normaliser > MAX_NORMALISER:
+    if normaliser is None:
         raise ValueError(
             f"n={n} is too large for m={m}: the moment's normaliser C(2^n+m, m+1) "
             "is beyond the float range"
         )
-    d = params.d
-    q_mean = completeness_error = 0.0
-    smallest = math.inf
-    for r, shapes in by_parts.items():
-        tuples = math.perm(d, r)  # r distinct letters, in order
-        weight = np.array([
-            tuples // math.prod(math.factorial(c) for c in Counter(shape).values()) / normaliser
-            for shape in shapes
-        ])
-        mu = np.array(shapes, dtype=float)
-        moment = np.sqrt(mu[:, :, None] * mu[:, None, :]) / copies
-        sigma = float(d) * np.diagonal(moment, axis1=1, axis2=2)
-        smallest = min(smallest, float(sigma.min()))
-        inv_root = 1.0 / np.sqrt(sigma)
-        sandwich = inv_root[:, :, None] * moment * inv_root[:, None, :]
-        q_mean += float(weight @ np.einsum("kab,kba->k", moment, sandwich))
-        residual = sandwich * _label_sums(r, n)
-        residual[:, np.arange(r), np.arange(r)] -= 1.0
-        completeness_error = max(completeness_error, float(np.abs(residual).max()))
+    fold()
     if completeness_error > 1e-8:
         raise RuntimeError(
             f"POVM completeness violated by {completeness_error}; "
             "the elements D_x S M S D_x do not sum to the identity on the shapes' spans"
         )
+    q_mean, d = sum(q_terms.values()), params.d
     norm_measured = math.sqrt(normaliser / smallest)
     norm_formula = math.sqrt(normaliser * copies / d)
     # 1e-8 absolute, but no finer than the float spacing of a norm that grows like sqrt(C)

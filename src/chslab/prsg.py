@@ -1,4 +1,4 @@
-"""Phase-keyed state generator, its hybrid chain, and the rank-projector attack.
+"""Phase-keyed state generator: its exact hybrid chain and multi-key chain.
 
 The generator applies a key-indexed Z-phase pattern to the first ``lam`` bits
 of the shared state. The real experiment hands out ``ell`` generated copies
@@ -7,51 +7,40 @@ out ``ell`` copies of an independent state instead. Both sides reduce to exact
 finite mixtures of (phased) type states, so every distance in the eight-step
 hybrid chain between them is computed exactly, with no sampling.
 
-Every report, the rank attack included, builds those mixtures block by block
-over relation classes of sectors (``sectors.relation_classes``), so the cost
-does not grow with ``n``. Each hybrid and each multi-key chain state is one
-call of ``sectors.product_mixture``: which register ranges hold one type
-state, which ranges are keyed (their prefixes folded) or independent (their
-multisets sorted), which orderings or rows are admitted, and the exact member
-count. Hybrids 1 and 8 are built as the one-key chain's ends xi_0 and xi_1.
-A report hands its chain to ``sectors.trace_distances`` as a generator of
-pairs, so it builds each state when it is needed and holds at most two.
-``hybrid_state`` builds the hybrids as PureState ensembles; it, the tests'
-ensemble form of the multi-key chain and the full sector enumeration are the
-independent routes that the tests compare the class blocks against.
+Both reports build those mixtures block by block over relation classes of
+sectors (``sectors.relation_classes``), so the cost does not grow with ``n``.
+Each hybrid and each multi-key chain state is one call of
+``sectors.product_mixture``: which register ranges hold one type state, which
+ranges are keyed (their prefixes folded) or independent (their multisets
+sorted), which orderings or rows are admitted, and the exact member count.
+Hybrids 1 and 8 are built as the one-key chain's ends xi_0 and xi_1. A report
+hands its chain to ``sectors.trace_distances`` as a generator of pairs, so it
+builds each state when it is needed and holds at most two.
+
+The rank-projector attack on the same chain ends is in ``rank_attack``, and
+the PureState-ensemble form of the hybrids, the tests' reference route, in
+``ensembles``; neither is loaded by a chain report.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .qla import DensityOperator, PureState
 from .reporting import ExperimentReport
 from .sectors import (
     SectorMixture,
     SectorSpace,
     product_mixture,
     relation_classes,
-    sector_support_overlap,
     sector_trace_distance,
     trace_distances,
 )
 from .tolerances import ATOL_CHAIN, ATOL_IDENTITY
-from .typestates import (
-    TypeVector,
-    apply_phase,
-    enumerate_types,
-    is_l_fold_prefix_cf,
-    keyed_members,
-    split_members,
-    type_state,
-)
 
 
 @dataclass(frozen=True)
@@ -73,36 +62,19 @@ class PrsParams:
             raise ValueError("need ell >= 1, t >= 0, p >= 1")
 
 
-@dataclass(frozen=True)
-class HybridSpec:
-    index: int
-    params: PrsParams
+def __getattr__(name: str):
+    # perfbench's traced replays call prsg.hybrid_state(prsg.HybridSpec(...)); these two
+    # names resolve from ``ensembles`` on first use until ROADMAP item 5 retires the replays.
+    if name in ("hybrid_state", "HybridSpec"):
+        from . import ensembles
 
-    def __post_init__(self):
-        if not 1 <= self.index <= 8:
-            raise ValueError(f"hybrid index {self.index} out of range 1..8")
-
-
-def generate(k: int, lam: int, theta: PureState) -> PureState:
-    """Apply the keyed phase pattern to the lam-bit prefix of a one-register state."""
-    if theta.n_registers != 1:
-        raise ValueError("the generator acts on a single-register state")
-    return apply_phase(k, lam, theta, [0])
+        return getattr(ensembles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Exact hybrid mixtures
 # ---------------------------------------------------------------------------
-
-
-def _product_members(n: int, first_types, second_types, weight: float):
-    members = []
-    for a in first_types:
-        state_a = type_state(TypeVector(a, n, n))
-        for b in second_types:
-            state = state_a.tensor(type_state(TypeVector(b, n, n))) if b else state_a
-            members.append((weight, state))
-    return members
 
 
 def _hybrid_size(index: int, p: PrsParams, cf_count: int) -> int:
@@ -133,47 +105,6 @@ def _empty_hybrid(index: int, p: PrsParams) -> ValueError:
     return ValueError(
         f"empty conditioned set: no {condition} types of size {p.ell + p.t} exist"
     )
-
-
-def hybrid_state(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> DensityOperator:
-    """Ensemble realizing one of the eight hybrid distributions exactly.
-
-    Enumerates every (type, key) or (type, split) choice with probability
-    ``1 / _hybrid_size``, which the ensemble checks by summing to one; the
-    reference the sector route (``hybrid_mixture``) is checked against.
-    """
-    p = spec.params
-    N = 1 << p.n
-    size = p.ell + p.t
-    types = []
-    if spec.index in (1, 4):
-        types = [T.elements for T in enumerate_types(N, size, budgets)]
-    elif spec.index in (2, 3):
-        cf = enumerate_types(N, size, budgets, prefix_bits=p.lam)
-        types = [T.elements for T in cf if is_l_fold_prefix_cf(T, p.ell, budgets)]
-    elif spec.index == 5:
-        types = list(itertools.combinations(range(N), size))
-    count = _hybrid_size(spec.index, p, len(types))
-    if count == 0:
-        raise _empty_hybrid(spec.index, p)
-    if spec.index in (1, 2):
-        members = keyed_members(p.n, p.lam, (tuple(range(p.ell)),), types, 1.0 / count)
-    elif spec.index in (3, 4, 5):
-        members = split_members(p.n, types, p.ell, 1.0 / count)
-    elif spec.index == 6:
-        members = []
-        for first in itertools.combinations(range(N), p.ell):
-            seconds = itertools.combinations([x for x in range(N) if x not in first], p.t)
-            members += _product_members(p.n, [first], seconds, 1.0 / count)
-    elif spec.index == 7:
-        firsts = itertools.combinations(range(N), p.ell)
-        seconds = list(itertools.combinations(range(N), p.t))
-        members = _product_members(p.n, firsts, seconds, 1.0 / count)
-    else:
-        firsts = (T.elements for T in enumerate_types(N, p.ell, budgets))
-        seconds = [T.elements for T in enumerate_types(N, p.t, budgets)] if p.t else [()]
-        members = _product_members(p.n, firsts, seconds, 1.0 / count)
-    return DensityOperator((p.n,) * size, ensemble=tuple(members))
 
 
 def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> list[np.ndarray]:
@@ -244,16 +175,6 @@ def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
     normaliser = math.comb(N + ell - 1, ell) ** j * math.comb(N + rest - 1, rest)
     factors = groups[:j] + ((j * ell, size),)
     return product_mixture(space, normaliser, factors, folds=groups[j:], sorts=groups[:j])
-
-
-def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
-    """Sector form of ``hybrid_state(spec)``: the same operator, block by block."""
-    p = spec.params
-    space = relation_classes(p.n, p.lam, p.ell + p.t, budgets)
-    if spec.index in (1, 8):
-        return _sector_chain(int(spec.index == 8), p, space)
-    cf = _conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
-    return _sector_hybrid(spec.index, p, space, cf, _cf_count(space, cf) if cf else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,60 +301,5 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
         notes=[
             "convention: rho is the real (keyed) state and sigma the ideal one",
             "register order: p generated groups first, then common copies",
-        ],
-    )
-
-
-def impossibility_attack(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
-    """Distinguish the generator by projecting onto the real state's support.
-
-    rho0 holds the t common copies first and the ell generated copies last;
-    the attack measures the support projector of rho0. Acceptance of rho0 is
-    exactly 1, and acceptance of rho1 is at most rank(rho0)/rank(rho1) because
-    rho1 is maximally mixed on its support.
-
-    rho0 and rho1 are hybrids 1 and 8 with the register groups swapped: one
-    unitary on both, which keeps the ranks and carries Pi along, so the sector
-    blocks of hybrids 1 and 8, the one-key chain's ends xi_0 and xi_1
-    (generated copies first), give the same numbers.
-    """
-    lam, n, ell, t = params.lam, params.n, params.ell, params.t
-    space = relation_classes(n, lam, ell + t, budgets)
-    rank0_formula = 2**lam * math.comb(2**n + ell + t - 1, ell + t)
-    rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
-    if max(rank0_formula, rank1_formula) > sys.float_info.max:
-        raise ValueError(f"n={n} is too large: the rank formulas exceed the float range")
-    rank0, rank1, tr_rho0, tr_rho1 = sector_support_overlap(
-        _sector_chain(0, params, space), _sector_chain(1, params, space)
-    )
-    quantities = {
-        "tr_pi_rho0": tr_rho0,
-        "tr_pi_rho1": tr_rho1,
-        "advantage": 1.0 - tr_rho1,
-        "rank_rho0_measured": rank0,
-        "rank_rho1_measured": rank1,
-    }
-    bounds = {
-        "rank_rho0_formula": float(rank0_formula),
-        "rank_rho1_formula": float(rank1_formula),
-        "rank_ratio": rank0 / rank1_formula,
-    }
-    flags = {
-        "tr_pi_rho0_is_one": abs(tr_rho0 - 1.0) <= ATOL_CHAIN,
-        "tr_pi_rho1_le_rank_ratio": tr_rho1 <= rank0 / rank1_formula + ATOL_CHAIN,
-        "rank_rho0_le_formula": rank0 <= rank0_formula,
-        "rank_rho1_matches_formula": rank1 == rank1_formula,
-    }
-    return ExperimentReport(
-        experiment="impossibility",
-        params={"lam": lam, "n": n, "ell": ell, "t": t},
-        quantities=quantities,
-        bounds=bounds,
-        flags=flags,
-        notes=[
-            "register order: common copies first, then generated copies",
-            "advantage is the computed 1 - Tr(Pi rho1); the source display of the "
-            "closed-form advantage reads 1-2^lam where context requires 1-2^(-lam), "
-            "treated as a typo",
         ],
     )

@@ -17,7 +17,6 @@ threads; every function here is a pure function of its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -489,15 +488,3 @@ def gram_trace_distance(e1: DensityOperator, e2: DensityOperator) -> float:
         stack = np.stack(mats)
         total += float(np.abs(np.linalg.eigvalsh(stack)).sum())
     return 0.5 * total
-
-
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityOperator:
-    """Wishart-style random density operator, used by property checks."""
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    mat = g @ g.conj().T
-    mat /= np.trace(mat).real
-    width = int(math.log2(dim))
-    if 1 << width != dim:
-        raise ValueError("dimension must be a power of two")
-    return DensityOperator.from_dense(mat, (width,))

@@ -7,22 +7,20 @@ serialized without wall-clock timing, which keeps the artifacts byte-identical
 across repeated runs. The runner writes nothing: ``run`` returns the report and
 ``sweep`` the reports and their CSV table, and the caller decides where they go.
 
-Each experiment's layer (``prsg``, ``commitments`` or ``pgm``) is imported when
-``execute`` dispatches to it, not when this module loads: every ``chs-lab``
-invocation is a fresh process that compiles each module it imports, and a
-``prsg-td`` run has no use for the commitment or PGM code.
+Each experiment's layer (``prsg``, ``rank_attack``, ``commitments``, ``pgm`` or
+``typestats``) is imported when ``execute`` dispatches to it, not when this
+module loads: every ``chs-lab`` invocation is a fresh process that compiles
+each module it imports, and a ``prsg-td`` run has no use for the attack, the
+commitment, the PGM or the sampling code.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
-from . import typestates
 from .budgets import DEFAULT_BUDGETS, Budgets, _as_index, parse_int
-from .haar import rng_for, sample_haar
 from .reporting import ExperimentReport, combined_csv
 
 
@@ -116,84 +114,24 @@ def validate_params(experiment: str, params: dict) -> dict:
     return resolved
 
 
-def _run_typestats(params: dict, seed: int, budgets: Budgets) -> ExperimentReport:
-    lam, m_suffix, ell, t, trials = (params[k] for k in ("lam", "m_suffix", "ell", "t", "trials"))
-    if lam < 1 or ell < 1 or t < 1 or m_suffix < 0:
-        raise ValueError("need lam >= 1, ell >= 1, t >= 1, m_suffix >= 0")
-    rng = rng_for(seed)
-    estimate = typestates.estimate_cf_probability(lam, m_suffix, ell, t, trials, rng, budgets)
-    # the plug-in standard error: 0 when every draw agrees
-    stderr = math.sqrt(estimate * (1 - estimate) / trials)
-    # Collision-rate readings of the per-pair probability: the source text
-    # prints O(1/2^n - 2 ell); the surrounding argument needs O(1/(2^n - 2 ell)).
-    reading_literal = 1.0 / 2**lam - 2 * ell
-    reading_intended = 1.0 / (2**lam - 2 * ell) if 2**lam > 2 * ell else float("inf")
-    rate = t ** (2 * ell) / 2**lam
-    quantities = {
-        "cf_probability_estimate": estimate,
-        "standard_error": stderr,
-        "miss_probability": 1.0 - estimate,
-        "per_pair_collision_reading_literal": reading_literal,
-        "per_pair_collision_reading_intended": reading_intended,
-    }
-    bounds = {
-        "miss_rate_t2l_over_2lam": rate,
-        "fitted_constant": (1.0 - estimate) / rate if rate > 0 else float("nan"),
-    }
-    exact_count = math.comb((1 << (lam + m_suffix)) + t - 1, t)
-    flags = {}
-    if exact_count <= 20_000:
-        exact = typestates.exact_cf_probability(lam, m_suffix, ell, t, budgets)
-        quantities["cf_probability_exact"] = exact
-        # the binomial sigma at the exact probability: the plug-in one is ~0
-        # when every draw agrees, and would fail the flag on honest runs
-        sigma = math.sqrt(exact * (1 - exact) / trials)
-        flags["estimate_within_4_sigma_of_exact"] = abs(exact - estimate) <= 4 * sigma + 1e-9
-    else:
-        quantities["cf_probability_exact"] = None
-    return ExperimentReport(
-        experiment="typestats",
-        params=params,
-        quantities=quantities,
-        bounds=bounds,
-        flags=flags,
-        notes=[
-            "the per-pair collision probability is printed as O(1/2^n - 2l) in the "
-            "source; the intended reading O(1/(2^n - 2l)) is the one tested"
-        ],
-    )
-
-
-def _run_commit_binding(params: dict, seed: int, budgets: Budgets) -> ExperimentReport:
-    from . import commitments
-
-    rng = rng_for(seed)
-    theta = sample_haar(params["n"], rng, budgets)
-    cparams = commitments.CommitmentParams(
-        lam=params["lam"], n=params["n"], p=params["p"], theta=theta
-    )
-    catalog = commitments.builtin_adversaries(cparams, rng)
-    name = params["adversary"]
-    if name not in catalog:
-        raise ValueError(f"unknown adversary {name!r}; choose from {sorted(catalog)}")
-    return commitments.binding_experiment(catalog[name], cparams, budgets)
-
-
 def execute(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch one experiment; the report is not yet serialized."""
     params = validate_params(config.experiment, config.params)
     seed, budgets = config.seed, config.budgets
     experiment = ALIASES.get(config.experiment, config.experiment)
-    if experiment in ("prsg-td", "multikey-td", "impossibility"):
+    if experiment in ("prsg-td", "multikey-td"):
         from . import prsg
 
-        report = {
-            "prsg-td": prsg.single_key_report,
-            "multikey-td": prsg.multi_key_report,
-            "impossibility": prsg.impossibility_attack,
-        }[experiment](prsg.PrsParams(**params), budgets)
+        chain_report = prsg.single_key_report if experiment == "prsg-td" else prsg.multi_key_report
+        report = chain_report(prsg.PrsParams(**params), budgets)
+    elif experiment == "impossibility":
+        from . import prsg, rank_attack
+
+        report = rank_attack.impossibility_attack(prsg.PrsParams(**params), budgets)
     elif experiment == "commit-binding":
-        report = _run_commit_binding(params, seed, budgets)
+        from . import commitments
+
+        report = commitments.binding_report(params, seed, budgets)
     elif experiment == "commit-hiding":
         from . import commitments
 
@@ -203,7 +141,9 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
 
         report = pgm.pgm_report(pgm.PgmParams(**params), budgets)
     elif experiment == "typestats":
-        report = _run_typestats(params, seed, budgets)
+        from . import typestats
+
+        report = typestats.typestats_report(params, seed, budgets)
     else:  # unreachable after validate_params
         raise ValueError(config.experiment)
     report.experiment = config.experiment

@@ -23,11 +23,12 @@ not on ``n``, and a space never has more rows than sectors.
 ``trace_distances`` reads a report's pairs of mixtures as they are built and
 stacks their difference blocks by group, one per row or one for a group
 whose rows share a block; once the stacks hold ``_STACK`` entries, each
-group's stack is one ``eigvalsh``, each row weighted by its count. A support
-projection is one batched ``eigh`` per group. The arrays that depend only on
-the space (arrangement counts, key masks, row weights) are built once per
-space, in ``SectorSpace.tables``. Every sector on its own, each with count 1,
-is the same structure; the tests build it as the independent reference.
+group's stack is one ``eigvalsh``, each row weighted by its count. The
+arrays that depend only on the space (arrangement counts, key masks, row
+weights) are built once per space, in ``SectorSpace.tables``. Every sector
+on its own, each with count 1, is the same structure; the tests build it as
+the independent reference. The rank attack's support projection on these
+blocks is in ``rank_attack``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .tolerances import REL_RANK_CUTOFF
 from .typestates import distinct_orderings
 
 # The largest normaliser whose reciprocal is a normal float: 2**1022.
@@ -393,36 +393,6 @@ def trace_distances(pairs: Iterable[tuple[SectorMixture, SectorMixture]]) -> lis
 def sector_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
     """Half the trace norm of ``a - b``: ``trace_distances`` of the one pair."""
     return trace_distances([(a, b)])[0]
-
-
-def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int, float, float]:
-    """Ranks of ``a`` and ``b``, then ``Tr(Pi a)`` and ``Tr(Pi b)`` for Pi onto a's support.
-
-    Eigenvalues count when strictly above ``REL_RANK_CUTOFF`` times the largest
-    over all blocks, as for the whole operator. Pi keeps the eigenvectors V of
-    a's blocks (one batched ``eigh`` per shape group); Tr(Pi b) sums
-    Tr(V^T B V) over the rows. b's spectrum is solved once for a shared group.
-    Ranks are exact Python ints.
-    """
-    _check_same_space(a.space, b.space)
-    eigs = [np.linalg.eigh(x) for x in a.blocks]
-    vals_b = [
-        np.linalg.eigvalsh(y) if y.strides[0] else np.linalg.eigvalsh(y[:1]).repeat(len(y), 0)
-        for y in b.blocks
-    ]
-    top_a = max(float(w.max()) for w, _ in eigs)
-    top_b = max(float(w.max()) for w in vals_b)
-    rank_a = rank_b = 0
-    tr_a = tr_b = 0.0
-    for g, (group, (w, v), w_b, y) in enumerate(zip(a.space.groups, eigs, vals_b, b.blocks)):
-        kept = w > REL_RANK_CUTOFF * top_a
-        rank_a += group.total(kept.sum(axis=1).tolist())
-        rank_b += group.total((w_b > REL_RANK_CUTOFF * top_b).sum(axis=1).tolist())
-        weights = _table(a.space, g, "weights")
-        tr_a += float(weights @ np.where(kept, w, 0.0).sum(axis=1))
-        overlaps = np.einsum("pij,pij->pj", v, y @ v)
-        tr_b += float(weights @ np.where(kept, overlaps, 0.0).sum(axis=1))
-    return rank_a, rank_b, tr_a, tr_b
 
 
 def arrangements(values: np.ndarray) -> np.ndarray:

@@ -9,9 +9,13 @@ the same ``SectorSpace``, but with one row per sector, its real ``n``-bit
 letters and count 1. Patching it in for ``prsg.relation_classes`` runs every
 report on the full sector enumeration.
 
-``multikey_mixture`` builds the multi-key chain state xi_j in sector form with
-``prsg``'s own builder, and ``multikey_xi`` builds it as a PureState ensemble,
-the reference that the sector form is checked against.
+``hybrid_mixture`` builds any of the eight hybrids in sector form with
+``prsg``'s own builders, the form that ``ensembles.hybrid_state`` is checked
+against one hybrid at a time. ``multikey_mixture`` builds the multi-key chain
+state xi_j in sector form the same way, and ``multikey_xi`` builds it as a
+PureState ensemble, the reference that the sector form is checked against.
+Both get their space from ``prsg.relation_classes``, so a test that patches
+it reaches them.
 """
 
 import itertools
@@ -21,6 +25,7 @@ import numpy as np
 
 from chslab import prsg
 from chslab.budgets import DEFAULT_BUDGETS, Budgets
+from chslab.ensembles import HybridSpec
 from chslab.haar import exact_moment
 from chslab.prsg import PrsParams
 from chslab.qla import DensityOperator, tensor
@@ -70,6 +75,17 @@ def sector_space(n: int, lam: int, size: int, budgets: Budgets = DEFAULT_BUDGETS
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
     groups = tuple(_shape_group(N, shape) for shape in _partitions(size, N))
     return SectorSpace(N, size, n - lam, groups, {})
+
+
+def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
+    """Sector form of ``hybrid_state(spec)``: the same operator, block by block."""
+    p = spec.params
+    space = prsg.relation_classes(p.n, p.lam, p.ell + p.t, budgets)
+    if spec.index in (1, 8):
+        return prsg._sector_chain(int(spec.index == 8), p, space)
+    cf = prsg._conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
+    cf_count = prsg._cf_count(space, cf) if cf else 0
+    return prsg._sector_hybrid(spec.index, p, space, cf, cf_count)
 
 
 def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS):

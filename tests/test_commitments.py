@@ -20,9 +20,8 @@ from chslab.commitments import (
     honest_commit,
 )
 from chslab.cli import main
-from chslab.haar import sample_haar
+from chslab.haar import rng_for, sample_haar
 from chslab.qla import DensityOperator, PureState, fidelity, partial_trace, partial_trace_pure
-from chslab.runner import rng_for
 
 
 def fixed_params(lam=1, n=2, p=1, seed=21):
@@ -220,7 +219,7 @@ def test_binomial_identity_behind_sum_bound():
 
 def test_fidelity_sum_inequality_on_random_triples():
     # F(rho, xi) + F(sigma, xi) <= 1 + sqrt(F(rho, sigma))
-    from chslab.qla import random_density
+    from dense_reference import random_density
 
     rng = rng_for(54)
     for _ in range(15):

@@ -11,11 +11,11 @@ from chslab.haar import (
     HaarSampler,
     exact_moment,
     haar_statevector,
+    rng_for,
     sample_haar,
     sampled_moment_distance,
     symmetric_projector,
 )
-from chslab.runner import rng_for
 
 CHUNK = haar._CHUNK_TRIALS
 

@@ -1,18 +1,23 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_reference import phase_ensemble_state, phase_signs
 
 from chslab import pgm
 from chslab.budgets import BudgetExceeded, Budgets
 from chslab.cli import main
 from chslab.haar import exact_moment
-from chslab.pgm import PgmParams, _phase_signs, pgm_report, phase_ensemble_state
+from chslab.pgm import PgmParams, pgm_report
 from chslab.qla import DensityOperator, inv_sqrt_on_support, support_projector
-from chslab.sectors import _partitions
+from chslab.sectors import MAX_NORMALISER, _partitions
 from chslab.tolerances import ATOL_CHAIN
 
 
@@ -66,7 +71,7 @@ def test_sigma_commutes_with_every_phase_pattern(n, m):
     params = PgmParams(n=n, m=m)
     sigma = _sigma(params)
     for x in range(params.d):
-        diag = np.kron(_phase_signs(x, params.d), np.ones(params.d**m))
+        diag = np.kron(phase_signs(x, params.d), np.ones(params.d**m))
         commutator = sigma * diag[None, :] - diag[:, None] * sigma
         assert np.abs(commutator).max() < 1e-9
 
@@ -187,8 +192,8 @@ def test_report_builds_no_dense_moment_and_flags_its_own_q(monkeypatch, n, m):
     def refused(*args, **kwargs):
         raise AssertionError("pgm_report built a dense or d-dimensional operator")
 
-    for name in ("exact_moment", "phase_ensemble_state", "_phase_signs"):
-        monkeypatch.setattr(pgm, name, refused)
+    # a dense moment is written by to_dense, whichever module builds it
+    monkeypatch.setattr(DensityOperator, "to_dense", refused)
     monkeypatch.setattr(np.linalg, "eigh", refused)
     monkeypatch.setattr(DensityOperator, "from_dense", classmethod(refused))
     report = pgm_report(PgmParams(n=n, m=m))
@@ -236,6 +241,36 @@ def test_report_checks_the_shape_budget_and_the_float_range(capsys):
     assert err.count("\n") == 1 and err.startswith("chs-lab pgm: n=1023 is too large")
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_a_raised_budget_does_not_raise_the_walks_memory():
+    # The walk folds its shapes into running sums as it goes. Holding every
+    # shape until the budget check instead, 3e5 of the shapes of m+1 = 101
+    # raised the peak RSS by ~43 MiB (numpy 2.4); folded, the rise is ~22 MiB
+    # whatever the budget. VmHWM is the fresh process's own peak, in KiB.
+    code = (
+        "import re\n"
+        "from chslab.budgets import BudgetExceeded, Budgets\n"
+        "from chslab.pgm import PgmParams, pgm_report\n"
+        "def peak():\n"
+        "    return int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])\n"
+        "pgm_report(PgmParams(n=2, m=1))\n"
+        "before = peak()\n"
+        "try:\n"
+        "    pgm_report(PgmParams(n=7, m=100), Budgets(max_type_count=300_000))\n"
+        "except BudgetExceeded:\n"
+        "    print(peak() - before)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(result.stdout) < 32 * 1024
+
+
 def test_cli_runs_twenty_qubits_under_the_default_budgets(capsys):
     assert main(["pgm", "--n", "20", "--m", "8"]) == 0
     assert '"q_le_bound": true' in capsys.readouterr().out
@@ -260,6 +295,58 @@ def test_walked_shapes_stand_for_every_sector(n, m):
 
 def test_label_sums_are_products_over_the_bits():
     for n, r in [(1, 1), (1, 2), (3, 5), (4, 16)]:
-        signs = np.stack([_phase_signs(x, 2**n) for x in range(2**n)])
+        signs = np.stack([phase_signs(x, 2**n) for x in range(2**n)])
         assert np.array_equal(pgm._label_sums(r, n), (signs.T @ signs)[:r, :r])
     assert np.array_equal(pgm._label_sums(3, 1000), 2.0**1000 * np.eye(3))
+
+
+def _shape_terms_reference(shapes, n, normaliser):
+    """The terms of one part count as the report summed them before it folded in batches."""
+    r, copies, d = len(shapes[0]), sum(shapes[0]), 2**n
+    weight = np.array([
+        math.perm(d, r) // math.prod(math.factorial(c) for c in Counter(shape).values())
+        / normaliser
+        for shape in shapes
+    ])
+    mu = np.array(shapes, dtype=float)
+    moment = np.sqrt(mu[:, :, None] * mu[:, None, :]) / copies
+    sigma = float(d) * np.diagonal(moment, axis1=1, axis2=2)
+    inv_root = 1.0 / np.sqrt(sigma)
+    sandwich = inv_root[:, :, None] * moment * inv_root[:, None, :]
+    residual = sandwich * pgm._label_sums(r, n)
+    residual[:, np.arange(r), np.arange(r)] -= 1.0
+    q = float(weight @ np.einsum("kab,kba->k", moment, sandwich))
+    return q, float(sigma.min()), float(np.abs(residual).max())
+
+
+@pytest.mark.parametrize("n,m", [(3, 12), (7, 29), (6, 40)])
+def test_one_batch_of_shapes_sums_bitwise_as_before(n, m):
+    # |Aut mu| from the runs of equal parts, in floats below 2^53 (past it at
+    # m = 29 and 40: 1^25 has 25! automorphisms), and in-place arithmetic
+    normaliser = pgm._normaliser(n, m)
+    by_parts = {}
+    for shape in _partitions(m + 1, min(m + 1, 2**n)):
+        by_parts.setdefault(len(shape), []).append(shape)
+    for shapes in by_parts.values():
+        expected = _shape_terms_reference(shapes, n, normaliser)
+        assert pgm._shape_terms(shapes, n, normaliser) == expected
+
+
+def test_folding_in_small_pieces_gives_the_same_report(monkeypatch):
+    report = pgm_report(PgmParams(n=3, m=20))
+    monkeypatch.setattr(pgm, "_PENDING", 50)
+    monkeypatch.setattr(pgm, "_BATCH", 16)
+    pieces = pgm_report(PgmParams(n=3, m=20))
+    assert pieces.flags == report.flags
+    for name, value in report.quantities.items():
+        assert pieces.quantities[name] == pytest.approx(value, rel=1e-14), name
+
+
+def test_normaliser_is_the_binomial_within_the_float_range():
+    for n in range(1, 12):
+        for m in [*range(40), 300, 2000]:
+            exact = math.comb(2**n + m, m + 1)
+            assert pgm._normaliser(n, m) == (exact if exact <= MAX_NORMALISER else None)
+    assert pgm._normaliser(1022, 0) == 2**1022 and pgm._normaliser(1023, 0) is None
+    # C(2^20 + 10^6, 10^6 + 1) has ~2e6 bits, which math.comb takes tens of seconds to form
+    assert pgm._normaliser(20, 10**6) is None

@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sector_reference import hybrid_mixture
 
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
-from chslab.haar import exact_moment
-from chslab.prsg import (
-    HybridSpec,
-    PrsParams,
-    generate,
-    hybrid_mixture,
-    hybrid_state,
-    impossibility_attack,
-    multi_key_report,
-    single_key_report,
-)
+from chslab.ensembles import HybridSpec, generate, hybrid_state
+from chslab.haar import exact_moment, rng_for
+from chslab.prsg import PrsParams, multi_key_report, single_key_report
 from chslab.qla import (
     DensityOperator,
     PureState,
@@ -24,7 +17,7 @@ from chslab.qla import (
     support_projector,
     trace_distance,
 )
-from chslab.runner import rng_for
+from chslab.rank_attack import impossibility_attack
 from chslab.tolerances import ATOL_CHAIN, REL_RANK_CUTOFF
 from chslab.typestates import apply_phase, enumerate_types, keyed_members
 

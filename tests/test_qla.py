@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import random_density
 
 from chslab.budgets import BudgetExceeded, Budgets
 from chslab.haar import exact_moment, sample_haar
@@ -15,7 +16,6 @@ from chslab.qla import (
     inv_sqrt_on_support,
     partial_trace,
     partial_trace_pure,
-    random_density,
     support_projector,
     tensor,
     trace_distance,

@@ -273,10 +273,39 @@ def test_runs_load_only_the_layer_they_dispatch_to():
         "runner.run(runner.ExperimentConfig('multikey-td', dict(lam=2, n=3, ell=1, t=1, p=2)))"
     )
     assert "chslab.prsg" in loaded
-    assert loaded.isdisjoint({"chslab.commitments", "chslab.pgm", "chslab.acceptance"})
+    assert loaded.isdisjoint(
+        {
+            "chslab.rank_attack",
+            "chslab.ensembles",
+            "chslab.typestats",
+            "chslab.commitments",
+            "chslab.pgm",
+            "chslab.acceptance",
+        }
+    )
+    loaded = _modules_loaded_by(
+        "from chslab import runner\n"
+        "runner.run(runner.ExperimentConfig('impossibility', dict(lam=2, n=3, ell=1, t=1)))"
+    )
+    assert {"chslab.prsg", "chslab.rank_attack"} <= loaded
+    assert "chslab.ensembles" not in loaded
     loaded = _modules_loaded_by("import chslab.cli")
     assert "chslab.runner" in loaded
-    assert loaded.isdisjoint({"chslab.prsg", "chslab.sectors"})
+    assert loaded.isdisjoint({"chslab.prsg", "chslab.sectors", "chslab.typestats"})
+
+
+def test_prsg_still_resolves_the_names_perfbench_replays():
+    # perfbench's traced replays call prsg.hybrid_state(prsg.HybridSpec(...))
+    from chslab import ensembles, prsg
+
+    params = prsg.PrsParams(lam=1, n=2, ell=1, t=1)
+    assert prsg.HybridSpec is ensembles.HybridSpec
+    state = prsg.hybrid_state(prsg.HybridSpec(1, params))
+    reference = ensembles.hybrid_state(ensembles.HybridSpec(1, params))
+    members = [[(w, s.amplitudes) for w, s in x.ensemble] for x in (state, reference)]
+    assert members[0] == members[1]
+    assert np.array_equal(state.to_dense(), reference.to_dense())
+    assert not hasattr(prsg, "generate") and not hasattr(prsg, "impossibility_attack")
 
 
 def test_hybrid_scan_is_prsg_td_under_its_own_name():

@@ -2,7 +2,7 @@
 
 The reports build their mixtures on ``sectors.relation_classes``. Patching in
 ``sector_reference.sector_space`` builds the same mixtures on every sector
-with count 1. ``prsg.hybrid_state`` and ``sector_reference.multikey_xi``
+with count 1. ``ensembles.hybrid_state`` and ``sector_reference.multikey_xi``
 build them as PureState ensembles; ``gram_trace_distance`` and the dense
 ``trace_distance`` compare those. Every quantity must agree across the routes
 to 1e-12.
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sector_reference import (
+    hybrid_mixture,
     multikey_mixture,
     multikey_xi,
     pairwise_trace_distance,
@@ -30,21 +31,19 @@ from chslab import prsg, sectors
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.cli import main
 from chslab.commitments import hiding_distance
+from chslab.ensembles import HybridSpec, hybrid_state
 from chslab.prsg import (
     _CONSECUTIVE,
-    HybridSpec,
     PrsParams,
     _cf_count,
     _conditioned_sectors,
     _sector_chain,
     _sector_hybrid,
-    hybrid_mixture,
-    hybrid_state,
-    impossibility_attack,
     multi_key_report,
     single_key_report,
 )
 from chslab.qla import gram_trace_distance, trace_distance
+from chslab.rank_attack import impossibility_attack, sector_support_overlap
 from chslab.sectors import (
     SectorMixture,
     SectorSpace,
@@ -53,7 +52,6 @@ from chslab.sectors import (
     _partitions,
     arrangements,
     relation_classes,
-    sector_support_overlap,
     sector_trace_distance,
     shape_orderings,
     subspaces,
@@ -65,7 +63,11 @@ ATOL = 1e-12
 
 
 def _on_sectors(call, *args):
-    """``call(*args)`` with every prsg mixture built on the full sector enumeration."""
+    """``call(*args)`` with every mixture built on the full sector enumeration.
+
+    Every report, the rank attack's included, and every ``sector_reference``
+    builder gets its space from ``prsg.relation_classes``.
+    """
     with mock.patch.object(prsg, "relation_classes", sector_space):
         return call(*args)
 

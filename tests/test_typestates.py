@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from chslab.budgets import BudgetExceeded, Budgets
+from chslab.haar import rng_for
 from chslab.qla import DensityOperator, gram_trace_distance
-from chslab.runner import rng_for
 from chslab.typestates import (
     OrderedTuple,
     PermutationVerdict,
