@@ -23,13 +23,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import exact_moment, rng_for, sample_haar
-from .qla import (
-    DensityOperator,
-    PureState,
-    _diagonal_blocks,
-    fidelity,
-    partial_trace_pure,
-)
+from .qla import PureState, flatten_label
 from .reporting import ExperimentReport
 from .tolerances import ATOL_CHAIN, ATOL_STRUCTURAL
 from .typestates import phase_sign
@@ -94,14 +88,17 @@ def honest_commit(b: int, params: CommitmentParams, budgets: Budgets = DEFAULT_B
 
 
 def per_copy_fidelity(params: CommitmentParams, budgets: Budgets = DEFAULT_BUDGETS) -> float:
-    """Fidelity of the two bits' one-copy states reduced to the C register."""
-    reduced0, reduced1 = (
-        DensityOperator.from_dense(
-            partial_trace_pure(commit_copy(b, params), [0], budgets), (params.n,)
-        )
-        for b in (0, 1)
-    )
-    return fidelity(reduced0, reduced1, budgets)
+    """Fidelity of the two bits' one-copy states reduced to the C register, in closed form.
+
+    Tracing R out of a bit-0 copy averages the key phases ``(-1)^(k . prefix)``
+    into a mask on equal lam-bit prefixes, so it leaves ``sum_B |theta_B><theta_B|``
+    with ``theta_B`` the shared state cut to prefix B: rank one on each of the
+    ``2^lam`` prefix blocks. Bit 1 leaves ``I / 2^n``. So the fidelity is
+    ``(Tr sqrt(rho_0 / 2^n))^2 = (sum_B ||theta_B||)^2 / 2^n``, at most
+    ``2^-(n-lam)`` by Cauchy-Schwarz, with no partial trace and no eigensolve.
+    """
+    blocks = params.theta.dense(budgets).reshape(1 << params.lam, -1)
+    return float(np.linalg.norm(blocks, axis=1).sum() ** 2 / blocks.size)
 
 
 def accept_probability(
@@ -313,6 +310,64 @@ def binding_report(params: dict, seed: int, budgets: Budgets) -> ExperimentRepor
 # ---------------------------------------------------------------------------
 
 
+def _moment_blocks(N: int, size: int, index: np.ndarray, budgets: Budgets) -> np.ndarray:
+    """The exact moment ``M_size`` on each row of ``index``: a ``(rows, k, k)`` stack.
+
+    ``index`` holds flat indices of ``size`` registers, ``(rows, k)``. Every
+    ordering belongs to exactly one type, so ``exact_moment``'s type states are
+    staged as one type and one amplitude per flat index, and entry (i, j) of
+    the moment is ``prob * amp_i * amp_j`` when i and j share a type, else 0.
+    Nothing larger than the stack and ``N^size`` staged entries is built.
+    """
+    if size == 0:
+        return np.ones((1, 1, 1))
+    moment = exact_moment(N, size, budgets)
+    shape = moment.register_shape
+    types, amps = np.empty(N**size, dtype=np.intp), np.empty(N**size)
+    for row, (_, state) in enumerate(moment.ensemble):
+        for label, amp in state.amplitudes.items():
+            flat = flatten_label(label, shape)
+            types[flat], amps[flat] = row, amp.real
+    prob = moment.ensemble[0][0]  # every type has the same weight
+    types, amps = types[index], amps[index]
+    blocks = (amps * prob)[:, :, None] * amps[:, None, :]
+    blocks *= types[:, :, None] == types[:, None, :]
+    return blocks
+
+
+# Entries of one chunk of blocks checked at a time, so the checks' temporaries
+# stay small next to the blocks.
+_CHECK_ENTRIES = 1 << 15
+
+
+def _check_density_blocks(blocks: np.ndarray, copies: int, what: str) -> None:
+    """Refuse a block-diagonal operator that is not a density operator.
+
+    ``blocks`` is a ``(rows, k, k)`` stack of its diagonal blocks, each standing
+    for ``copies`` equal ones. Every block must be symmetric within
+    ``ATOL_STRUCTURAL`` and have no eigenvalue below ``-ATOL_STRUCTURAL``, and
+    all of them together must have trace one. A symmetric block has no such
+    eigenvalue exactly when it plus ``ATOL_STRUCTURAL`` times the identity is
+    positive definite, that is when that sum has a Cholesky factor, which
+    costs a quarter of an eigensolve.
+    """
+    k = blocks.shape[1]
+    step = max(1, _CHECK_ENTRIES // (k * k))
+    chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
+    asymmetry = np.max([np.abs(chunk - chunk.swapaxes(1, 2)).max() for chunk in chunks])
+    if not asymmetry <= ATOL_STRUCTURAL:  # NaN fails too
+        raise ValueError(f"{what} is not symmetric within tolerance")
+    trace = copies * float(np.trace(blocks, axis1=1, axis2=2).sum())
+    if not abs(trace - 1.0) <= ATOL_STRUCTURAL:
+        raise ValueError(f"{what} has trace {trace}, expected 1")
+    shift = ATOL_STRUCTURAL * np.eye(k)
+    try:
+        for chunk in chunks:
+            np.linalg.cholesky(chunk + shift)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{what} has an eigenvalue below -1e-9") from None
+
+
 def hiding_distance(
     lam: int, n: int, p: int, t: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ExperimentReport:
@@ -334,11 +389,17 @@ def hiding_distance(
     ``[prefix(a_i) == prefix(b_i)]``. So ``side0`` is the real moment
     ``M_(t+p)`` masked to equal lam-bit prefixes on every committed register.
 
-    Both sides vanish off the (2^lam)^p blocks of equal committed prefixes, so
-    the trace distance is one batched real ``eigvalsh`` over those blocks. The
-    bit-0 side is cross-checked against the multi-key distance with one
-    generated copy per key: the distance between the sector forms of the
-    chain's ends, xi_0 and xi_p, built on one space.
+    Both sides vanish off the (2^lam)^p blocks of equal committed prefixes, and
+    only those blocks are built. Inside one the mask is all ones, so side 0's
+    block is ``M_(t+p)`` on the block's indices, read off the type states of
+    ``exact_moment``. Side 1's block is ``M_t (x) I / 2^(np)``, the identity
+    over the committed registers' ``(n - lam) p`` suffix bits, the same for
+    every block. Each side is checked as a density operator block by block
+    (symmetric, PSD, unit total trace), and the trace distance is one batched
+    real ``eigvalsh`` over the blocks' differences. The bit-0 side is
+    cross-checked against the multi-key distance with one generated copy per
+    key: the distance between the sector forms of the chain's ends, xi_0 and
+    xi_p, built on one space.
     """
     from .prsg import PrsParams, _sector_chain, relation_classes
     from .sectors import sector_trace_distance
@@ -351,19 +412,22 @@ def hiding_distance(
     size = t + p
     kept_dim = 1 << (n * size)
     budgets.check_dense_dim(kept_dim, "hiding_distance")
-    side0 = exact_moment(N, size, budgets).to_dense(budgets)
     flat = np.arange(kept_dim)
     prefixes = 0
     for i in range(p):
         prefix = (flat >> (n * (p - 1 - i) + n - lam)) & ((1 << lam) - 1)
         prefixes = (prefixes << lam) | prefix
-    side0 *= prefixes[:, None] == prefixes[None, :]
-    side1 = exact_moment(N, t, budgets).to_dense(budgets) if t else np.eye(1)
-    for _ in range(p):
-        side1 = np.kron(side1, np.eye(N) / N)
-    for side in (side0, side1):
-        DensityOperator.from_dense(side, (n,) * size)  # validate both as density operators
-    _, blocks = _diagonal_blocks(side0 - side1, prefixes)
+    # Row b: the indices, ascending, whose committed prefixes read b.
+    index = np.argsort(prefixes, kind="stable").reshape(1 << (lam * p), -1)
+    blocks = _moment_blocks(N, size, index, budgets)
+    _check_density_blocks(blocks, 1, "hiding_distance side 0")
+    # Side 1 on one block, over (shared registers, committed suffixes) in the
+    # order of every row of index: M_t (x) I / 2^(np).
+    moment_t = _moment_blocks(N, t, np.arange(1 << (n * t))[None, :], budgets)[0]
+    suffixes = np.eye(1 << ((n - lam) * p)) / N**p
+    side1 = (moment_t[:, None, :, None] * suffixes[None, :, None, :]).reshape(blocks.shape[1:])
+    _check_density_blocks(side1[None], len(index), "hiding_distance side 1")
+    blocks -= side1
     td = 0.5 * float(np.abs(np.linalg.eigvalsh(blocks)).sum())
     space = relation_classes(n, lam, size, budgets)
     td_multikey = sector_trace_distance(

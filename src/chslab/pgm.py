@@ -22,8 +22,8 @@ the unit vector ``g_a`` over the orderings that start with a. ``D_x`` scales
 A sector's block depends only on its shape, and a shape with ``r <= d``
 parts stands for ``(d)_r / |Aut mu| > 0`` sectors, so every quantity is a
 sum over the partitions of m+1 into at most d parts, the only ones walked.
-The type-enumeration budget counts them as they are walked, so a refusal
-stops one past the budget. Everything is real and no d-dimensional
+The type-enumeration budget is checked on their exact count, capped one
+past the budget, before any is walked. Everything is real and no d-dimensional
 object is built. The tests build each ``rho_x`` densely, the independent
 reference where ``d^(m+1)`` fits the dense budget.
 
@@ -102,6 +102,37 @@ def _normaliser(n: int, m: int) -> int | None:
     return count
 
 
+def _shape_count(size: int, max_parts: int, cap: int) -> int:
+    """The partitions of ``size`` into at most ``max_parts`` parts, counted exactly up to ``cap``.
+
+    At most two parts there are ``size // 2 + 1`` of them, and at most three
+    ``round((size + 3)^2 / 12)``, a floor for any larger ``max_parts``; so
+    past that floor the count is ``cap`` with nothing built, and otherwise
+    ``size`` is below ``sqrt(12 cap)``. Then, by conjugation, they are the
+    partitions into parts of at most ``max_parts``: ``ways[s]`` counts the
+    partitions of s into the part sizes taken so far, and taking part size j
+    adds ``ways[s - j]`` to ``ways[s]`` for s ascending, a running sum down
+    each column of ``ways`` laid out j to a row. Every count is capped at
+    ``cap``, so each is exact below it (floats while ``cap <= 2^53``, Python
+    ints beyond), and the count stops once ``size``'s reaches the cap.
+    """
+    if max_parts <= 2:
+        return min(cap, size // 2 + 1 if max_parts == 2 else 1)
+    if ((size + 3) ** 2 + 6) // 12 >= cap:
+        return cap
+    dtype = float if cap <= 2**53 else object
+    ways = np.zeros(size + 1, dtype=dtype)
+    ways[0] = 1
+    for part in range(1, max_parts + 1):
+        rows = -(-(size + 1) // part)
+        laid = np.zeros(rows * part, dtype=dtype)
+        laid[: size + 1] = ways
+        ways = np.minimum(np.cumsum(laid.reshape(rows, part), axis=0).reshape(-1)[: size + 1], cap)
+        if ways[size] >= cap:
+            break
+    return int(ways[size])
+
+
 def _shape_terms(
     shapes: list[tuple[int, ...]], n: int, normaliser: int
 ) -> tuple[float, float, float]:
@@ -166,8 +197,9 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     block is ``sqrt(mu_a mu_b) / (m+1)`` and sigma is d times its diagonal, so
     C drops out of A = S M S and of the completeness residual, and enters Q
     and the norm of S only as the weight of each shape. Only those shapes, each
-    with (d)_r > 0 sectors, are walked, up to one past the type-enumeration
-    budget, whose check counts them; a C beyond the float range is refused.
+    with (d)_r > 0 sectors, are walked, once the type-enumeration budget has
+    admitted their count (``_shape_count``, exact up to one past the budget)
+    and C is within the float range.
     The walk folds its shapes into each part count's sums as it goes, so
     what it holds does not grow with the budget.
     """
@@ -192,20 +224,8 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
             shapes.clear()
         held = 0
 
-    enumerated = 0
-    for enumerated, shape in enumerate(_partitions(copies, max_parts), 1):
-        if enumerated > budgets.max_type_count:
-            break
-        if normaliser is not None:
-            r = len(shape)
-            if r not in pending:
-                pending[r], q_terms[r] = [], 0.0
-            pending[r].append(shape)
-            held += r + 7
-            if held >= _PENDING:
-                fold()
     budgets.check_type_count(
-        enumerated,
+        _shape_count(copies, max_parts, budgets.max_type_count + 1),
         f"pgm_report: the partitions of m+1={copies} into at most {max_parts} parts "
         "(enumerated up to one past the budget)",
     )
@@ -214,6 +234,14 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
             f"n={n} is too large for m={m}: the moment's normaliser C(2^n+m, m+1) "
             "is beyond the float range"
         )
+    for shape in _partitions(copies, max_parts):
+        r = len(shape)
+        if r not in pending:
+            pending[r], q_terms[r] = [], 0.0
+        pending[r].append(shape)
+        held += r + 7
+        if held >= _PENDING:
+            fold()
     fold()
     if completeness_error > 1e-8:
         raise RuntimeError(

@@ -396,28 +396,6 @@ def support_projector(mat: np.ndarray, rel_tol: float = REL_RANK_CUTOFF) -> tupl
     return _on_support(vecs, kept.astype(float)), int(kept.sum())
 
 
-def _diagonal_blocks(mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal blocks of ``mat`` over the indices of equal ``labels``, stacked.
-
-    Returns ``(order, blocks)``: row b of ``order`` lists, ascending, the
-    indices of the b-th smallest label, and ``blocks[b]`` is ``mat`` on them.
-    Every label must cover the same number of indices. Raises if an entry
-    between indices of different labels is nonzero, so the blocks always hold
-    all of ``mat``.
-    """
-    labels = np.asarray(labels)
-    if mat.shape != (labels.size, labels.size):
-        raise ValueError(f"{labels.size} labels for a matrix of shape {mat.shape}")
-    _, sizes = np.unique(labels, return_counts=True)
-    if (sizes != sizes[0]).any():
-        raise ValueError(f"labels cover unequal blocks: sizes {sorted(set(sizes.tolist()))}")
-    off_block = labels[:, None] != labels[None, :]
-    if np.any(mat[off_block]):
-        raise ValueError("matrix has a nonzero entry between blocks")
-    order = np.argsort(labels, kind="stable").reshape(len(sizes), sizes[0])
-    return order, mat[order[:, :, None], order[:, None, :]]
-
-
 # ---------------------------------------------------------------------------
 # Ensemble trace distance, one support component at a time
 # ---------------------------------------------------------------------------

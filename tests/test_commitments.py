@@ -193,20 +193,53 @@ def test_honest_adversaries_have_unit_acceptance():
     )
 
 
+def per_copy_fidelity_reference(params):
+    """The fidelity of both bits' one-copy states traced to C, through ``qla.fidelity``."""
+    red0, red1 = (
+        DensityOperator.from_dense(partial_trace_pure(commit_copy(b, params), [0]), (params.n,))
+        for b in (0, 1)
+    )
+    return fidelity(red0, red1)
+
+
 def test_per_copy_fidelity_bound_sampled():
     rng = rng_for(53)
     for lam, n in ((1, 2), (2, 4)):
         cap = 2.0 ** -(n - lam)
         for _ in range(25):
             params = CommitmentParams(lam=lam, n=n, p=1, theta=sample_haar(n, rng))
-            red0 = DensityOperator.from_dense(
-                partial_trace_pure(commit_copy(0, params), [0]), (n,)
-            )
-            red1 = DensityOperator.from_dense(
-                partial_trace_pure(commit_copy(1, params), [0]), (n,)
-            )
-            assert fidelity(red0, red1) <= cap + 1e-9
-            assert commitments.per_copy_fidelity(params) == fidelity(red0, red1)
+            reference = per_copy_fidelity_reference(params)
+            assert reference <= cap + 1e-9
+            assert abs(commitments.per_copy_fidelity(params) - reference) <= 1e-12
+
+
+@st.composite
+def fidelity_points(draw):
+    """(seed, lam, n) with 1 <= lam < n <= 6."""
+    n = draw(st.integers(2, 6))
+    return draw(st.integers(0, 2**32)), draw(st.integers(1, n - 1)), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(fidelity_points())
+def test_per_copy_fidelity_closed_form_matches_the_partial_trace_route(point):
+    seed, lam, n = point
+    params = CommitmentParams(lam=lam, n=n, p=1, theta=sample_haar(n, rng_for(seed)))
+    closed = commitments.per_copy_fidelity(params)
+    assert abs(closed - per_copy_fidelity_reference(params)) <= 1e-12
+    assert closed <= 2.0 ** -(n - lam) + 1e-12
+
+
+@pytest.mark.parametrize("lam,n", [(1, 2), (1, 4), (2, 3), (3, 6)])
+def test_per_copy_fidelity_pins_a_basis_state_and_the_cap(lam, n):
+    # |0> lies in one prefix block: F = 1 / 2^n. The uniform superposition has
+    # norm 2^(-lam/2) in each of the 2^lam blocks: F = 2^lam / 2^n, the cap.
+    zero = CommitmentParams(lam=lam, n=n, p=1, theta=PureState((n,), {(0,): 1.0}))
+    assert commitments.per_copy_fidelity(zero) == 2.0**-n
+    amp = 2.0 ** (-n / 2)
+    uniform = PureState((n,), {(x,): amp for x in range(1 << n)})
+    capped = CommitmentParams(lam=lam, n=n, p=1, theta=uniform)
+    assert commitments.per_copy_fidelity(capped) == pytest.approx(2.0 ** -(n - lam), abs=1e-15)
 
 
 def test_binomial_identity_behind_sum_bound():
@@ -285,17 +318,55 @@ def test_binding_refuses_lam_below_one(lam, capsys):
 
 
 def test_hiding_distance_keeps_its_moments_real():
-    # Both sides, their difference and the Hermitian check's temporaries are
-    # real 512 x 512 arrays: about 4.2 of them at the peak. Complex copies of
-    # the moments would double it.
-    dim = 1 << (3 * 3)
+    # At (2, 3, 1, 2) the 4 blocks of equal committed prefixes hold 4 * 128^2
+    # real entries, a sixteenth of the 512^2 space. The blocks and the
+    # checks' temporaries peak at ~2.3 times the blocks (numpy 2.4); complex
+    # blocks would double that, and the full-space route peaked at ~4.2 real
+    # 512 x 512 arrays, 17 times the blocks.
+    lam, n, p, t = 2, 3, 1, 2
+    block_floats = (1 << (lam * p)) * (1 << (n * (p + t) - lam * p)) ** 2
+    hiding_distance(lam, n, p, t)  # first-call allocations
     tracemalloc.start()
     try:
-        hiding_distance(2, 3, 2, 1)
+        hiding_distance(lam, n, p, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * dim * dim * 8
+    assert peak <= 3 * block_floats * 8
+
+
+def test_density_blocks_refuse_a_negative_eigenvalue_in_one_block():
+    blocks = np.stack([np.diag([0.25, 0.25]), np.diag([0.25, 0.25])])
+    commitments._check_density_blocks(blocks, 1, "side")
+    blocks[1] = [[0.25, 0.25 + 1e-6], [0.25 + 1e-6, 0.25]]  # eigenvalues 0.5 + 1e-6, -1e-6
+    with pytest.raises(ValueError, match="side has an eigenvalue below -1e-9"):
+        commitments._check_density_blocks(blocks, 1, "side")
+    blocks[1] = [[0.25, 0.25 + 5e-10], [0.25 + 5e-10, 0.25]]  # -5e-10 is within tolerance
+    commitments._check_density_blocks(blocks, 1, "side")
+    blocks[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="side is not symmetric"):
+        commitments._check_density_blocks(blocks, 1, "side")
+    with pytest.raises(ValueError, match="side has trace 2.0"):
+        commitments._check_density_blocks(np.stack([np.eye(2) / 2]), 2, "side")
+
+
+@pytest.mark.parametrize("size_of_bad_side", [3, 2])  # side 0's t + p copies, side 1's t
+def test_hiding_distance_refuses_a_side_with_a_negative_eigenvalue(monkeypatch, size_of_bad_side):
+    moment_blocks = commitments._moment_blocks
+
+    def one_bad_block(N, size, index, budgets):
+        blocks = moment_blocks(N, size, index, budgets)
+        if size == size_of_bad_side:
+            # the last block, with its trace kept but one eigenvalue at -1e-6
+            bad = np.zeros(blocks.shape[1:])
+            bad[0, 0], bad[1, 1] = np.trace(blocks[-1]) + 1e-6, -1e-6
+            blocks[-1] = bad
+        return blocks
+
+    monkeypatch.setattr(commitments, "_moment_blocks", one_bad_block)
+    side = 0 if size_of_bad_side == 3 else 1
+    with pytest.raises(ValueError, match=f"side {side} has an eigenvalue below -1e-9"):
+        hiding_distance(1, 2, 1, 2)
 
 
 def test_hiding_distance_crosscheck():
@@ -320,6 +391,8 @@ def hiding_points(draw):
 @example((1, 2, 1, 0))
 @example((2, 3, 2, 0))
 @example((1, 2, 2, 2))
+@example((2, 3, 2, 1))  # dimension 512
+@example((2, 3, 1, 2))
 def test_hiding_distance_matches_the_commit_state_route(point):
     lam, n, p, t = point
     report, reference = hiding_distance(lam, n, p, t), hiding_reference(lam, n, p, t)

@@ -208,7 +208,7 @@ def test_report_builds_no_dense_moment_and_flags_its_own_q(monkeypatch, n, m):
 
 def test_report_checks_the_shape_budget_and_the_float_range(capsys):
     # p(2) = 2 shapes fit a budget of 2, p(3) = 3 do not; the p(101) ~ 2e8
-    # shapes of m = 100 on 128 letters are walked only up to one past the budget
+    # shapes of m = 100 on 128 letters are counted only up to one past the budget
     pgm_report(PgmParams(n=7, m=1), Budgets(max_type_count=2))
     with pytest.raises(
         BudgetExceeded, match=r"m\+1=3 into at most 3 parts \(enumerated .*\): 3 types exceed"
@@ -246,19 +246,19 @@ def test_a_raised_budget_does_not_raise_the_walks_memory():
     # The walk folds its shapes into running sums as it goes. Holding every
     # shape until the budget check instead, 3e5 of the shapes of m+1 = 101
     # raised the peak RSS by ~43 MiB (numpy 2.4); folded, the rise is ~22 MiB
-    # whatever the budget. VmHWM is the fresh process's own peak, in KiB.
+    # whatever the budget. An over-budget walk is now refused before it
+    # starts, so the raised budget admits all 329,931 shapes of m+1 = 53.
+    # VmHWM is the fresh process's own peak, in KiB.
     code = (
         "import re\n"
-        "from chslab.budgets import BudgetExceeded, Budgets\n"
+        "from chslab.budgets import Budgets\n"
         "from chslab.pgm import PgmParams, pgm_report\n"
         "def peak():\n"
         "    return int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])\n"
         "pgm_report(PgmParams(n=2, m=1))\n"
         "before = peak()\n"
-        "try:\n"
-        "    pgm_report(PgmParams(n=7, m=100), Budgets(max_type_count=300_000))\n"
-        "except BudgetExceeded:\n"
-        "    print(peak() - before)\n"
+        "pgm_report(PgmParams(n=7, m=52), Budgets(max_type_count=330_000))\n"
+        "print(peak() - before)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
@@ -269,6 +269,32 @@ def test_a_raised_budget_does_not_raise_the_walks_memory():
         check=True,
     )
     assert int(result.stdout) < 32 * 1024
+
+
+def test_shape_count_is_the_walk_capped_one_past_the_budget():
+    for size in range(16):
+        for max_parts in range(1, size + 2):
+            walked = sum(1 for _ in _partitions(size, max_parts))
+            for cap in (1, walked - 1, walked, walked + 1, 2**53 + 1, 10**40):
+                if cap >= 1:
+                    assert pgm._shape_count(size, max_parts, cap) == min(walked, cap)
+    assert pgm._shape_count(101, 101, 10**90) == 214_481_126  # p(101)
+    # a floor refuses before anything the size of m is built
+    for max_parts in (2, 3, 10**12):
+        assert pgm._shape_count(10**12, max_parts, 100_001) == 100_001
+    assert pgm._shape_count(10**12, 1, 100_001) == 1
+
+
+def test_an_over_budget_walk_is_refused_before_any_shape(monkeypatch):
+    def walked(*args):
+        raise AssertionError("walked the shapes of a refused report")
+
+    monkeypatch.setattr(pgm, "_partitions", walked)
+    for n, m in [(7, 100), (20, 1_000_000)]:
+        with pytest.raises(BudgetExceeded, match="100001 types exceed enumeration budget"):
+            pgm_report(PgmParams(n=n, m=m))
+    with pytest.raises(BudgetExceeded, match="1000001 types exceed"):
+        pgm_report(PgmParams(n=7, m=100), Budgets(max_type_count=10**6))
 
 
 def test_cli_runs_twenty_qubits_under_the_default_budgets(capsys):

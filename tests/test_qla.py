@@ -9,7 +9,6 @@ from chslab.haar import exact_moment, sample_haar
 from chslab.qla import (
     DensityOperator,
     PureState,
-    _diagonal_blocks,
     _support_eigh,
     fidelity,
     gram_trace_distance,
@@ -338,26 +337,6 @@ def test_stacked_support_cutoff_is_relative_to_the_largest_block():
     for b, block in enumerate(blocks):
         whole[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = block
     assert support_projector(whole, rel_tol=1e-6)[1] == kept.sum()
-
-
-def test_diagonal_blocks_stack_by_label():
-    labels = np.array([1, 0, 1, 0])
-    mat = np.zeros((4, 4))
-    mat[np.ix_([1, 3], [1, 3])] = [[1.0, 2.0], [2.0, 3.0]]
-    mat[np.ix_([0, 2], [0, 2])] = [[4.0, 5.0], [5.0, 6.0]]
-    order, blocks = _diagonal_blocks(mat, labels)
-    assert order.tolist() == [[1, 3], [0, 2]]
-    assert blocks.tolist() == [[[1.0, 2.0], [2.0, 3.0]], [[4.0, 5.0], [5.0, 6.0]]]
-    with pytest.raises(ValueError, match="unequal blocks"):
-        _diagonal_blocks(np.eye(3), [0, 0, 1])
-
-
-@pytest.mark.parametrize("entry", [1e-300, -1e-300, 1j * 1e-300])
-def test_diagonal_blocks_refuse_a_nonzero_entry_between_blocks(entry):
-    mat = np.eye(4, dtype=complex)
-    mat[0, 3] = entry
-    with pytest.raises(ValueError, match="nonzero entry between blocks"):
-        _diagonal_blocks(mat, [0, 0, 1, 1])
 
 
 def test_dense_budget_enforced():
