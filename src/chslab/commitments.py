@@ -23,10 +23,9 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .haar import exact_moment, rng_for, sample_haar
-from .qla import PureState, flatten_label
 from .reporting import ExperimentReport
+from .states import PureState, flatten_label, phase_sign
 from .tolerances import ATOL_CHAIN, ATOL_STRUCTURAL
-from .typestates import phase_sign
 
 
 def _check_sizes(lam: int, n: int, p: int) -> None:

@@ -17,20 +17,14 @@ from dataclasses import dataclass
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .prsg import PrsParams, _empty_hybrid, _hybrid_size
-from .qla import DensityOperator, PureState
-from .typestates import (
-    TypeVector,
-    apply_phase,
-    enumerate_types,
-    is_l_fold_prefix_cf,
-    keyed_members,
-    split_members,
-    type_state,
-)
+from .states import DensityOperator, PureState, TypeVector, enumerate_types, type_state
+from .typestates import apply_phase, is_l_fold_prefix_cf, keyed_members, split_members
 
 
 @dataclass(frozen=True)
 class HybridSpec:
+    """One hybrid distribution: ``index``, from 1 to 8, and the ``PrsParams`` ``params``."""
+
     index: int
     params: PrsParams
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets, _as_index
-from .qla import DensityOperator, PureState
-from .typestates import _amplitude, enumerate_types, type_state
+from .states import DensityOperator, PureState, _amplitude, enumerate_types, type_state
 
 
 _KEY_MASK = (1 << 64) - 1

@@ -29,6 +29,16 @@ def format_float(value) -> str:
 
 @dataclass
 class ExperimentReport:
+    """One experiment's result.
+
+    Fields: ``experiment`` and ``params``, the configuration echo;
+    ``quantities``, the named computed values; ``bounds``, the values they are
+    compared against; ``flags``, pass/fail per checked inequality; ``notes``,
+    free text; ``seed``, which ``runner.run`` sets (None for a report built
+    outside it); ``version``, the artifact version; and ``duration_s``, the
+    wall-clock time, which the canonical payload leaves out.
+    """
+
     experiment: str
     params: dict
     quantities: dict

@@ -26,6 +26,14 @@ from .reporting import ExperimentReport, combined_csv
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment to run.
+
+    Fields: ``experiment``, a name in ``SCHEMAS`` or ``ALIASES``; ``params``,
+    its parameters (checked against the schema by ``validate_params``);
+    ``seed``, the integer that keys every random stream of the run; and
+    ``budgets``, the resource budgets the run is checked against.
+    """
+
     experiment: str
     params: dict = field(default_factory=dict)
     seed: int = 0

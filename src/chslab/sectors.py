@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .typestates import distinct_orderings
+from .states import distinct_orderings
 
 # The largest normaliser whose reciprocal is a normal float: 2**1022.
 MAX_NORMALISER = int(1 / sys.float_info.min)

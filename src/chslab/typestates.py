@@ -1,11 +1,13 @@
-"""Type vectors, type states, prefix collision-freeness, and phase twirling.
+"""Prefix collision-freeness, type sampling, the phase action, and the
+phase-twirl identities on the type states of ``states``.
 
-A type is a multiset of ``t`` strings over the alphabet ``{0,1}^width``; its
-type state is the unit-norm symmetric superposition over all orderings of the
-multiset, with coefficient ``sqrt(prod_i T_i! / t!)`` on each ordering. Uniform
-mixtures of type states reproduce averages over Haar-random product states,
-which is what makes the phase-twirl identities in this module checkable by
-finite enumeration.
+Uniform mixtures of type states reproduce averages over Haar-random product
+states, which is what makes the phase-twirl identities in this module
+checkable by finite enumeration: ``key_average`` twirls a type state's first
+``ell`` registers over every key, ``split_average`` mixes its ``ell``-position
+splits, and ``permutation_average_verdict`` checks the permutation identity
+behind them. Of the reports only ``typestats`` runs this module: ``import
+chslab`` leaves it unloaded, and it loads on the first use of one of its names.
 """
 
 from __future__ import annotations
@@ -14,126 +16,25 @@ import enum
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from operator import xor
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets, format_count
-from .qla import DensityOperator, PureState
-
-# ---------------------------------------------------------------------------
-# Types and ordered tuples
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Multiset of ``total`` strings over ``{0,1}^width`` with a designated prefix.
-
-    ``elements`` is the sorted expansion of the multiset (one entry per copy),
-    and ``prefix_bits`` marks how many leading bits the phase operations and
-    collision predicates look at.
-    """
-
-    elements: tuple[int, ...]
-    width: int
-    prefix_bits: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(int(x) for x in self.elements)))
-        if not self.elements:
-            raise ValueError("type must contain at least one element")
-        if not 0 <= self.prefix_bits <= self.width:
-            raise ValueError(f"prefix_bits {self.prefix_bits} not in [0, {self.width}]")
-        for x in self.elements:
-            if not 0 <= x < (1 << self.width):
-                raise ValueError(f"element {x} does not fit in {self.width} bits")
-
-    @property
-    def total(self) -> int:
-        return len(self.elements)
-
-    def multiplicities(self) -> Counter:
-        return Counter(self.elements)
-
-    def prefixes(self) -> tuple[int, ...]:
-        shift = self.width - self.prefix_bits
-        return tuple(x >> shift for x in self.elements)
-
-
-@dataclass(frozen=True)
-class OrderedTuple:
-    """An ordered tuple of strings; ``type_of`` forgets the order."""
-
-    entries: tuple[int, ...]
-    width: int
-    prefix_bits: int
-
-    def type_of(self) -> TypeVector:
-        return TypeVector(self.entries, self.width, self.prefix_bits)
-
-    def permuted(self, sigma: tuple[int, ...]) -> "OrderedTuple":
-        # Left action on tuples: entry i of the image is entry sigma[i].
-        return OrderedTuple(
-            tuple(self.entries[sigma[i]] for i in range(len(self.entries))),
-            self.width,
-            self.prefix_bits,
-        )
-
-
-def enumerate_types(
-    N: int, t: int, budgets: Budgets = DEFAULT_BUDGETS, prefix_bits: int | None = None
-) -> Iterator[TypeVector]:
-    """All multisets of size ``t`` over an alphabet of ``N = 2^width`` strings."""
-    width = _width_of(N)
-    count = math.comb(N + t - 1, t)
-    budgets.check_type_count(count, f"enumerate_types(N={N}, t={t})")
-    pb = width if prefix_bits is None else prefix_bits
-    for combo in itertools.combinations_with_replacement(range(N), t):
-        yield TypeVector(combo, width, pb)
-
-
-def _width_of(N: int) -> int:
-    width = N.bit_length() - 1
-    if N <= 0 or (1 << width) != N:
-        raise ValueError(f"alphabet size {N} must be a power of two")
-    return width
-
-
-def distinct_orderings(elements: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in sorted order.
-
-    Built position by position from the values still left, so the work grows
-    with the distinct orderings, never with all ``len(elements)!`` permutations.
-    """
-    values = sorted(set(elements))
-    orderings = [()]
-    for _ in elements:
-        orderings = [o + (v,) for o in orderings for v in values if o.count(v) < elements.count(v)]
-    return orderings
-
-
-def type_state(T: TypeVector) -> PureState:
-    """Symmetric superposition over the orderings of the multiset.
-
-    Amplitude ``sqrt(prod_i T_i! / t!)`` on every distinct ordering; a
-    collision-free type therefore carries ``1/sqrt(t!)`` on each of its ``t!``
-    orderings, and a fully repeated type is a single basis state.
-    """
-    coeff = complex(_amplitude(T.elements))
-    amps = {ordering: coeff for ordering in distinct_orderings(T.elements)}
-    return PureState((T.width,) * T.total, amps)
-
-
-def _amplitude(elements: tuple[int, ...]) -> float:
-    """A type state's amplitude on each ordering, ``sqrt(prod_i T_i! / t!)``."""
-    return math.sqrt(
-        reduce(lambda acc, mult: acc * math.factorial(mult), Counter(elements).values(), 1)
-        / math.factorial(len(elements))
-    )
+from .states import (
+    DensityOperator,
+    OrderedTuple,
+    PureState,
+    TypeVector,
+    _amplitude,
+    _width_of,
+    distinct_orderings,
+    enumerate_types,
+    phase_sign,
+    type_state,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +147,6 @@ def sample_type_conditioned(
 # ---------------------------------------------------------------------------
 # Phase action and the two averaging identities
 # ---------------------------------------------------------------------------
-
-
-def phase_sign(k: int, prefix: int) -> int:
-    """(-1)**<k, prefix> as bit vectors."""
-    return -1 if (k & prefix).bit_count() & 1 else 1
 
 
 def apply_phase(k: int, lam: int, state: PureState, targets: Iterable[int]) -> PureState:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -292,6 +293,85 @@ def test_runs_load_only_the_layer_they_dispatch_to():
     loaded = _modules_loaded_by("import chslab.cli")
     assert "chslab.runner" in loaded
     assert loaded.isdisjoint({"chslab.prsg", "chslab.sectors", "chslab.typestats"})
+
+
+def test_import_loads_only_the_states_every_report_builds():
+    assert _modules_loaded_by("import chslab") == {
+        "chslab",
+        "chslab.budgets",
+        "chslab.haar",
+        "chslab.reporting",
+        "chslab.states",
+        "chslab.tolerances",
+    }
+    loaded = _modules_loaded_by(
+        "from chslab import runner\n"
+        "from chslab.haar import rng_for, sample_haar\n"
+        "def run(experiment, **params):\n"
+        "    runner.run(runner.ExperimentConfig(experiment, params, seed=1))\n"
+        "run('prsg-td', lam=2, n=3, ell=1, t=1)\n"
+        "run('multikey-td', lam=2, n=3, ell=1, t=1, p=2)\n"
+        "run('impossibility', lam=2, n=3, ell=1, t=1)\n"
+        "run('commit-hiding', lam=1, n=2, p=2, t=1)\n"
+        "run('pgm', n=2, m=1)\n"
+        "from chslab import commitments\n"
+        "params = commitments.CommitmentParams(1, 2, 2, sample_haar(2, rng_for(1)))\n"
+        "for name in commitments.builtin_adversaries(params, rng_for(1)):\n"
+        "    run('commit-binding', lam=1, n=2, p=2, adversary=name)"
+    )
+    assert {"chslab.prsg", "chslab.rank_attack", "chslab.commitments", "chslab.pgm"} <= loaded
+    assert loaded.isdisjoint(
+        {"chslab.qla", "chslab.typestates", "chslab.ensembles", "chslab.acceptance"}
+    )
+
+
+# Each public name's home module; ``qla`` and ``typestates`` load on first use.
+PUBLIC_HOMES = {
+    "budgets": ("BudgetExceeded", "Budgets", "DEFAULT_BUDGETS"),
+    "haar": ("HaarSampler", "exact_moment", "sample_haar", "symmetric_projector"),
+    "reporting": ("ExperimentReport",),
+    "states": ("DensityOperator", "OrderedTuple", "PureState", "TypeVector", "type_state"),
+    "qla": (
+        "fidelity",
+        "gram_trace_distance",
+        "inv_sqrt_on_support",
+        "partial_trace",
+        "tensor",
+        "trace_distance",
+    ),
+    "typestates": (
+        "apply_phase",
+        "is_l_fold_prefix_cf",
+        "key_average",
+        "sample_type",
+        "sample_type_conditioned",
+        "split_average",
+    ),
+}
+
+
+def test_public_names_resolve_to_their_home_modules():
+    import chslab
+
+    homes = {name: home for home, names in PUBLIC_HOMES.items() for name in names}
+    assert sorted(homes) == sorted(chslab.__all__)
+    for name, home in homes.items():
+        assert getattr(chslab, name) is getattr(importlib.import_module(f"chslab.{home}"), name)
+    star: dict = {}
+    exec("from chslab import *", star)
+    assert all(star[name] is getattr(chslab, name) for name in chslab.__all__)
+    assert set(chslab.__all__) <= set(dir(chslab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chslab.no_such_name
+    # perfbench's traced paths, from a fresh interpreter where both modules are unloaded.
+    loaded = _modules_loaded_by(
+        "import chslab, chslab.states\n"
+        "from chslab import gram_trace_distance, tensor, is_l_fold_prefix_cf\n"
+        "import chslab.typestates\n"
+        "assert chslab.typestates.enumerate_types is chslab.states.enumerate_types\n"
+        "assert tensor is chslab.qla.tensor"
+    )
+    assert {"chslab.qla", "chslab.typestates"} <= loaded
 
 
 def test_prsg_still_resolves_the_names_perfbench_replays():
