@@ -35,7 +35,8 @@ from .haar import (
     symmetric_projector,
 )
 from .pgm import PgmParams, pgm_report
-from .prsg import PrsParams, multi_key_report, single_key_report
+from .hybrids import single_key_report
+from .prsg import PrsParams, multi_key_report
 from .qla import gram_trace_distance
 from .rank_attack import impossibility_attack
 from .runner import ExperimentConfig, run

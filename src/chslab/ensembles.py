@@ -5,9 +5,9 @@ hybrid with its exact probability and builds each member as a (tensor
 product of) type state(s), with the same ``typestates`` builders as
 ``key_average`` and ``split_average``. Its cost grows with ``2^n``, and no
 report calls it: the tests compare it, through ``gram_trace_distance``, with
-the class route of ``prsg``, and the hybrid-equivalence acceptance criterion
-takes its two zero-distance steps from it. ``generate`` applies the keyed
-phase pattern to one state.
+the class route of ``hybrids`` and ``prsg``, and the hybrid-equivalence
+acceptance criterion takes its two zero-distance steps from it. ``generate``
+applies the keyed phase pattern to one state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .prsg import PrsParams, _empty_hybrid, _hybrid_size
+from .hybrids import _empty_hybrid, _hybrid_size
+from .prsg import PrsParams
 from .states import DensityOperator, PureState, TypeVector, enumerate_types, type_state
 from .typestates import apply_phase, is_l_fold_prefix_cf, keyed_members, split_members
 

@@ -1,34 +1,36 @@
-"""Phase-keyed state generator: its exact hybrid chain and multi-key chain.
+"""Phase-keyed state generator: its parameters and its exact multi-key chain.
 
 The generator applies a key-indexed Z-phase pattern to the first ``lam`` bits
 of the shared state. The real experiment hands out ``ell`` generated copies
 next to ``t`` untouched copies of the shared state; the ideal experiment hands
 out ``ell`` copies of an independent state instead. Both sides reduce to exact
-finite mixtures of (phased) type states, so every distance in the eight-step
-hybrid chain between them is computed exactly, with no sampling.
+finite mixtures of (phased) type states, so every distance between them is
+computed exactly, with no sampling.
 
-Both reports build those mixtures block by block over relation classes of
-sectors (``sectors.relation_classes``), so the cost does not grow with ``n``.
-Each hybrid and each multi-key chain state is one call of
-``sectors.product_mixture``: which register ranges hold one type state, which
-ranges are keyed (their prefixes folded) or independent (their multisets
-sorted), which orderings or rows are admitted, and the exact member count.
-Hybrids 1 and 8 are built as the one-key chain's ends xi_0 and xi_1. A report
-hands its chain to ``sectors.trace_distances`` as a generator of pairs, so it
-builds each state when it is needed and holds at most two.
+With ``p`` keys the chain runs xi_0 -> ... -> xi_p: xi_j holds independent
+ell-copy moments in its first j key groups and keyed copies in the rest, so
+xi_0 is the p-key real state and xi_p the ideal one. Each xi_j is one call of
+``sectors.product_mixture`` on relation classes of sectors
+(``sectors.relation_classes``), so the cost does not grow with ``n``: which
+register ranges hold one type state, which are keyed (their prefixes
+folded) or independent (their multisets sorted), and the exact member count.
+``multi_key_report`` (``multikey-td``) hands its chain to
+``sectors.trace_distances`` as a generator of pairs, so it builds each state
+when it is needed and holds at most two.
 
-The rank-projector attack on the same chain ends is in ``rank_attack``, and
+With one key, xi_0 and xi_1 are hybrids 1 and 8, the real and ideal states of
+one key. The layers built on them are loaded on their own: the single-key
+hybrid chain and ``prsg-td`` in ``hybrids``, the rank-projector attack in
+``rank_attack``, the commitment's hiding cross-check in ``commitments``, and
 the PureState-ensemble form of the hybrids, the tests' reference route, in
-``ensembles``; neither is loaded by a chain report.
+``ensembles``. None of them is loaded by a ``multikey-td`` run. Every report
+gets its space through this module's ``relation_classes``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .reporting import ExperimentReport
@@ -40,7 +42,7 @@ from .sectors import (
     sector_trace_distance,
     trace_distances,
 )
-from .tolerances import ATOL_CHAIN, ATOL_IDENTITY
+from .tolerances import ATOL_CHAIN
 
 
 @dataclass(frozen=True)
@@ -73,92 +75,8 @@ def __getattr__(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Exact hybrid mixtures
+# The multi-key chain
 # ---------------------------------------------------------------------------
-
-
-def _hybrid_size(index: int, p: PrsParams, cf_count: int) -> int:
-    """How many equally likely choices hybrid ``index`` averages over.
-
-    Hybrids 2 and 3 average over the ``cf_count`` prefix collision-free types;
-    the others over all types, collision-free types, or pairs of them.
-    """
-    N, ell, t, size = 1 << p.n, p.ell, p.t, p.ell + p.t
-    return {
-        1: math.comb(N + size - 1, size),
-        2: cf_count,
-        3: cf_count,
-        4: math.comb(N + size - 1, size),
-        5: math.comb(N, size),
-        6: math.comb(N, size) * math.comb(size, ell),
-        7: math.comb(N, ell) * math.comb(N, t),
-        8: math.comb(N + ell - 1, ell) * math.comb(N + t - 1, t),
-    }[index]
-
-
-def _empty_hybrid(index: int, p: PrsParams) -> ValueError:
-    """The error for a hybrid with nothing to average over, the same on every route."""
-    if index in (2, 3):
-        condition = f"{p.ell}-fold {p.lam}-prefix collision-free"
-    else:
-        condition = f"collision-free {p.n}-bit"
-    return ValueError(
-        f"empty conditioned set: no {condition} types of size {p.ell + p.t} exist"
-    )
-
-
-def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> list[np.ndarray]:
-    """Per shape group, which rows are ell-fold lam-prefix collision-free.
-
-    The vectorized form of ``is_l_fold_prefix_cf`` over every row at once.
-    """
-    subsets = np.array(list(itertools.combinations(range(space.size), p.ell)), dtype=np.int64)
-    budgets.check_subset_pairs(
-        len(subsets) * len(subsets), f"is_l_fold_prefix_cf(t={space.size}, ell={p.ell})"
-    )
-    masks = []
-    for group in space.groups:
-        prefixes = group.elements() >> space.shift
-        folds = np.sort(np.bitwise_xor.reduce(prefixes[:, subsets], axis=-1), axis=1)
-        masks.append(np.all(folds[:, 1:] != folds[:, :-1], axis=1))
-    return masks
-
-
-def _cf_count(space: SectorSpace, cf: list[np.ndarray]) -> int:
-    """How many sectors are ell-fold lam-prefix collision-free, exactly."""
-    return sum(group.total(mask.tolist()) for group, mask in zip(space.groups, cf))
-
-
-def _sector_hybrid(
-    index: int,
-    p: PrsParams,
-    space: SectorSpace,
-    cf: list[np.ndarray] | None = None,
-    cf_count: int = 0,
-) -> SectorMixture:
-    """Hybrid ``index`` of 2..7 in sector form; hybrids 2 and 3 need ``cf`` and ``cf_count``.
-
-    One row of ``product_mixture`` arguments per hybrid, over the ranges of
-    all registers, of the ``ell`` generated copies and of the ``t`` common
-    copies. Hybrids 2 and 3 admit the collision-free rows ``cf``, which stand
-    for ``cf_count = _cf_count(space, cf)`` sectors. Hybrids 1 and 8 are the
-    one-key chain's ends, ``_sector_chain(0 | 1)``.
-    """
-    whole, first, rest = (0, space.size), (0, p.ell), (p.ell, space.size)
-    normaliser = _hybrid_size(index, p, cf_count)
-    if normaliser == 0:
-        raise _empty_hybrid(index, p)
-    # index: (type factors, folded keys, sorted keys, ranges of distinct letters)
-    factors, folds, sorts, distinct = {
-        2: ((whole,), (first,), (), ()),
-        3: ((whole,), (), (first,), ()),
-        4: ((whole,), (), (first,), ()),
-        5: ((whole,), (), (first,), (whole,)),
-        6: ((first, rest), (), (first,), (whole,)),
-        7: ((first, rest), (), (first,), (first, rest)),
-    }[index]
-    admitted = cf if index in (2, 3) else None
-    return product_mixture(space, normaliser, factors, folds, sorts, distinct, admitted)
 
 
 def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
@@ -177,13 +95,6 @@ def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
     return product_mixture(space, normaliser, factors, folds=groups[j:], sorts=groups[:j])
 
 
-# ---------------------------------------------------------------------------
-# Trace-distance reports
-# ---------------------------------------------------------------------------
-
-_CONSECUTIVE = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
-
-
 def _chain_pairs(first: SectorMixture, middle, last: SectorMixture):
     """The chain's ends ``(first, last)``, then, if ``middle`` has a state, its links.
 
@@ -199,63 +110,10 @@ def _chain_pairs(first: SectorMixture, middle, last: SectorMixture):
         yield first, last
 
 
-def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
-    """Exact distance between the real and ideal experiments plus the hybrid chain.
-
-    The real state is hybrid 1 (keyed phases on a uniform type) and the ideal
-    state is hybrid 8 (two independent types), the one-key chain's ends xi_0
-    and xi_1; the report carries every consecutive-hybrid distance and the
-    claimed decay rates for the steps that are not exact equalities. When no
-    prefix collision-free type exists the conditioned hybrids 2 and 3 are
-    undefined and the chain fields are left out, with a note; so are they
-    when fewer than ell + t strings exist, which empties hybrids 5 to 7.
-    """
-    lam, n, ell, t = params.lam, params.n, params.ell, params.t
-    quantities: dict[str, float] = {}
-    flags: dict[str, bool] = {}
-    notes: list[str] = []
-
-    space = relation_classes(n, lam, ell + t, budgets)
-    cf = _conditioned_sectors(space, params, budgets)
-    cf_count = _cf_count(space, cf)
-    empty = [i for i in range(2, 8) if _hybrid_size(i, params, cf_count) == 0]
-    chain = (_sector_hybrid(j, params, space, cf, cf_count) for j in range(2, 8) if not empty)
-    pairs = _chain_pairs(_sector_chain(0, params, space), chain, _sector_chain(1, params, space))
-    quantities["td_real_ideal"], *steps = trace_distances(pairs)
-    # keep the quantity schema stable: without a chain its fields exist but are empty
-    for (i, j), step in zip(_CONSECUTIVE, steps or [None] * len(_CONSECUTIVE)):
-        quantities[f"td_h{i}_h{j}"] = step
-    if empty:
-        notes.append(
-            f"hybrid chain unavailable: {_empty_hybrid(empty[0], params)}; "
-            "only the direct real/ideal distance is reported"
-        )
-        quantities["sum_consecutive"] = None
-    else:
-        step_sum = sum(steps)
-        quantities["sum_consecutive"] = step_sum
-        flags["td_le_sum_of_steps"] = quantities["td_real_ideal"] <= step_sum + ATOL_CHAIN
-        flags["h2_h3_equivalent"] = quantities["td_h2_h3"] < ATOL_IDENTITY
-        flags["h5_h6_equivalent"] = quantities["td_h5_h6"] < ATOL_IDENTITY
-
-    rate = (t + ell) ** (2 * ell) / 2**lam
-    bounds = {
-        "rate_h1_h2": rate,
-        "rate_h3_h4": rate,
-        "rate_h4_h5": (t + ell) ** 2 / 2**n,
-        "rate_h6_h7": t * ell / 2**n,
-        "rate_h7_h8": (t**2 + ell**2) / 2**n,
-        "rate_total": rate,
-    }
-    notes.append("register order: generated copies first, then common copies")
-    return ExperimentReport(
-        experiment="prsg-td",
-        params={"lam": lam, "n": n, "ell": ell, "t": t},
-        quantities=quantities,
-        bounds=bounds,
-        flags=flags,
-        notes=notes,
-    )
+def _single_key_ends(j: int, params: PrsParams, space: SectorSpace):
+    """Link j's single-key chain ends xi_0, xi_1: one key, (p - j - 1) ell + t common copies."""
+    one_key = replace(params, t=(params.p - j - 1) * params.ell + params.t)
+    return _sector_chain(0, one_key, space), _sector_chain(1, one_key, space)
 
 
 def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
@@ -266,24 +124,32 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
     counted into the common-copy budget, which is the monotonicity step of the
     chain argument. Here the real state is called rho and the ideal state
     sigma, one fixed convention for the whole artifact.
+
+    Link j's single-key chain holds the (p - j) ell + t registers left, so
+    link 0's lies on the chain's own space: its pair is solved in the chain's
+    stacks, and with one key it is the chain's ends, solved once.
     """
     lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
     space = relation_classes(n, lam, p * ell + t, budgets)
-    chain = (_sector_chain(j, params, space) for j in range(1, p))
-    pairs = _chain_pairs(_sector_chain(0, params, space), chain, _sector_chain(p, params, space))
-    td_total, *links = trace_distances(pairs)
+
+    def pairs():
+        chain = (_sector_chain(j, params, space) for j in range(1, p))
+        yield from _chain_pairs(
+            _sector_chain(0, params, space), chain, _sector_chain(p, params, space)
+        )
+        if p > 1:
+            yield _single_key_ends(0, params, space)
+
+    td_total, *links = trace_distances(pairs())
+    single = links.pop() if p > 1 else td_total  # link 0's single-key distance
     quantities: dict[str, float] = {}
     flags: dict[str, bool] = {}
     step_sum = 0.0
     all_links_ok = True
     for j, td_j in enumerate(links or [td_total]):  # one key: the chain's one link is its ends
-        # the single-key chain xi_0 -> xi_1 on the (p - j) ell + t registers left
-        single_params = replace(params, t=(p - j - 1) * ell + t)
-        single_space = space if j == 0 else relation_classes(n, lam, (p - j) * ell + t, budgets)
-        single = sector_trace_distance(
-            _sector_chain(0, single_params, single_space),
-            _sector_chain(1, single_params, single_space),
-        )
+        if j:
+            single_space = relation_classes(n, lam, (p - j) * ell + t, budgets)
+            single = sector_trace_distance(*_single_key_ends(j, params, single_space))
         quantities[f"td_xi{j}_xi{j + 1}"] = td_j
         quantities[f"single_key_td_j{j}"] = single
         all_links_ok &= td_j <= single + ATOL_CHAIN

@@ -7,11 +7,14 @@ serialized without wall-clock timing, which keeps the artifacts byte-identical
 across repeated runs. The runner writes nothing: ``run`` returns the report and
 ``sweep`` the reports and their CSV table, and the caller decides where they go.
 
-Each experiment's layer (``prsg``, ``rank_attack``, ``commitments``, ``pgm`` or
-``typestats``) is imported when ``execute`` dispatches to it, not when this
-module loads: every ``chs-lab`` invocation is a fresh process that compiles
-each module it imports, and a ``prsg-td`` run has no use for the attack, the
-commitment, the PGM or the sampling code.
+Each experiment's layer is imported when ``execute`` dispatches to it, not
+when this module loads: ``hybrids`` (the single-key hybrid chain) for
+``prsg-td`` and ``hybrid-scan``, ``prsg`` (the multi-key chain) for
+``multikey-td``, ``rank_attack`` for ``impossibility``, ``commitments`` for
+``commit-binding`` and ``commit-hiding``, ``pgm`` for ``pgm`` and
+``typestats`` for ``typestats``. Every ``chs-lab`` invocation is a fresh
+process that compiles each module it imports, so a ``multikey-td`` run
+compiles no single-key hybrid, attack, commitment, PGM or sampling code.
 """
 
 from __future__ import annotations
@@ -127,11 +130,14 @@ def execute(config: ExperimentConfig) -> ExperimentReport:
     params = validate_params(config.experiment, config.params)
     seed, budgets = config.seed, config.budgets
     experiment = ALIASES.get(config.experiment, config.experiment)
-    if experiment in ("prsg-td", "multikey-td"):
+    if experiment == "prsg-td":
+        from . import hybrids, prsg
+
+        report = hybrids.single_key_report(prsg.PrsParams(**params), budgets)
+    elif experiment == "multikey-td":
         from . import prsg
 
-        chain_report = prsg.single_key_report if experiment == "prsg-td" else prsg.multi_key_report
-        report = chain_report(prsg.PrsParams(**params), budgets)
+        report = prsg.multi_key_report(prsg.PrsParams(**params), budgets)
     elif experiment == "impossibility":
         from . import prsg, rank_attack
 

@@ -315,8 +315,8 @@ def product_mixture(
     A row's letters are distinct, so the weights and the multiset keys follow
     from the shape's orderings alone; only the folds read the letters. Each
     is a ``_table`` of the space, built on its first use. The blocks are
-    read-only views; a group whose rows all have one block stores it once
-    (row stride 0), and the spectral helpers solve it once.
+    read-only; a group whose rows all have one block stores it once, as a
+    view with row stride 0, and the spectral helpers solve it once.
     """
     blocks = []
     for g, group in enumerate(space.groups):
@@ -331,7 +331,11 @@ def product_mixture(
         if admitted is not None:
             same = same & admitted[g][:, None, None]
         block = same * np.reshape(weight, (-1, 1))  # row o of a block weighs w(o)
-        blocks.append(np.broadcast_to(block, (len(group.counts), group.dim, group.dim)))
+        block.flags.writeable = False
+        if block.ndim == 2:  # every row's block: one read-only view with row stride 0
+            shape = (len(group.counts), group.dim, group.dim)
+            block = np.ndarray(shape, block.dtype, block, 0, (0, *block.strides))
+        blocks.append(block)
     return SectorMixture(space, tuple(blocks))
 
 
@@ -403,7 +407,8 @@ def arrangements(values: np.ndarray) -> np.ndarray:
     """
     m = values.shape[-1]
     same = values[..., :, None] == values[..., None, :]
-    return math.factorial(m) // np.tril(same).sum(axis=-1).prod(axis=-1)
+    same &= np.arange(m)[:, None] >= np.arange(m)  # the positions up to k
+    return math.factorial(m) // same.sum(axis=-1).prod(axis=-1)
 
 
 def reciprocals(n: int, denominators):

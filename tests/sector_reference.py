@@ -9,9 +9,9 @@ the same ``SectorSpace``, but with one row per sector, its real ``n``-bit
 letters and count 1. Patching it in for ``prsg.relation_classes`` runs every
 report on the full sector enumeration.
 
-``hybrid_mixture`` builds any of the eight hybrids in sector form with
-``prsg``'s own builders, the form that ``ensembles.hybrid_state`` is checked
-against one hybrid at a time. ``multikey_mixture`` builds the multi-key chain
+``hybrid_mixture`` builds any of the eight hybrids in sector form with the
+builders of ``hybrids`` and ``prsg``, the form that ``ensembles.hybrid_state``
+is checked against one hybrid at a time. ``multikey_mixture`` builds the multi-key chain
 state xi_j in sector form the same way, and ``multikey_xi`` builds it as a
 PureState ensemble, the reference that the sector form is checked against.
 Both get their space from ``prsg.relation_classes``, so a test that patches
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from chslab import prsg
+from chslab import hybrids, prsg
 from chslab.budgets import DEFAULT_BUDGETS, Budgets
 from chslab.ensembles import HybridSpec
 from chslab.haar import exact_moment
@@ -83,9 +83,9 @@ def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Sect
     space = prsg.relation_classes(p.n, p.lam, p.ell + p.t, budgets)
     if spec.index in (1, 8):
         return prsg._sector_chain(int(spec.index == 8), p, space)
-    cf = prsg._conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
-    cf_count = prsg._cf_count(space, cf) if cf else 0
-    return prsg._sector_hybrid(spec.index, p, space, cf, cf_count)
+    cf = hybrids._conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
+    cf_count = hybrids._cf_count(space, cf) if cf else 0
+    return hybrids._sector_hybrid(spec.index, p, space, cf, cf_count)
 
 
 def multikey_mixture(j: int, params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS):

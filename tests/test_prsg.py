@@ -9,7 +9,8 @@ from sector_reference import hybrid_mixture
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.ensembles import HybridSpec, generate, hybrid_state
 from chslab.haar import exact_moment, rng_for
-from chslab.prsg import PrsParams, multi_key_report, single_key_report
+from chslab.hybrids import single_key_report
+from chslab.prsg import PrsParams, multi_key_report
 from chslab.qla import (
     DensityOperator,
     PureState,

@@ -266,30 +266,38 @@ def _modules_loaded_by(code: str) -> set[str]:
     return set(result.stdout.split())
 
 
+def _modules_loaded_by_runs(*runs: tuple[str, dict]) -> set[str]:
+    """The ``chslab`` modules a fresh interpreter holds after ``runner.run`` of each run."""
+    return _modules_loaded_by(
+        "from chslab import runner\n"
+        + "".join(f"runner.run(runner.ExperimentConfig({e!r}, {p!r}))\n" for e, p in runs)
+    )
+
+
 def test_runs_load_only_the_layer_they_dispatch_to():
     # This process has imported every layer already, so a fresh one is asked.
-    loaded = _modules_loaded_by(
-        "from chslab import runner\n"
-        "runner.run(runner.ExperimentConfig('prsg-td', dict(lam=2, n=3, ell=1, t=1)))\n"
-        "runner.run(runner.ExperimentConfig('multikey-td', dict(lam=2, n=3, ell=1, t=1, p=2)))"
-    )
+    chain = dict(lam=2, n=3, ell=1, t=1)
+    others = {
+        "chslab.rank_attack",
+        "chslab.ensembles",
+        "chslab.typestats",
+        "chslab.commitments",
+        "chslab.pgm",
+        "chslab.acceptance",
+    }
+    loaded = _modules_loaded_by_runs(("prsg-td", chain), ("hybrid-scan", chain))
+    assert {"chslab.prsg", "chslab.hybrids"} <= loaded
+    assert loaded.isdisjoint(others)
+    # The single-key hybrid chain is not compiled by a run that does not report it.
+    loaded = _modules_loaded_by_runs(("multikey-td", {**chain, "p": 2}))
     assert "chslab.prsg" in loaded
-    assert loaded.isdisjoint(
-        {
-            "chslab.rank_attack",
-            "chslab.ensembles",
-            "chslab.typestats",
-            "chslab.commitments",
-            "chslab.pgm",
-            "chslab.acceptance",
-        }
-    )
-    loaded = _modules_loaded_by(
-        "from chslab import runner\n"
-        "runner.run(runner.ExperimentConfig('impossibility', dict(lam=2, n=3, ell=1, t=1)))"
-    )
+    assert loaded.isdisjoint(others | {"chslab.hybrids"})
+    loaded = _modules_loaded_by_runs(("impossibility", chain))
     assert {"chslab.prsg", "chslab.rank_attack"} <= loaded
-    assert "chslab.ensembles" not in loaded
+    assert loaded.isdisjoint({"chslab.ensembles", "chslab.hybrids"})
+    loaded = _modules_loaded_by_runs(("commit-hiding", dict(lam=1, n=2, p=2, t=1)))
+    assert {"chslab.prsg", "chslab.commitments"} <= loaded
+    assert "chslab.hybrids" not in loaded
     loaded = _modules_loaded_by("import chslab.cli")
     assert "chslab.runner" in loaded
     assert loaded.isdisjoint({"chslab.prsg", "chslab.sectors", "chslab.typestats"})

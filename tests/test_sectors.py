@@ -12,6 +12,8 @@ import itertools
 import math
 import re
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -32,16 +34,14 @@ from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.cli import main
 from chslab.commitments import hiding_distance
 from chslab.ensembles import HybridSpec, hybrid_state
-from chslab.prsg import (
+from chslab.hybrids import (
     _CONSECUTIVE,
-    PrsParams,
     _cf_count,
     _conditioned_sectors,
-    _sector_chain,
     _sector_hybrid,
-    multi_key_report,
     single_key_report,
 )
+from chslab.prsg import PrsParams, _sector_chain, multi_key_report
 from chslab.qla import gram_trace_distance, trace_distance
 from chslab.rank_attack import impossibility_attack, sector_support_overlap
 from chslab.sectors import (
@@ -283,6 +283,22 @@ def test_sector_counts_cover_every_type(N, size):
             math.factorial(m) for m in group.shape
         )
         assert (arrangements(group.letters[:, group.orderings]) == group.dim).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=3), data=st.data())
+def test_arrangements_count_the_orderings_of_any_range(shape, data):
+    # Over any register range [a, b) of a group's orderings, as product_mixture
+    # reads them, each row counts the distinct orderings of its multiset.
+    shape = tuple(sorted(shape, reverse=True))
+    a = data.draw(st.integers(0, sum(shape)), label="a")
+    b = data.draw(st.integers(a, sum(shape)), label="b")
+    values = shape_orderings(shape)[:, a:b]
+    expected = [
+        math.factorial(b - a) // math.prod(math.factorial(c) for c in Counter(row).values())
+        for row in values.tolist()
+    ]
+    assert arrangements(values).tolist() == expected
 
 
 def test_subspace_enumerator_yields_every_subspace_once():
@@ -693,6 +709,26 @@ def test_a_report_solves_each_shape_group_once():
     assert [call.args[0].shape[0] for call in spy.call_args_list] == [8, 4 * 2 + 4, 4 * 3 + 4]
     with mock.patch.object(sectors, "_STACK", 1):
         assert single_key_report(params).to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("p, ell", [(1, 1), (2, 1), (3, 1), (2, 2)])
+def test_first_single_key_link_is_solved_with_the_chain(p, ell):
+    # Link 0's single-key chain lies on the chain's own space, so the report
+    # solves it in the chain's stacks, to the bit of a call of its own; with
+    # one key it is the chain's ends, and the report makes one solve round.
+    params = PrsParams(lam=2, n=3, ell=ell, t=1, p=p)
+    rounds = mock.Mock(wraps=trace_distances)
+    with mock.patch.object(prsg, "trace_distances", rounds):
+        with mock.patch.object(sectors, "trace_distances", rounds):
+            report = multi_key_report(params)
+    assert rounds.call_count == p  # the chain's, then one per link j >= 1 on a smaller space
+    one_key = replace(params, t=(p - 1) * ell + params.t)
+    space = relation_classes(params.n, params.lam, p * ell + params.t)
+    ends = _sector_chain(0, one_key, space), _sector_chain(1, one_key, space)
+    separate = sector_trace_distance(*ends)
+    assert report.quantities["single_key_td_j0"] == separate
+    if p == 1:
+        assert report.quantities["td_xi0_xi1"] == report.quantities["td_real_ideal"] == separate
 
 
 def test_shape_tables_are_built_once_per_space():
