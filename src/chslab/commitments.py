@@ -22,9 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .haar import exact_moment, rng_for, sample_haar
+from .haar import rng_for, sample_haar
 from .reporting import ExperimentReport
-from .states import PureState, flatten_label, phase_sign
+from .states import PureState, phase_sign
 from .tolerances import ATOL_CHAIN, ATOL_STRUCTURAL
 
 
@@ -309,64 +309,6 @@ def binding_report(params: dict, seed: int, budgets: Budgets) -> ExperimentRepor
 # ---------------------------------------------------------------------------
 
 
-def _moment_blocks(N: int, size: int, index: np.ndarray, budgets: Budgets) -> np.ndarray:
-    """The exact moment ``M_size`` on each row of ``index``: a ``(rows, k, k)`` stack.
-
-    ``index`` holds flat indices of ``size`` registers, ``(rows, k)``. Every
-    ordering belongs to exactly one type, so ``exact_moment``'s type states are
-    staged as one type and one amplitude per flat index, and entry (i, j) of
-    the moment is ``prob * amp_i * amp_j`` when i and j share a type, else 0.
-    Nothing larger than the stack and ``N^size`` staged entries is built.
-    """
-    if size == 0:
-        return np.ones((1, 1, 1))
-    moment = exact_moment(N, size, budgets)
-    shape = moment.register_shape
-    types, amps = np.empty(N**size, dtype=np.intp), np.empty(N**size)
-    for row, (_, state) in enumerate(moment.ensemble):
-        for label, amp in state.amplitudes.items():
-            flat = flatten_label(label, shape)
-            types[flat], amps[flat] = row, amp.real
-    prob = moment.ensemble[0][0]  # every type has the same weight
-    types, amps = types[index], amps[index]
-    blocks = (amps * prob)[:, :, None] * amps[:, None, :]
-    blocks *= types[:, :, None] == types[:, None, :]
-    return blocks
-
-
-# Entries of one chunk of blocks checked at a time, so the checks' temporaries
-# stay small next to the blocks.
-_CHECK_ENTRIES = 1 << 15
-
-
-def _check_density_blocks(blocks: np.ndarray, copies: int, what: str) -> None:
-    """Refuse a block-diagonal operator that is not a density operator.
-
-    ``blocks`` is a ``(rows, k, k)`` stack of its diagonal blocks, each standing
-    for ``copies`` equal ones. Every block must be symmetric within
-    ``ATOL_STRUCTURAL`` and have no eigenvalue below ``-ATOL_STRUCTURAL``, and
-    all of them together must have trace one. A symmetric block has no such
-    eigenvalue exactly when it plus ``ATOL_STRUCTURAL`` times the identity is
-    positive definite, that is when that sum has a Cholesky factor, which
-    costs a quarter of an eigensolve.
-    """
-    k = blocks.shape[1]
-    step = max(1, _CHECK_ENTRIES // (k * k))
-    chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
-    asymmetry = np.max([np.abs(chunk - chunk.swapaxes(1, 2)).max() for chunk in chunks])
-    if not asymmetry <= ATOL_STRUCTURAL:  # NaN fails too
-        raise ValueError(f"{what} is not symmetric within tolerance")
-    trace = copies * float(np.trace(blocks, axis1=1, axis2=2).sum())
-    if not abs(trace - 1.0) <= ATOL_STRUCTURAL:
-        raise ValueError(f"{what} has trace {trace}, expected 1")
-    shift = ATOL_STRUCTURAL * np.eye(k)
-    try:
-        for chunk in chunks:
-            np.linalg.cholesky(chunk + shift)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{what} has an eigenvalue below -1e-9") from None
-
-
 def hiding_distance(
     lam: int, n: int, p: int, t: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ExperimentReport:
@@ -375,33 +317,44 @@ def hiding_distance(
     Exact distance between (t shared copies, C registers of p commitments to 0)
     and the same with commitments to 1, averaged over the shared state. So it
     takes only the sizes, checked as ``CommitmentParams`` checks them, and no
-    shared state. The bit-1 side has maximally mixed C registers for every
-    shared state: ``side1 = M_t (x) (I/2^n)^(x)p`` with ``M_s`` the exact
-    s-copy moment.
+    shared state. Both sides are known in closed form, with ``s = t + p``
+    registers of ``N = 2^n`` letters and ``M_s = Pi_sym / C(N+s-1, s)`` the
+    exact s-copy moment: in the type basis it weighs the unit vector spread
+    evenly over the ``d_T`` orderings of each full type T (a multiset of s
+    letters) by ``1 / C(N+s-1, s)``.
 
     The bit-0 side needs no commit state. Copy i's R register holds
     ``|k_i || 0>``, orthogonal across keys, so tracing R mixes the key-phased
     copies: ``Tr_R`` of one commitment is ``E_k Z_k |theta><theta| Z_k`` with
     ``Z_k`` the diagonal ``(-1)^(k . prefix(x))``. Averaged over theta, entry
-    (a, b) of the joint state is ``M_(t+p)[a, b]`` times, per committed
-    register i, ``E_k (-1)^(k . (prefix(a_i) xor prefix(b_i)))``, which is
-    ``[prefix(a_i) == prefix(b_i)]``. So ``side0`` is the real moment
-    ``M_(t+p)`` masked to equal lam-bit prefixes on every committed register.
+    (a, b) of the joint state is ``M_s[a, b]`` times, per committed register
+    i, ``E_k (-1)^(k . (prefix(a_i) xor prefix(b_i)))``, which is
+    ``[prefix(a_i) == prefix(b_i)]``. So side 0 is ``M_s`` masked to equal
+    lam-bit prefixes on every committed register: it splits by full type T
+    and committed-prefix block b into orthogonal rank-one pieces, the sum of
+    T's orderings in b, with weight ``w = k_Tb / (C(N+s-1, s) d_T)`` when
+    ``k_Tb`` of them fall in b.
 
-    Both sides vanish off the (2^lam)^p blocks of equal committed prefixes, and
-    only those blocks are built. Inside one the mask is all ones, so side 0's
-    block is ``M_(t+p)`` on the block's indices, read off the type states of
-    ``exact_moment``. Side 1's block is ``M_t (x) I / 2^(np)``, the identity
-    over the committed registers' ``(n - lam) p`` suffix bits, the same for
-    every block. Each side is checked as a density operator block by block
-    (symmetric, PSD, unit total trace), and the trace distance is one batched
-    real ``eigvalsh`` over the blocks' differences. The bit-0 side is
+    The bit-1 side has maximally mixed C registers for every shared state:
+    ``M_t (x) (I/N)^(x)p``, which is ``c = 1 / (C(N+t-1, t) N^p)`` times the
+    projector ``Pi_sym^t (x) I`` of rank ``C(N+t-1, t) N^p``. Permuting the t
+    shared registers keeps an ordering of T in its block, so that projector
+    holds every piece, and the difference of the sides is a sum of orthogonal
+    terms: ``w - c`` on each piece and ``-c`` on the rest of the projector,
+
+        td = (sum |w - c| + c (C(N+t-1, t) N^p - #pieces)) / 2.
+
+    The counts ``k_Tb`` come from one ``np.unique`` over the ``N^s`` flat
+    indices, keyed by their sorted registers and committed prefixes, so the
+    dense budget bounds ``N^s``. Every piece is non-negative and symmetric by
+    construction; side 0's unit trace, which holds when the indices reach
+    every type, is the one density check left. The bit-0 side is
     cross-checked against the multi-key distance with one generated copy per
     key: the distance between the sector forms of the chain's ends, xi_0 and
     xi_p, built on one space.
     """
     from .prsg import PrsParams, _sector_chain, relation_classes
-    from .sectors import sector_trace_distance
+    from .sectors import arrangements, sector_trace_distance
 
     _check_sizes(lam, n, p)
     if t < 0:
@@ -411,24 +364,21 @@ def hiding_distance(
     size = t + p
     kept_dim = 1 << (n * size)
     budgets.check_dense_dim(kept_dim, "hiding_distance")
-    flat = np.arange(kept_dim)
-    prefixes = 0
-    for i in range(p):
-        prefix = (flat >> (n * (p - 1 - i) + n - lam)) & ((1 << lam) - 1)
-        prefixes = (prefixes << lam) | prefix
-    # Row b: the indices, ascending, whose committed prefixes read b.
-    index = np.argsort(prefixes, kind="stable").reshape(1 << (lam * p), -1)
-    blocks = _moment_blocks(N, size, index, budgets)
-    _check_density_blocks(blocks, 1, "hiding_distance side 0")
-    # Side 1 on one block, over (shared registers, committed suffixes) in the
-    # order of every row of index: M_t (x) I / 2^(np).
-    moment_t = _moment_blocks(N, t, np.arange(1 << (n * t))[None, :], budgets)[0]
-    suffixes = np.eye(1 << ((n - lam) * p)) / N**p
-    side1 = (moment_t[:, None, :, None] * suffixes[None, :, None, :]).reshape(blocks.shape[1:])
-    _check_density_blocks(side1[None], len(index), "hiding_distance side 1")
-    blocks -= side1
-    td = 0.5 * float(np.abs(np.linalg.eigvalsh(blocks)).sum())
     space = relation_classes(n, lam, size, budgets)
+    registers = (np.arange(kept_dim)[:, None] >> (n * np.arange(size)[::-1])) & (N - 1)
+    key = 0
+    for x in np.sort(registers, axis=1).T:  # the full type
+        key = key * N + x
+    for x in registers[:, t:].T:  # the committed prefixes
+        key = (key << lam) | (x >> (n - lam))
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    weights = counts / (math.comb(N + size - 1, size) * arrangements(registers[first]))
+    trace = float(weights.sum())
+    if not abs(trace - 1.0) <= ATOL_STRUCTURAL:
+        raise ValueError(f"hiding_distance side 0 has trace {trace}, expected 1")
+    rank = math.comb(N + t - 1, t) * N**p
+    c = 1 / rank
+    td = 0.5 * (float(np.abs(weights - c).sum()) + c * (rank - len(weights)))
     td_multikey = sector_trace_distance(
         _sector_chain(0, multikey_params, space), _sector_chain(p, multikey_params, space)
     )

@@ -14,9 +14,11 @@ xi_0 is the p-key real state and xi_p the ideal one. Each xi_j is one call of
 (``sectors.relation_classes``), so the cost does not grow with ``n``: which
 register ranges hold one type state, which are keyed (their prefixes
 folded) or independent (their multisets sorted), and the exact member count.
-``multi_key_report`` (``multikey-td``) hands its chain to
-``sectors.trace_distances`` as a generator of pairs, so it builds each state
-when it is needed and holds at most two.
+``multi_key_report`` (``multikey-td``) hands its chain, then link j's
+single-key pair (``M_ell^(x)j`` tensored with the one-key chain ends) on the
+chain's own space, to one ``sectors.trace_distances`` call as a generator of
+pairs, so it builds one space and each state when it is needed and holds at
+most two.
 
 With one key, xi_0 and xi_1 are hybrids 1 and 8, the real and ideal states of
 one key. The layers built on them are loaded on their own: the single-key
@@ -39,7 +41,6 @@ from .sectors import (
     SectorSpace,
     product_mixture,
     relation_classes,
-    sector_trace_distance,
     trace_distances,
 )
 from .tolerances import ATOL_CHAIN
@@ -110,12 +111,6 @@ def _chain_pairs(first: SectorMixture, middle, last: SectorMixture):
         yield first, last
 
 
-def _single_key_ends(j: int, params: PrsParams, space: SectorSpace):
-    """Link j's single-key chain ends xi_0, xi_1: one key, (p - j - 1) ell + t common copies."""
-    one_key = replace(params, t=(params.p - j - 1) * params.ell + params.t)
-    return _sector_chain(0, one_key, space), _sector_chain(1, one_key, space)
-
-
 def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
     """Chain between the p-key real state and fully independent ideal state.
 
@@ -125,9 +120,13 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
     chain argument. Here the real state is called rho and the ideal state
     sigma, one fixed convention for the whole artifact.
 
-    Link j's single-key chain holds the (p - j) ell + t registers left, so
-    link 0's lies on the chain's own space: its pair is solved in the chain's
-    stacks, and with one key it is the chain's ends, solved once.
+    Link j's single-key distance is taken on the chain's own space, between
+    ``M_ell^(x)j`` tensored with each of the one-key chain ends on the
+    (p - j) ell + t registers left: tensoring both sides with one density
+    operator keeps their trace distance. Those pairs are solved with the
+    chain, in one call; link p - 1's pair is the chain's last link itself, so
+    its value is reported for both, and with one key that link is the
+    chain's ends.
     """
     lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
     space = relation_classes(n, lam, p * ell + t, budgets)
@@ -137,19 +136,18 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
         yield from _chain_pairs(
             _sector_chain(0, params, space), chain, _sector_chain(p, params, space)
         )
-        if p > 1:
-            yield _single_key_ends(0, params, space)
+        for j in range(p - 1):
+            one_key = replace(params, t=(p - j - 1) * ell + t)
+            yield _sector_chain(j, one_key, space), _sector_chain(j + 1, one_key, space)
 
-    td_total, *links = trace_distances(pairs())
-    single = links.pop() if p > 1 else td_total  # link 0's single-key distance
+    td_total, *distances = trace_distances(pairs())
+    links = distances[:p] or [td_total]  # one key: the chain's one link is its ends
+    singles = distances[p:] + links[-1:]  # link p - 1's pair is the chain's last link
     quantities: dict[str, float] = {}
     flags: dict[str, bool] = {}
     step_sum = 0.0
     all_links_ok = True
-    for j, td_j in enumerate(links or [td_total]):  # one key: the chain's one link is its ends
-        if j:
-            single_space = relation_classes(n, lam, (p - j) * ell + t, budgets)
-            single = sector_trace_distance(*_single_key_ends(j, params, single_space))
+    for j, (td_j, single) in enumerate(zip(links, singles)):
         quantities[f"td_xi{j}_xi{j + 1}"] = td_j
         quantities[f"single_key_td_j{j}"] = single
         all_links_ok &= td_j <= single + ATOL_CHAIN

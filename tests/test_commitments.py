@@ -8,7 +8,7 @@ from hiding_reference import hiding_distance as hiding_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chslab import commitments
+from chslab import commitments, prsg
 from chslab.commitments import (
     CommitmentParams,
     MaliciousCommitter,
@@ -297,10 +297,11 @@ def test_hiding_distance_rejects_negative_common_copies(p, t, capsys):
 def test_hiding_distance_refuses_bad_sizes_before_any_work(
     lam, n, p, message, capsys, monkeypatch
 ):
-    def no_moment(*args):
-        raise AssertionError("built a moment for refused sizes")
+    def no_work(*args, **kwargs):
+        raise AssertionError("started the distance for refused sizes")
 
-    monkeypatch.setattr(commitments, "exact_moment", no_moment)
+    monkeypatch.setattr(prsg, "relation_classes", no_work)
+    monkeypatch.setattr(np, "unique", no_work)
     with pytest.raises(ValueError, match=message):
         hiding_distance(lam, n, p, t=1)
     assert main(["commit-hiding", "--lam", str(lam), "--n", str(n), "--p", str(p)]) == 2
@@ -318,11 +319,11 @@ def test_binding_refuses_lam_below_one(lam, capsys):
 
 
 def test_hiding_distance_keeps_its_moments_real():
-    # At (2, 3, 1, 2) the 4 blocks of equal committed prefixes hold 4 * 128^2
-    # real entries, a sixteenth of the 512^2 space. The blocks and the
-    # checks' temporaries peak at ~2.3 times the blocks (numpy 2.4); complex
-    # blocks would double that, and the full-space route peaked at ~4.2 real
-    # 512 x 512 arrays, 17 times the blocks.
+    # At (2, 3, 1, 2) the 4 blocks of equal committed prefixes would hold
+    # 4 * 128^2 real entries. The closed form builds none of them, only
+    # arrays over the 512 flat indices and their pieces (~74 KB traced, numpy
+    # 2.4). Building real blocks peaked at ~2.3 times them, complex blocks
+    # would double that, and the full-space route peaked at 17 times them.
     lam, n, p, t = 2, 3, 1, 2
     block_floats = (1 << (lam * p)) * (1 << (n * (p + t) - lam * p)) ** 2
     hiding_distance(lam, n, p, t)  # first-call allocations
@@ -335,45 +336,18 @@ def test_hiding_distance_keeps_its_moments_real():
     assert peak <= 3 * block_floats * 8
 
 
-def test_density_blocks_refuse_a_negative_eigenvalue_in_one_block():
-    blocks = np.stack([np.diag([0.25, 0.25]), np.diag([0.25, 0.25])])
-    commitments._check_density_blocks(blocks, 1, "side")
-    blocks[1] = [[0.25, 0.25 + 1e-6], [0.25 + 1e-6, 0.25]]  # eigenvalues 0.5 + 1e-6, -1e-6
-    with pytest.raises(ValueError, match="side has an eigenvalue below -1e-9"):
-        commitments._check_density_blocks(blocks, 1, "side")
-    blocks[1] = [[0.25, 0.25 + 5e-10], [0.25 + 5e-10, 0.25]]  # -5e-10 is within tolerance
-    commitments._check_density_blocks(blocks, 1, "side")
-    blocks[1, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match="side is not symmetric"):
-        commitments._check_density_blocks(blocks, 1, "side")
-    with pytest.raises(ValueError, match="side has trace 2.0"):
-        commitments._check_density_blocks(np.stack([np.eye(2) / 2]), 2, "side")
-
-
-@pytest.mark.parametrize("size_of_bad_side", [3, 2])  # side 0's t + p copies, side 1's t
-def test_hiding_distance_refuses_a_side_with_a_negative_eigenvalue(monkeypatch, size_of_bad_side):
-    moment_blocks = commitments._moment_blocks
-
-    def one_bad_block(N, size, index, budgets):
-        blocks = moment_blocks(N, size, index, budgets)
-        if size == size_of_bad_side:
-            # the last block, with its trace kept but one eigenvalue at -1e-6
-            bad = np.zeros(blocks.shape[1:])
-            bad[0, 0], bad[1, 1] = np.trace(blocks[-1]) + 1e-6, -1e-6
-            blocks[-1] = bad
-        return blocks
-
-    monkeypatch.setattr(commitments, "_moment_blocks", one_bad_block)
-    side = 0 if size_of_bad_side == 3 else 1
-    with pytest.raises(ValueError, match=f"side {side} has an eigenvalue below -1e-9"):
-        hiding_distance(1, 2, 1, 2)
-
-
 def test_hiding_distance_crosscheck():
     report = hiding_distance(lam=2, n=3, p=1, t=1)
     assert report.flags["hiding_matches_multikey"]
     assert report.quantities["route_difference"] <= 1e-9
     assert report.quantities["td_hiding"] > 0
+
+
+@pytest.mark.parametrize("point", [(2, 4, 1, 2), (1, 2, 3, 3)])  # n (t + p) = 12
+def test_hiding_distance_matches_the_multikey_route_at_the_dense_budget_edge(point):
+    report = hiding_distance(*point)
+    assert report.quantities["route_difference"] <= 1e-12
+    assert report.flags["hiding_matches_multikey"]
 
 
 @st.composite

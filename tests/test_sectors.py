@@ -8,6 +8,7 @@ build them as PureState ensembles; ``gram_trace_distance`` and the dense
 to 1e-12.
 """
 
+import contextlib
 import itertools
 import math
 import re
@@ -29,7 +30,7 @@ from sector_reference import (
     sector_space,
 )
 
-from chslab import prsg, sectors
+from chslab import prsg, runner, sectors
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.cli import main
 from chslab.commitments import hiding_distance
@@ -711,24 +712,72 @@ def test_a_report_solves_each_shape_group_once():
         assert single_key_report(params).to_json() == report.to_json()
 
 
-@pytest.mark.parametrize("p, ell", [(1, 1), (2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p, ell", [(1, 1), (2, 1), (3, 1), (2, 2), (1, 2), (3, 2)])
 def test_first_single_key_link_is_solved_with_the_chain(p, ell):
-    # Link 0's single-key chain lies on the chain's own space, so the report
-    # solves it in the chain's stacks, to the bit of a call of its own; with
-    # one key it is the chain's ends, and the report makes one solve round.
-    params = PrsParams(lam=2, n=3, ell=ell, t=1, p=p)
-    rounds = mock.Mock(wraps=trace_distances)
-    with mock.patch.object(prsg, "trace_distances", rounds):
-        with mock.patch.object(sectors, "trace_distances", rounds):
-            report = multi_key_report(params)
-    assert rounds.call_count == p  # the chain's, then one per link j >= 1 on a smaller space
-    one_key = replace(params, t=(p - 1) * ell + params.t)
-    space = relation_classes(params.n, params.lam, p * ell + params.t)
-    ends = _sector_chain(0, one_key, space), _sector_chain(1, one_key, space)
-    separate = sector_trace_distance(*ends)
-    assert report.quantities["single_key_td_j0"] == separate
-    if p == 1:
-        assert report.quantities["td_xi0_xi1"] == report.quantities["td_real_ideal"] == separate
+    # Every link's single-key pair, M_ell^(x)j tensored with the one-key chain
+    # ends, lies on the chain's own space, so the report solves it with the
+    # chain in one round. Each distance is checked against the one-key ends
+    # on their own (p - j) ell + t registers; link p - 1's pair is the
+    # chain's last link, reported once for both.
+    for t in range(7 - p * ell):
+        params = PrsParams(lam=1, n=2, ell=ell, t=t, p=p)
+        rounds = mock.Mock(wraps=trace_distances)
+        with mock.patch.object(prsg, "trace_distances", rounds):
+            with mock.patch.object(sectors, "trace_distances", rounds):
+                report = multi_key_report(params)
+        assert rounds.call_count == 1
+        for j in range(p):
+            one_key = replace(params, t=(p - j - 1) * ell + t)
+            space = relation_classes(params.n, params.lam, (p - j) * ell + t)
+            ends = _sector_chain(0, one_key, space), _sector_chain(1, one_key, space)
+            single = report.quantities[f"single_key_td_j{j}"]
+            assert abs(single - sector_trace_distance(*ends)) <= ATOL, (t, j)
+        last = report.quantities[f"td_xi{p - 1}_xi{p}"]
+        assert report.quantities[f"single_key_td_j{p - 1}"] == last
+        if p == 1:
+            assert report.quantities["td_real_ideal"] == last
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("commit-hiding", dict(lam=1, n=2, p=3, t=1)),
+        ("commit-hiding", dict(lam=2, n=3, p=1, t=0)),
+        ("multikey-td", dict(lam=2, n=3, ell=1, t=1, p=3)),
+        ("multikey-td", dict(lam=1, n=2, ell=2, t=0, p=1)),
+    ],
+)
+def test_each_chain_report_builds_one_space_and_solves_once(experiment, params):
+    # A commit-hiding report's own distance is in closed form, so it solves
+    # nothing outside its cross-check's one trace_distances call.
+    spaces = mock.Mock(wraps=relation_classes)
+    rounds, inside, solved_inside = [], [], []
+
+    def counted_rounds(pairs):
+        rounds.append(pairs)
+        inside.append(True)
+        try:
+            return trace_distances(pairs)
+        finally:
+            inside.pop()
+
+    def counted(solver):
+        def call(*args, **kwargs):
+            solved_inside.append(bool(inside))
+            return solver(*args, **kwargs)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(prsg, "relation_classes", spaces))
+        for module in (prsg, sectors):
+            stack.enter_context(mock.patch.object(module, "trace_distances", counted_rounds))
+        for name in ("eigvalsh", "eigh", "cholesky"):
+            solver = counted(getattr(np.linalg, name))
+            stack.enter_context(mock.patch.object(np.linalg, name, solver))
+        runner.run(runner.ExperimentConfig(experiment, params, seed=1))
+    assert spaces.call_count == 1 and len(rounds) == 1
+    assert solved_inside and all(solved_inside)
 
 
 def test_shape_tables_are_built_once_per_space():
