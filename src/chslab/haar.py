@@ -219,13 +219,12 @@ def sampled_moment_distance(
     moment, so both are written in its orthonormal basis of type states
     ``|T>``, one per multiset of size ``t`` over the ``N`` letters:
     ``<T|v^(x)t> = sqrt(t! / prod m_i!) prod_i v_i^(m_i)`` for the
-    multiplicities ``m_i`` of ``T``. The exact side is ``exact_moment``'s
-    ensemble projected on the same basis, a ``C(N+t-1, t)``-dim matrix.
+    multiplicities ``m_i`` of ``T``. The exact moment is ``Pi_sym / dim``,
+    which in that basis is ``I / C(N+t-1, t)``.
     """
     samples, N = vecs.shape
     types = [T.elements for T in enumerate_types(N, t, budgets)]
     budgets.check_dense_dim(len(types), f"sampled_moment_distance(N={N}, t={t})")
-    basis = {T: column for column, T in enumerate(types)}
     overlap = np.array([_amplitude(T) for T in types])  # <o|T> for each ordering o of T
     letters = np.array(types, dtype=np.intp)
     amps = vecs[:, letters[:, 0]]
@@ -233,14 +232,7 @@ def sampled_moment_distance(
         amps *= vecs[:, letters[:, position]]
     amps /= overlap  # the 1/overlap^2 orderings of T, each with overlap <o|T>
     sampled = amps.T @ amps.conj() / samples
-    moment = exact_moment(N, t, budgets)
-    coeffs = np.zeros((len(moment.ensemble), len(types)), dtype=complex)
-    probs = np.array([p for p, _ in moment.ensemble])
-    for row, (_, state) in enumerate(moment.ensemble):
-        for label, amp in state.amplitudes.items():
-            column = basis[tuple(sorted(label))]
-            coeffs[row, column] += amp * overlap[column]
-    exact = (coeffs.T * probs) @ coeffs.conj()
+    exact = np.eye(len(types)) / len(types)
     vals = np.linalg.eigvalsh(0.5 * (sampled + sampled.conj().T) - exact)
     return 0.5 * float(np.abs(vals).sum())
 

@@ -16,16 +16,23 @@ the unit vector ``g_a`` over the orderings that start with a. ``D_x`` scales
   with one eigenvalue ``d mu_a / ((m+1) C) >= d / ((m+1) C)`` per letter,
   positive on the whole span, and is zero on the rest of the sector;
 - ``S = sigma^(-1/2)`` commutes with every ``D_x``, so one sandwich
-  ``A = S M S`` (it comes out as ``J / d``) gives every label's POVM element
-  ``D_x A D_x``, and every label the overlap ``Tr(M A)``.
+  ``A = S M S`` gives every label's POVM element ``D_x A D_x``, and every
+  label the overlap ``Tr(M A)``. Its entries are
+  ``sqrt(mu_a mu_b) / sqrt(d mu_a d mu_b) = 1 / d``: ``A = J / d``, the
+  all-ones matrix over d, and ``Tr(M A) = (sum_a sqrt(mu_a))^2 / (d (m+1) C)``;
+- the elements sum to ``sum_x D_x (J / d) D_x = I`` on the span, by the
+  label sum above, and S's largest eigenvalue is ``sigma``'s smallest entry
+  to the power -1/2.
 
 A sector's block depends only on its shape, and a shape with ``r <= d``
-parts stands for ``(d)_r / |Aut mu| > 0`` sectors, so every quantity is a
-sum over the partitions of m+1 into at most d parts, the only ones walked.
-The type-enumeration budget is checked on their exact count, capped one
-past the budget, before any is walked. Everything is real and no d-dimensional
-object is built. The tests build each ``rho_x`` densely, the independent
-reference where ``d^(m+1)`` fits the dense budget.
+parts stands for ``(d)_r / |Aut mu| > 0`` sectors, so every quantity is one
+number per shape, summed over the partitions of m+1 into at most d parts,
+the only ones walked. The type-enumeration budget is checked on their exact
+count, capped one past the budget, before any is walked, and the walk's
+exact sector counts must sum to C. Nothing the size of d is built, and
+nothing is kept per shape.
+The tests build each ``rho_x`` densely, the independent reference where
+``d^(m+1)`` fits the dense budget.
 
 ``pgm_report`` is the entry point: one report with the overlap quantity, its
 (m+1)/d cap, the inverse-root norm and the PGM success probability.
@@ -35,7 +42,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,25 +70,6 @@ class PgmParams:
     @property
     def copies(self) -> int:
         return self.m + 1
-
-
-def _label_sums(r: int, n: int) -> np.ndarray:
-    """``sum_x (-1)^(x . (a xor b))`` over the n-bit labels x, for letters a, b < r.
-
-    Each of the n bits contributes a factor ``1 + (-1)^bit``; letters below r
-    leave every bit from ``(r - 1).bit_length()`` on zero, a factor 2 each.
-    """
-    width = (r - 1).bit_length()
-    letters = np.arange(r)
-    bits = ((letters[:, None] ^ letters[None, :])[:, :, None] >> np.arange(width)) & 1
-    return np.prod(2.0 - 2.0 * bits, axis=2) * 2.0 ** (n - width)
-
-
-# Words (8 bytes) of walked shapes held before they are folded into the report's
-# sums, a shape of r parts taking r + 7 with its tuple header and list slot; and
-# entries of each (shapes, r, r) array of one fold.
-_PENDING = 1 << 21
-_BATCH = 1 << 18
 
 
 def _normaliser(n: int, m: int) -> int | None:
@@ -133,44 +120,6 @@ def _shape_count(size: int, max_parts: int, cap: int) -> int:
     return int(ways[size])
 
 
-def _shape_terms(
-    shapes: list[tuple[int, ...]], n: int, normaliser: int
-) -> tuple[float, float, float]:
-    """Q's terms, the smallest sigma entry and the completeness residual of shapes of r parts.
-
-    In units of 1/C, C the ``normaliser`` (see ``pgm_report``). A shape's
-    weight is its ``(d)_r / |Aut mu|`` sectors over C, ``|Aut mu|`` the product
-    over its parts of each part's position in its run of equal parts.
-    """
-    r, copies, d = len(shapes[0]), sum(shapes[0]), 1 << n
-    parts = np.array(shapes)  # exact: int64, or Python ints beyond its range
-    first = np.ones(parts.shape, dtype=bool)
-    first[:, 1:] = parts[:, 1:] != parts[:, :-1]
-    index = np.arange(r)
-    runs = index + 1 - np.maximum.accumulate(np.where(first, index, 0), axis=1)
-    auts = np.prod(runs, axis=1, dtype=float).tolist()  # exact below 2^53
-    for i in np.flatnonzero(np.array(auts) >= 2.0**53).tolist():
-        auts[i] = math.prod(runs[i].tolist())
-    tuples = math.perm(d, r)  # r distinct letters, in order
-    exact = {aut: tuples // int(aut) / normaliser for aut in set(auts)}
-    weight = np.array([exact[aut] for aut in auts])
-    mu = parts.astype(float)
-    moment = mu[:, :, None] * mu[:, None, :]
-    np.sqrt(moment, out=moment)
-    moment /= copies
-    sigma = float(d) * np.diagonal(moment, axis1=1, axis2=2)
-    inv_root = 1.0 / np.sqrt(sigma)
-    sandwich = inv_root[:, :, None] * moment
-    sandwich *= inv_root[:, None, :]
-    q = float(weight @ np.einsum("kab,kba->k", moment, sandwich))
-    del moment
-    residual = sandwich
-    residual *= _label_sums(r, n)
-    residual[:, index, index] -= 1.0
-    np.abs(residual, out=residual)
-    return q, float(sigma.min()), float(residual.max())
-
-
 def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
     """The overlap Q = E_x Tr(rho_x S rho_x S), S = sigma^(-1/2), and the PGM success.
 
@@ -178,52 +127,37 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
     pinned to the closed form sqrt(C(d+m, m+1) (m+1) / d), which is the
     submultiplicativity ingredient that yields the cap.
 
-    The POVM elements are S rho_x S. On each shape's span sigma is positive,
-    its entries d mu_a / ((m+1) C) at least d / ((m+1) C), so S is defined on
-    the whole span and the elements sum to the identity there; off the spans
-    sigma and every rho_x vanish, so the I/d that completes the POVM there
-    adds nothing, and the success probability is Q itself. So
-    ``guess_probability`` is ``q_mean``, and the ``guess_le_sqrt_q`` flag
-    (Q <= sqrt(Q), true for every Q in [0, 1]) holds by construction: it
-    stays in the report's schema but checks nothing. The source bound
-    for arbitrary measurements is stated as an equality with an unspecified
-    constant, which is untestable as written; it is treated as an upper bound
-    with the fitted constant reported.
-
     Everything is read off the multiplicity shapes mu, the partitions of m+1
-    into r <= d parts, one r-dim block per shape (see the module docstring).
-    A shape stands for (d)_r / |Aut mu| sectors, out of C = C(d+m, m+1), and
-    every sector of a shape has the same block. In units of 1/C the moment
-    block is ``sqrt(mu_a mu_b) / (m+1)`` and sigma is d times its diagonal, so
-    C drops out of A = S M S and of the completeness residual, and enters Q
-    and the norm of S only as the weight of each shape. Only those shapes, each
-    with (d)_r > 0 sectors, are walked, once the type-enumeration budget has
-    admitted their count (``_shape_count``, exact up to one past the budget)
-    and C is within the float range.
-    The walk folds its shapes into each part count's sums as it goes, so
-    what it holds does not grow with the budget.
+    into r <= d parts, one number per shape (see the module docstring). A
+    shape stands for (d)_r / |Aut mu| sectors out of C = C(d+m, m+1),
+    ``|Aut mu|`` the product over its parts of each part's position in its
+    run of equal parts. On each sector A = S M S is J / d, so Tr(M A) is the
+    sum of the moment block's entries over d, and the shape adds
+    ``(d)_r / |Aut mu| (sum_a sqrt(mu_a))^2 / (d (m+1) C)`` to Q. Sigma's
+    smallest entry is ``d mu_min / ((m+1) C)``, mu_min the smallest part of
+    any shape, and its inverse root is the norm of S.
+
+    The POVM elements are D_x A D_x. Entry (a, b) of their sum on a span is
+    ``sum_x (-1)^(x . (a xor b)) / d = [a == b]``, so they sum to the
+    identity there by construction; off the spans sigma and every rho_x
+    vanish, so the I/d that completes the POVM there adds nothing, and the
+    success probability is Q itself. So ``completeness_error`` is 0,
+    ``guess_probability`` is ``q_mean``, and the ``povm_complete`` and
+    ``guess_le_sqrt_q`` flags (Q <= sqrt(Q), true for every Q in [0, 1])
+    hold by construction: they stay in the report's schema but check
+    nothing. The source bound for arbitrary measurements is stated as an
+    equality with an unspecified constant, which is untestable as written;
+    it is treated as an upper bound with the fitted constant reported.
+
+    Only the shapes with (d)_r > 0 sectors are walked, once, after the
+    type-enumeration budget has admitted their count (``_shape_count``,
+    exact up to one past the budget) and C is within the float range. The
+    walk holds nothing per shape; its exact sector counts must sum to C, or
+    a RuntimeError says that it missed or repeated a shape.
     """
     n, m, copies = params.n, params.m, params.copies
     max_parts = min(copies, 1 << min(n, copies.bit_length()))  # min(m+1, d), 2^n never formed
     normaliser = _normaliser(n, m)
-    # Per part count, in the order the walk meets it: the shapes not yet folded
-    # and Q's terms so far. Once _PENDING words are held, every count is folded.
-    pending: dict[int, list[tuple[int, ...]]] = {}
-    q_terms: dict[int, float] = {}
-    smallest, completeness_error, held = math.inf, 0.0, 0
-
-    def fold() -> None:
-        nonlocal smallest, completeness_error, held
-        for r, shapes in pending.items():
-            step = max(1, _BATCH // (r * r))
-            for i in range(0, len(shapes), step):
-                q, low, residual = _shape_terms(shapes[i : i + step], n, normaliser)
-                q_terms[r] += q
-                smallest = min(smallest, low)
-                completeness_error = max(completeness_error, residual)
-            shapes.clear()
-        held = 0
-
     budgets.check_type_count(
         _shape_count(copies, max_parts, budgets.max_type_count + 1),
         f"pgm_report: the partitions of m+1={copies} into at most {max_parts} parts "
@@ -234,21 +168,23 @@ def pgm_report(params: PgmParams, budgets: Budgets = DEFAULT_BUDGETS) -> Experim
             f"n={n} is too large for m={m}: the moment's normaliser C(2^n+m, m+1) "
             "is beyond the float range"
         )
+    d, sectors, q_sum, low = params.d, 0, 0.0, copies
     for shape in _partitions(copies, max_parts):
-        r = len(shape)
-        if r not in pending:
-            pending[r], q_terms[r] = [], 0.0
-        pending[r].append(shape)
-        held += r + 7
-        if held >= _PENDING:
-            fold()
-    fold()
-    if completeness_error > 1e-8:
+        aut, run, previous = 1, 0, 0
+        for part in shape:
+            run = run + 1 if part == previous else 1
+            aut *= run
+            previous = part
+        count = math.perm(d, len(shape)) // aut
+        sectors += count
+        q_sum += count / normaliser * sum(map(math.sqrt, shape)) ** 2
+        low = min(low, shape[-1])
+    if sectors != normaliser:
         raise RuntimeError(
-            f"POVM completeness violated by {completeness_error}; "
-            "the elements D_x S M S D_x do not sum to the identity on the shapes' spans"
+            f"the walked shapes stand for {sectors} sectors, not C(2^n+m, m+1) = {normaliser}"
         )
-    q_mean, d = sum(q_terms.values()), params.d
+    q_mean, completeness_error = q_sum / (d * copies), 0.0
+    smallest = float(d) * (low / copies)  # sigma's smallest entry, in units of 1/C
     norm_measured = math.sqrt(normaliser / smallest)
     norm_formula = math.sqrt(normaliser * copies / d)
     # 1e-8 absolute, but no finer than the float spacing of a norm that grows like sqrt(C)

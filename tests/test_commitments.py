@@ -319,13 +319,13 @@ def test_binding_refuses_lam_below_one(lam, capsys):
 
 
 def test_hiding_distance_keeps_its_moments_real():
-    # At (2, 3, 1, 2) the 4 blocks of equal committed prefixes would hold
-    # 4 * 128^2 real entries. The closed form builds none of them, only
-    # arrays over the 512 flat indices and their pieces (~74 KB traced, numpy
-    # 2.4). Building real blocks peaked at ~2.3 times them, complex blocks
-    # would double that, and the full-space route peaked at 17 times them.
+    # The closed form builds no blocks, only arrays over the 2^(n (p + t))
+    # flat indices and their pieces, of p + t registers each: at (2, 3, 1, 2)
+    # 512 indices, and a 196,608-byte bound at 16 words per index and
+    # register. It peaks at ~74 KB (tracemalloc, numpy 2.4). The 4 real
+    # blocks of equal committed prefixes held 4 * 128^2 floats, 524,288
+    # bytes, and building them peaked at ~2.3 times that.
     lam, n, p, t = 2, 3, 1, 2
-    block_floats = (1 << (lam * p)) * (1 << (n * (p + t) - lam * p)) ** 2
     hiding_distance(lam, n, p, t)  # first-call allocations
     tracemalloc.start()
     try:
@@ -333,7 +333,7 @@ def test_hiding_distance_keeps_its_moments_real():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * block_floats * 8
+    assert peak <= 16 * 8 * (p + t) << (n * (p + t))
 
 
 def test_hiding_distance_crosscheck():

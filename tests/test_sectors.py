@@ -745,6 +745,7 @@ def test_first_single_key_link_is_solved_with_the_chain(p, ell):
         ("commit-hiding", dict(lam=2, n=3, p=1, t=0)),
         ("multikey-td", dict(lam=2, n=3, ell=1, t=1, p=3)),
         ("multikey-td", dict(lam=1, n=2, ell=2, t=0, p=1)),
+        ("commit-hiding", dict(lam=1, n=2, p=2, t=1)),
     ],
 )
 def test_each_chain_report_builds_one_space_and_solves_once(experiment, params):
@@ -790,12 +791,6 @@ def test_shape_tables_are_built_once_per_space():
     assert built == len(space.groups) and spy.call_count == built
     assert all(x.tobytes() == y.tobytes() for x, y in zip(first.blocks, again.blocks))
     assert all(not block.flags.writeable for block in first.blocks)
-
-
-def test_commit_hiding_builds_its_chain_space_once():
-    with mock.patch.object(prsg, "relation_classes", wraps=relation_classes) as spy:
-        hiding_distance(1, 2, 2, 1)
-    assert spy.call_count == 1
 
 
 def test_streamed_single_key_report_holds_few_states():
