@@ -20,7 +20,7 @@ import numpy as np
 from . import prsg
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .reporting import ExperimentReport
-from .sectors import SectorMixture, _check_same_space, _table
+from .sectors import SectorMixture, _check_same_space
 from .tolerances import ATOL_CHAIN, REL_RANK_CUTOFF
 
 
@@ -43,14 +43,14 @@ def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int
     top_b = max(float(w.max()) for w in vals_b)
     rank_a = rank_b = 0
     tr_a = tr_b = 0.0
-    for g, (group, (w, v), w_b, y) in enumerate(zip(a.space.groups, eigs, vals_b, b.blocks)):
+    rows = zip(a.space.groups, eigs, vals_b, b.blocks, a.weights(), b.weights())
+    for group, (w, v), w_b, y, weights_a, weights_b in rows:
         kept = w > REL_RANK_CUTOFF * top_a
         rank_a += group.total(kept.sum(axis=1).tolist())
         rank_b += group.total((w_b > REL_RANK_CUTOFF * top_b).sum(axis=1).tolist())
-        weights = _table(a.space, g, "weights")
-        tr_a += float(weights @ np.where(kept, w, 0.0).sum(axis=1))
+        tr_a += float(weights_a @ np.where(kept, w, 0.0).sum(axis=1))
         overlaps = np.einsum("pij,pij->pj", v, y @ v)
-        tr_b += float(weights @ np.where(kept, overlaps, 0.0).sum(axis=1))
+        tr_b += float(weights_b @ np.where(kept, overlaps, 0.0).sum(axis=1))
     return rank_a, rank_b, tr_a, tr_b
 
 

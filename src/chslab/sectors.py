@@ -10,7 +10,7 @@ block convention.
 Sectors that share one multiplicity shape (``(2, 1)`` for ``{a, a, b}``) form
 a group. The keys are prefix XORs and sorted multisets, so within a group a
 sector's block depends only on the GF(2)-linear relations among its letters'
-``lam``-bit prefixes, and the weights only on the shape. Even-weight
+``lam``-bit prefixes, and its orderings' weights only on the shape. Even-weight
 relations are the relations among the differences ``x_i - x_1``, a subspace
 ``V`` of ``GF(2)^(r-1)`` for ``r`` letters, and ``V`` also says which letters
 share a prefix. ``relation_classes`` therefore enumerates, per shape, the
@@ -20,15 +20,16 @@ each class one representative row over a reduced width, weighted by the exact
 number of sectors it stands for. The cost depends on ``lam`` and the shape,
 not on ``n``, and a space never has more rows than sectors.
 
-``trace_distances`` reads a report's pairs of mixtures as they are built and
-stacks their difference blocks by group, one per row or one for a group
-whose rows share a block; once the stacks hold ``_STACK`` entries, each
-group's stack is one ``eigvalsh``, each row weighted by its count. The
-arrays that depend only on the space (arrangement counts, key masks, row
-weights) are built once per space, in ``SectorSpace.tables``. Every sector
-on its own, each with count 1, is the same structure; the tests build it as
-the independent reference. The rank attack's support projection on these
-blocks is in ``rank_attack``.
+A mixture is an exact integer normaliser over integer kernels that depend on
+neither ``n`` nor ``lam``: ``Pi_sym`` of each type factor in the basis of
+orderings (Harrow, arXiv:1308.6595), masked by the keys. ``trace_distances``
+stacks a report's difference blocks by group, formed from the kernels before
+any rounding, one per row or one for a group whose rows share a block; once
+the stacks hold ``_STACK`` entries, each group's stack is one ``eigvalsh``.
+The arrays that depend only on the space (multiplicities, key masks) are built
+once per space, in ``SectorSpace.tables``. Every sector on its own, each with
+count 1, is the same structure; the tests build it as the independent
+reference. The rank attack's support projection is in ``rank_attack``.
 """
 
 from __future__ import annotations
@@ -123,25 +124,22 @@ class SectorSpace(NamedTuple):
 def _table(space: SectorSpace, g: int, kind: str, a: int = 0, b: int = 0):
     """One array that depends only on group ``g`` of ``space``, built once per space.
 
-    ``weights``: (rows,) sectors per row, each a correctly rounded float. Over
-    the registers ``[a, b)``: ``arranged``, each ordering's arrangements there;
-    ``sorted``, (dim, dim) whether two orderings hold one multiset there;
-    ``folded``, (rows, dim, dim) whether they have one XOR of ``lam``-bit
-    prefixes there.
+    Over the registers ``[a, b)``: ``repeats``, each ordering's product of
+    multiplicity factorials there, as floats; ``sorted``, (dim, dim) whether two
+    orderings hold one multiset there; ``folded``, (rows, dim, dim) in C order
+    (each row's block contiguous), whether they share a prefix XOR there.
     """
     key = (g, kind, a, b)
     if key not in space.tables:
         group = space.groups[g]
         values = group.orderings[:, a:b]
-        if kind == "weights":
-            space.tables[key] = np.array([float(count) for count in group.counts])
-        elif kind == "arranged":
-            space.tables[key] = arrangements(values)
+        if kind == "repeats":
+            space.tables[key] = (math.factorial(b - a) // arrangements(values)).astype(float)
         else:  # each ordering's key there, compared along its last axis
             if kind == "sorted":
                 values = np.sort(values, axis=1)
             else:
-                letters = group.letters[:, values] >> space.shift
+                letters = np.take(group.letters, values, axis=1) >> space.shift
                 values = np.bitwise_xor.reduce(letters, axis=-1, keepdims=True)
             space.tables[key] = (values[..., :, None, :] == values[..., None, :, :]).all(axis=-1)
     return space.tables[key]
@@ -258,10 +256,10 @@ def relation_classes(
     dimension against the dense budget before any block is built. Letters are
     at most ``lam + bit_length(size - 1)`` bits wide whatever ``n``.
 
-    A mixture built on these sectors divides by a member count times a block
-    dimension, at most ``N (N + 1) ... (N + size - 1)``. When that exceeds
-    ``MAX_NORMALISER`` the weights would be subnormal and the class counts
-    beyond the float range, so ``n`` is refused with a ``ValueError``.
+    Every mixture the reports build here (xi_j, hybrids 2 to 7, the multi-key
+    links' one-key pairs) has a normaliser of at most ``N (N + 1) ... (N +
+    size - 1)`` and weighs a row by its count, at least 1, over it. Past
+    ``MAX_NORMALISER`` a weight could be subnormal, so ``n`` is refused.
     """
     N = 1 << n
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
@@ -276,18 +274,24 @@ def relation_classes(
 
 
 class SectorMixture(NamedTuple):
-    """A mixture by shape group: ``blocks[g][c]`` is row c's ``(d, d)`` block."""
+    """A mixture by shape group: row c's ``(d, d)`` block is ``blocks[g][c] / normaliser``.
+
+    The kernels' integer entries, at most ``s!`` on ``s`` registers, are exact
+    in float64 while ``s <= 18``, past any block that fits in memory: at
+    ``s = 19`` two letters already have C(19, 9) = 92,378 orderings.
+    """
 
     space: SectorSpace
     blocks: tuple[np.ndarray, ...]
+    normaliser: int
+
+    def weights(self) -> list[np.ndarray]:
+        """Per group, each row's sectors over the normaliser, one correctly rounded ratio."""
+        return [np.array([c / self.normaliser for c in g.counts]) for g in self.space.groups]
 
     def trace(self) -> float:
-        return float(
-            sum(
-                _table(self.space, g, "weights") @ np.trace(block, axis1=1, axis2=2)
-                for g, block in enumerate(self.blocks)
-            )
-        )
+        traces = (np.trace(block, axis1=1, axis2=2) for block in self.blocks)
+        return float(sum(w @ tr for w, tr in zip(self.weights(), traces)))
 
 
 def product_mixture(
@@ -299,20 +303,21 @@ def product_mixture(
     distinct: Ranges = (),
     admitted: list[np.ndarray] | None = None,
 ) -> SectorMixture:
-    """A mixture of products of type states, as blocks ``w(o) * [key(o) == key(o')]``.
+    """A mixture of products of type states, as kernels ``w(o) * [key(o) == key(o')]``.
 
     Over orderings ``o, o'`` of every row, with register ranges ``(a, b)``
     for ``[a, b)``. The ``factors`` are consecutive ranges covering every
-    register, each holding one type state, so
-    ``w(o) = 1 / (normaliser * prod_f arrangements(o[f]))``, correctly rounded
-    from the exact Python int ``normaliser``. The key is the XOR of the
-    ``lam``-bit prefixes (``letter >> space.shift``) over each range of
-    ``folds``, which is what averaging a keyed phase over all keys leaves,
-    and the sorted multiset over each range of ``sorts``. Orderings with a
-    repeated letter in a range of ``distinct``, and rows outside ``admitted``
-    (per group, a ``(rows,)`` mask; None admits every row), weigh 0.
+    register, each holding one type state, so the integer ``w(o)`` is the
+    product of the multiplicity factorials in each factor, ``(b - a)! /
+    arrangements(o[f])``, and the mixture's normaliser is ``normaliser *
+    prod_f (b - a)!``. The key is the XOR of the ``lam``-bit prefixes
+    (``letter >> space.shift``) over each range of ``folds``, which is what
+    averaging a keyed phase over all keys leaves, and the sorted multiset
+    over each range of ``sorts``. Orderings with a repeated letter in a
+    range of ``distinct``, and rows outside ``admitted`` (per group, a
+    ``(rows,)`` mask; None admits every row), weigh 0.
 
-    A row's letters are distinct, so the weights and the multiset keys follow
+    A row's letters are distinct, so ``w`` and the multiset keys follow
     from the shape's orderings alone; only the folds read the letters. Each
     is a ``_table`` of the space, built on its first use. The blocks are
     read-only; a group whose rows all have one block stores it once, as a
@@ -320,10 +325,8 @@ def product_mixture(
     """
     blocks = []
     for g, group in enumerate(space.groups):
-        arranged = {r: _table(space, g, "arranged", *r) for r in {*factors, *distinct}}
-        weight = reciprocals(normaliser, math.prod(arranged[f] for f in factors))
-        for a, b in distinct:
-            weight = weight * (arranged[a, b] == math.factorial(b - a))
+        repeats = {r: _table(space, g, "repeats", *r) for r in {*factors, *distinct}}
+        weight = math.prod([repeats[f] for f in factors] + [repeats[r] == 1 for r in distinct])
         same = True  # whether two orderings share every key, in an admitted row
         for kind, ranges in (("sorted", sorts), ("folded", folds)):
             for r in ranges:
@@ -336,7 +339,8 @@ def product_mixture(
             shape = (len(group.counts), group.dim, group.dim)
             block = np.ndarray(shape, block.dtype, block, 0, (0, *block.strides))
         blocks.append(block)
-    return SectorMixture(space, tuple(blocks))
+    scale = math.prod(math.factorial(b - a) for a, b in factors)
+    return SectorMixture(space, tuple(blocks), normaliser * scale)
 
 
 def _check_same_space(x: SectorSpace, y: SectorSpace) -> None:
@@ -351,28 +355,40 @@ def _check_same_space(x: SectorSpace, y: SectorSpace) -> None:
         raise ValueError(f"sector spaces differ: (N, size) = {x[:2]} vs {y[:2]}")
 
 
+def _difference(x: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
+    """``(x - y) - delta * y``, exact up to the product; one row for a shared group."""
+    if not (x.strides[0] or y.strides[0]):  # both one shared block (row stride 0)
+        x, y = x[:1], y[:1]
+    diff = x - y
+    step = max(1, _STACK // diff.shape[-1] ** 2)  # the product in slices of _STACK entries
+    for i in range(0, len(diff) if delta else 0, step):
+        diff[i : i + step] -= delta * y[i : i + step]
+    return diff
+
+
 def trace_distances(pairs: Iterable[tuple[SectorMixture, SectorMixture]]) -> list[float]:
     """Half the trace norm of ``a - b`` for each pair ``(a, b)`` of mixtures on one space.
 
-    The pairs are read one at a time and none is kept: each leaves its
-    difference blocks, one per row of each group or one for a group where
-    both mixtures share a block (row stride 0). Once they hold ``_STACK``
-    entries, each group's blocks are solved by one ``eigvalsh``, and each
-    pair's norms are weighted by the rows' counts and summed group by group,
-    in order, so a distance does not depend on the pairs solved with it.
+    Each difference block is ``(K_a - K_b) - delta K_b`` on kernels ``K``, with
+    ``delta = (Z_a - Z_b) / Z_b`` rounded once from the normalisers ``Z``. The
+    pairs are read one at a time and none is kept: each leaves its difference
+    blocks, one per row of each group or one for a group where both mixtures
+    share a block (row stride 0). Once they hold ``_STACK`` entries, each
+    group's blocks are solved by one ``eigvalsh``, and each pair's norms are
+    weighted by ``a``'s rows and summed group by group, in order, so a
+    distance does not depend on the pairs solved with it.
     """
     space, batch, distances = None, [], []
 
     def solve() -> None:
         norms = [  # a stack of one array is solved without a copy
             np.abs(np.linalg.eigvalsh(s[0] if len(s) == 1 else np.concatenate(s))).sum(axis=1)
-            for s in zip(*batch)
+            for s in zip(*(diffs for _, diffs in batch))
         ]
-        for diffs in batch:
+        for weights, diffs in batch:
             total = 0.0
-            for g, d in enumerate(diffs):
-                weights = _table(space, g, "weights")  # a shared block counts for every row
-                total += float(weights @ norms[g][: len(d)].repeat(len(weights) // len(d)))
+            for g, (w, d) in enumerate(zip(weights, diffs)):  # a shared block counts per row
+                total += float(w @ norms[g][: len(d)].repeat(len(w) // len(d)))
                 norms[g] = norms[g][len(d) :]
             distances.append(0.5 * total)
         batch.clear()
@@ -381,14 +397,10 @@ def trace_distances(pairs: Iterable[tuple[SectorMixture, SectorMixture]]) -> lis
         space = space or a.space
         for mixture in (a, b):
             _check_same_space(space, mixture.space)
-        batch.append(
-            [
-                x - y if x.strides[0] or y.strides[0] else x[:1] - y[:1]
-                for x, y in zip(a.blocks, b.blocks)
-            ]
-        )
+        delta = (a.normaliser - b.normaliser) / b.normaliser
+        batch.append((a.weights(), [_difference(x, y, delta) for x, y in zip(a.blocks, b.blocks)]))
         del a, b, mixture  # so the iterable can free this pair while it builds the next
-        if sum(d.size for diffs in batch for d in diffs) >= _STACK:
+        if sum(d.size for _, diffs in batch for d in diffs) >= _STACK:
             solve()
     solve()
     return distances
@@ -410,15 +422,3 @@ def arrangements(values: np.ndarray) -> np.ndarray:
     same &= np.arange(m)[:, None] >= np.arange(m)  # the positions up to k
     return math.factorial(m) // same.sum(axis=-1).prod(axis=-1)
 
-
-def reciprocals(n: int, denominators):
-    """``1 / (n * d)`` for a Python int ``n`` and an int or 1-D integer array of ``d``.
-
-    Each value is correctly rounded from the exact integer product, so no
-    size of ``n`` overflows.
-    """
-    if isinstance(denominators, int):
-        return 1 / (n * denominators)
-    flat = denominators.tolist()
-    exact = {d: 1 / (n * d) for d in set(flat)}
-    return np.array([exact[d] for d in flat])

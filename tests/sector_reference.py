@@ -44,14 +44,21 @@ def partitions(size: int, max_parts: int, largest: int | None = None):
 
 
 def pairwise_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
-    """Half the trace norm of ``a - b``, one ``eigvalsh`` per group of this pair alone."""
+    """Half the trace norm of ``a - b``, one ``eigvalsh`` per group of this pair alone.
+
+    Each row's difference is ``((K_a - K_b) - delta K_b) / Z_a`` for kernels
+    ``K``, normalisers ``Z`` and ``delta = (Z_a - Z_b) / Z_b``, its norm
+    weighted by the row's count over ``Z_a``.
+    """
+    delta = (a.normaliser - b.normaliser) / b.normaliser
     total = 0.0
     for group, x, y in zip(a.space.groups, a.blocks, b.blocks):
         if x.strides[0] or y.strides[0]:
-            norms = np.abs(np.linalg.eigvalsh(x - y)).sum(axis=1)
+            norms = np.abs(np.linalg.eigvalsh((x - y) - delta * y)).sum(axis=1)
         else:  # both one shared block (row stride 0): solve it once, a copy per row
-            norms = np.abs(np.linalg.eigvalsh(x[:1] - y[:1])).sum(axis=1).repeat(len(x))
-        total += float(np.array([float(count) for count in group.counts]) @ norms)
+            diff = (x[:1] - y[:1]) - delta * y[:1]
+            norms = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1).repeat(len(x))
+        total += float(np.array([count / a.normaliser for count in group.counts]) @ norms)
     return 0.5 * total
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,30 @@ def test_real_ideal_distance_is_recomputed_under_each_budget():
     assert single_key_report(params).quantities["td_real_ideal"] == td
 
 
+@pytest.mark.parametrize("n", [30, 52, 56, 60, 340])
+def test_lam_free_steps_match_their_closed_forms_past_float_resolution(n):
+    # H4->H5, H6->H7 and H7->H8 are collision probabilities of order s^2 / 2^n,
+    # far below one ulp of the normalisers at large n; each difference must
+    # still come out whole, not as the rounding noise of two rounded blocks.
+    N, ell, t = 2**n, 1, 2
+    s = ell + t
+    exact = {
+        "td_h4_h5": 1 - Fraction(math.comb(N, s), math.comb(N + s - 1, s)),
+        "td_h6_h7": 1 - Fraction(math.comb(N - ell, t), math.comb(N, t)),
+        "td_h7_h8": 1
+        - Fraction(
+            math.comb(N, ell) * math.comb(N, t),
+            math.comb(N + ell - 1, ell) * math.comb(N + t - 1, t),
+        ),
+    }
+    report = single_key_report(PrsParams(8, n, ell, t), Budgets(max_type_count=10**400))
+    for key, value in exact.items():
+        assert abs(Fraction(report.quantities[key]) - value) <= 1e-12 * value, key
+    if n == 56:
+        td = report.quantities["td_real_ideal"]
+        assert td == pytest.approx(0.0039011637369791804, rel=1e-14, abs=0)
+
+
 def test_multikey_reduces_to_single_key():
     # At p = 1 the chain is the single-key experiment: its one link, its
     # single-key bound and the total are the real/ideal distance, which the
@@ -194,6 +219,7 @@ def test_one_key_routes_ignore_the_key_count(lam, n, ell, t):
     assert impossibility_attack(one).to_json() == impossibility_attack(three).to_json()
     for index in range(1, 9):
         x, y = (hybrid_mixture(HybridSpec(index, params)) for params in (one, three))
+        assert x.normaliser == y.normaliser
         assert [(b.shape, b.tobytes()) for b in x.blocks] == [
             (b.shape, b.tobytes()) for b in y.blocks
         ]

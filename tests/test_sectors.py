@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -80,7 +81,7 @@ def _sector_dense(mixture) -> np.ndarray:
     radix = N ** np.arange(size - 1, -1, -1)
     for group, block in zip(mixture.space.groups, mixture.blocks):
         flat = group.letters[:, group.orderings] @ radix  # (count, dim)
-        dense[flat[:, :, None], flat[:, None, :]] = block
+        dense[flat[:, :, None], flat[:, None, :]] = block / mixture.normaliser
     return dense
 
 
@@ -457,6 +458,7 @@ def test_real_and_ideal_hybrids_are_the_one_key_chain_ends(lam, n, ell, t):
     for index, j in ((1, 0), (8, 1)):
         hybrid = hybrid_mixture(HybridSpec(index, params), budgets)
         chain = multikey_mixture(j, params, budgets)
+        assert hybrid.normaliser == chain.normaliser
         assert len(hybrid.blocks) == len(chain.blocks)
         for x, y in zip(hybrid.blocks, chain.blocks):
             assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
@@ -522,11 +524,11 @@ def test_support_overlap_cuts_relative_to_the_largest_eigenvalue_of_all_blocks()
     # The second sector's block holds only a tiny eigenvalue: one dense
     # matrix's relative cutoff drops it, and so must the blocks.
     space = sector_space(1, 1, 1)
-    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),))
-    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),))
+    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),), normaliser=1)
+    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),), normaliser=1)
     assert sector_support_overlap(a, b) == (1, 2, 1.0, 0.25)
     with pytest.raises(ValueError, match="sector spaces differ"):
-        sector_support_overlap(a, SectorMixture(sector_space(1, 1, 2), b.blocks))
+        sector_support_overlap(a, SectorMixture(sector_space(1, 1, 2), b.blocks, normaliser=1))
 
 
 def _dense_support_overlap(a, b) -> tuple[int, int, float, float]:
@@ -549,8 +551,8 @@ def test_shared_blocks_count_once_per_sector():
     index = (np.array([0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 1]))
     blocks_a = (np.array([[[0.1]], [[1e-14]]]), np.array([0.1 * np.eye(2), np.full((2, 2), 0.05)]))
     blocks_b = (np.array([[[0.25]]] * 2), np.array([[[0.1, 0.0], [0.0, 0.0]]] * 2))
-    a = SectorMixture(sectors, tuple(x[i] for x, i in zip(blocks_a, index)))
-    b = SectorMixture(sectors, tuple(y[i] for y, i in zip(blocks_b, index)))
+    a = SectorMixture(sectors, tuple(x[i] for x, i in zip(blocks_a, index)), normaliser=1)
+    b = SectorMixture(sectors, tuple(y[i] for y, i in zip(blocks_b, index)), normaliser=1)
     assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
     assert b.trace() == pytest.approx(1.6, abs=ATOL)
     # rank(a) = 2 + 2*2 + 4*1; Tr(Pi b) = 2*0.25 + 2*0.1 + 4*0.05.
@@ -574,7 +576,7 @@ def test_shared_blocks_count_once_per_sector():
         ),
         {},
     )
-    a, b = SectorMixture(rows, blocks_a), SectorMixture(rows, blocks_b)
+    a, b = SectorMixture(rows, blocks_a, normaliser=1), SectorMixture(rows, blocks_b, normaliser=1)
     assert sector_support_overlap(a, b)[:2] == (rank_a, rank_b)
     assert np.allclose(sector_support_overlap(a, b)[2:], (tr_a, tr_b), rtol=0, atol=ATOL)
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
@@ -651,7 +653,8 @@ def test_shared_groups_are_solved_once():
         return distances, overlap, stacks
 
     def materialised(mixture):
-        return SectorMixture(mixture.space, tuple(np.array(block) for block in mixture.blocks))
+        blocks = tuple(np.array(block) for block in mixture.blocks)
+        return SectorMixture(mixture.space, blocks, mixture.normaliser)
 
     distances, overlap, stacks = run(lambda mixture: mixture)
     assert stacks == [1, 1, 1] * 5
@@ -673,6 +676,33 @@ def _report_states(params):
         except ValueError as err:  # an empty conditioned set
             assert "empty conditioned set" in str(err)
     return states
+
+
+def test_kernels_are_integers_that_do_not_depend_on_n():
+    # A mixture is an exact int normaliser over integer kernels: the same
+    # blocks at n = lam + 5 and n = lam + 40, state by state.
+    lam = 2
+    near, far = (_report_states(PrsParams(lam, lam + extra, 1, 2)) for extra in (5, 40))
+    assert len(near) == len(far)
+    for x, y in zip(near, far):
+        assert type(x.normaliser) is int and type(y.normaliser) is int
+        assert len(x.blocks) == len(y.blocks)
+        for a, b in zip(x.blocks, y.blocks):
+            assert (a.shape, a.strides[0], a.tobytes()) == (b.shape, b.strides[0], b.tobytes())
+            assert np.array_equal(a, np.round(a))
+
+
+def test_the_normaliser_refusal_keeps_every_row_weight_normal():
+    # relation_classes admits n = 340 at three registers, where every row
+    # weight count / normaliser is still a normal float, and refuses n = 341.
+    budgets = Budgets(max_type_count=10**400)
+    space = relation_classes(340, 8, 3, budgets)
+    real = _sector_chain(0, PrsParams(8, 340, 1, 2), space)
+    assert real.normaliser <= sectors.MAX_NORMALISER
+    assert all((weights >= sys.float_info.min).all() for weights in real.weights())
+    message = "n=341 is too large for 3 registers: the mixture weights would fall below"
+    with pytest.raises(ValueError, match=message):
+        relation_classes(341, 8, 3, budgets)
 
 
 @settings(max_examples=40, deadline=None)
