@@ -291,9 +291,12 @@ def builtin_adversaries(
 def binding_report(params: dict, seed: int, budgets: Budgets) -> ExperimentReport:
     """The ``commit-binding`` experiment: one catalog adversary against a seeded theta.
 
-    ``params`` holds ``lam``, ``n``, ``p`` and the adversary's name. The seed's
-    stream samples the shared state, then the catalog's random rotation.
+    ``params`` holds ``lam``, ``n``, ``p`` and the adversary's name. The sizes
+    and the dense (C, R) copy are checked before the seed's stream samples the
+    shared state, then the catalog's random rotation.
     """
+    _check_sizes(params["lam"], params["n"], params["p"])
+    budgets.check_dense_dim(1 << (2 * params["n"]), "commitment copy on (C, R)")
     rng = rng_for(seed)
     theta = sample_haar(params["n"], rng, budgets)
     cparams = CommitmentParams(lam=params["lam"], n=params["n"], p=params["p"], theta=theta)

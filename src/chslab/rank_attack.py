@@ -1,13 +1,14 @@
 """The rank-projector attack: the paper's matching lower bound, on sector blocks.
 
 The attack measures the projector Pi onto the support of the real state
-rho0. It accepts rho0 with probability 1 and the ideal state rho1 with
-probability at most rank(rho0) / rank(rho1), because rho1 is maximally mixed
-on its support. Both states are the one-key chain's ends, built by ``prsg``
-on relation classes of sectors, and ``sector_support_overlap`` reads the
-ranks and both acceptances off their blocks, one batched ``eigh`` per shape
-group. The mixtures' space comes from ``prsg.relation_classes``, the one name
-through which every report gets its space.
+rho0, so it accepts rho0 with probability 1. The ideal state rho1 = M_ell (x)
+M_t is ``Pi_sym^ell (x) Pi_sym^t`` over its rank (Harrow, arXiv:1308.6595).
+Each key phase ``Z_k^(x)ell (x) I`` of rho0 maps ``Sym^(ell+t)`` into
+``Sym^ell (x) Sym^t``, so rho0's support lies inside rho1's and
+``Tr(Pi rho1) = rank(rho0) / rank(rho1)`` exactly: ``sector_support`` reads
+the ranks off each state's blocks with ``eigvalsh`` alone. Both states are
+the one-key chain's ends, built by ``prsg`` on the space of
+``prsg.relation_classes``, the one name through which every report gets it.
 """
 
 from __future__ import annotations
@@ -20,38 +21,28 @@ import numpy as np
 from . import prsg
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .reporting import ExperimentReport
-from .sectors import SectorMixture, _check_same_space
+from .sectors import SectorMixture
 from .tolerances import ATOL_CHAIN, REL_RANK_CUTOFF
 
 
-def sector_support_overlap(a: SectorMixture, b: SectorMixture) -> tuple[int, int, float, float]:
-    """Ranks of ``a`` and ``b``, then ``Tr(Pi a)`` and ``Tr(Pi b)`` for Pi onto a's support.
+def sector_support(x: SectorMixture) -> tuple[int, float]:
+    """The rank of ``x`` as an exact Python int, and the trace it keeps there.
 
     Eigenvalues count when strictly above ``REL_RANK_CUTOFF`` times the largest
-    over all blocks, as for the whole operator. Pi keeps the eigenvectors V of
-    a's blocks (one batched ``eigh`` per shape group); Tr(Pi b) sums
-    Tr(V^T B V) over the rows. b's spectrum is solved once for a shared group.
-    Ranks are exact Python ints.
+    over all blocks, as for the whole operator. Each group's blocks are one
+    ``eigvalsh``, and a shared group (row stride 0) is solved once.
     """
-    _check_same_space(a.space, b.space)
-    eigs = [np.linalg.eigh(x) for x in a.blocks]
-    vals_b = [
+    vals = [
         np.linalg.eigvalsh(y) if y.strides[0] else np.linalg.eigvalsh(y[:1]).repeat(len(y), 0)
-        for y in b.blocks
+        for y in x.blocks
     ]
-    top_a = max(float(w.max()) for w, _ in eigs)
-    top_b = max(float(w.max()) for w in vals_b)
-    rank_a = rank_b = 0
-    tr_a = tr_b = 0.0
-    rows = zip(a.space.groups, eigs, vals_b, b.blocks, a.weights(), b.weights())
-    for group, (w, v), w_b, y, weights_a, weights_b in rows:
-        kept = w > REL_RANK_CUTOFF * top_a
-        rank_a += group.total(kept.sum(axis=1).tolist())
-        rank_b += group.total((w_b > REL_RANK_CUTOFF * top_b).sum(axis=1).tolist())
-        tr_a += float(weights_a @ np.where(kept, w, 0.0).sum(axis=1))
-        overlaps = np.einsum("pij,pij->pj", v, y @ v)
-        tr_b += float(weights_b @ np.where(kept, overlaps, 0.0).sum(axis=1))
-    return rank_a, rank_b, tr_a, tr_b
+    top = max(float(w.max()) for w in vals)
+    rank, kept_trace = 0, 0.0
+    for group, w, weights in zip(x.space.groups, vals, x.weights()):
+        kept = w > REL_RANK_CUTOFF * top
+        rank += group.total(kept.sum(axis=1).tolist())
+        kept_trace += float(weights @ np.where(kept, w, 0.0).sum(axis=1))
+    return rank, kept_trace
 
 
 def impossibility_attack(
@@ -61,8 +52,10 @@ def impossibility_attack(
 
     rho0 holds the t common copies first and the ell generated copies last;
     the attack measures the support projector of rho0. Acceptance of rho0 is
-    exactly 1, and acceptance of rho1 is at most rank(rho0)/rank(rho1) because
-    rho1 is maximally mixed on its support.
+    its kept trace, 1, and acceptance of rho1 is ``rank(rho0) / rank(rho1)``
+    with both ranks measured, one correctly rounded ratio of ints. So
+    ``tr_pi_rho1_le_rank_ratio`` holds with equality whenever the measured
+    rank(rho1) matches its formula.
 
     rho0 and rho1 are hybrids 1 and 8 with the register groups swapped: one
     unitary on both, which keeps the ranks and carries Pi along, so the sector
@@ -75,9 +68,9 @@ def impossibility_attack(
     rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
     if max(rank0_formula, rank1_formula) > sys.float_info.max:
         raise ValueError(f"n={n} is too large: the rank formulas exceed the float range")
-    rank0, rank1, tr_rho0, tr_rho1 = sector_support_overlap(
-        prsg._sector_chain(0, params, space), prsg._sector_chain(1, params, space)
-    )
+    rank0, tr_rho0 = sector_support(prsg._sector_chain(0, params, space))
+    rank1 = sector_support(prsg._sector_chain(1, params, space))[0]
+    tr_rho1 = rank0 / rank1
     quantities = {
         "tr_pi_rho0": tr_rho0,
         "tr_pi_rho1": tr_rho1,

@@ -29,7 +29,7 @@ the stacks hold ``_STACK`` entries, each group's stack is one ``eigvalsh``.
 The arrays that depend only on the space (multiplicities, key masks) are built
 once per space, in ``SectorSpace.tables``. Every sector on its own, each with
 count 1, is the same structure; the tests build it as the independent
-reference. The rank attack's support projection is in ``rank_attack``.
+reference. ``rank_attack`` reads a mixture's rank off its blocks' eigenvalues.
 """
 
 from __future__ import annotations

@@ -308,6 +308,22 @@ def test_hiding_distance_refuses_bad_sizes_before_any_work(
     assert capsys.readouterr().err.startswith("chs-lab commit-hiding: need ")
 
 
+def test_binding_refuses_an_over_budget_copy_before_any_work(capsys, monkeypatch):
+    # At n = 7 one (C, R) copy has 2^14 = 16384 amplitudes, over the default
+    # dense budget: refused before theta or the Haar rotation is drawn.
+    def no_work(*args, **kwargs):
+        raise AssertionError("started the binding experiment for a refused copy")
+
+    monkeypatch.setattr(commitments, "sample_haar", no_work)
+    monkeypatch.setattr(np.linalg, "qr", no_work)
+    assert main(["commit-binding", "--lam", "1", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dense dimension 16384 exceeds budget" in captured.err
+    assert captured.err.startswith("chs-lab commit-binding: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("lam", [0, -1])
 def test_binding_refuses_lam_below_one(lam, capsys):
     assert main(["commit-binding", "--lam", str(lam), "--n", str(lam + 2)]) == 2

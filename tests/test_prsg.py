@@ -20,6 +20,7 @@ from chslab.qla import (
     trace_distance,
 )
 from chslab.rank_attack import impossibility_attack
+from chslab.runner import ExperimentConfig, run
 from chslab.tolerances import ATOL_CHAIN, REL_RANK_CUTOFF
 from chslab.typestates import apply_phase, enumerate_types, keyed_members
 
@@ -245,12 +246,42 @@ def test_impossibility_attack_small_cases():
         assert report.quantities["tr_pi_rho0"] == pytest.approx(1.0, abs=1e-9)
         assert report.quantities["rank_rho1_measured"] == expected_rank1
         assert report.bounds["rank_rho1_formula"] == expected_rank1
-        ratio = report.quantities["rank_rho0_measured"] / expected_rank1
-        assert report.quantities["tr_pi_rho1"] <= ratio + 1e-9
+        assert report.quantities["tr_pi_rho1"] == report.bounds["rank_ratio"]
         assert report.flags["rank_rho0_le_formula"]
     # the formula-level bound at lam=1 is vacuous but still reported
     report = impossibility_attack(PrsParams(lam=1, n=2, ell=1, t=1))
     assert report.bounds["rank_rho0_formula"] == 2 * math.comb(5, 2)
+
+
+@pytest.mark.parametrize(
+    "config, budgets",
+    [
+        ((2, 3, 1, 2), DEFAULT_BUDGETS),
+        ((2, 4, 1, 2), DEFAULT_BUDGETS),
+        ((3, 3, 2, 0), DEFAULT_BUDGETS),
+        ((1, 3, 3, 1), DEFAULT_BUDGETS),
+        ((2, 5, 1, 2), DEFAULT_BUDGETS),
+        ((4, 510, 1, 1), Budgets(max_type_count=10**400)),
+    ],
+)
+def test_attack_accepts_rho1_with_the_ratio_of_measured_ranks(config, budgets):
+    # rho0's support lies inside rho1's, where rho1 is maximally mixed, so
+    # Tr(Pi rho1) is rank(rho0) / rank(rho1): one correctly rounded ratio of
+    # ints. At (2, 3, 1, 2) that is 256/288 = 8/9, and at (3, 3, 2, 0) 36/36.
+    quantities = impossibility_attack(PrsParams(*config), budgets).quantities
+    ratio = quantities["rank_rho0_measured"] / quantities["rank_rho1_measured"]
+    assert quantities["tr_pi_rho1"] == ratio
+    assert quantities["advantage"] == 1 - ratio
+
+
+def test_the_attack_solves_no_eigenvector(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the rank attack computed eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    report = run(ExperimentConfig("impossibility", {"lam": 2, "n": 3, "ell": 1, "t": 2}))
+    assert report.quantities["tr_pi_rho1"] == 8 / 9
+    assert all(report.flags.values())
 
 
 def test_impossibility_attack_budget():

@@ -45,7 +45,7 @@ from chslab.hybrids import (
 )
 from chslab.prsg import PrsParams, _sector_chain, multi_key_report
 from chslab.qla import gram_trace_distance, trace_distance
-from chslab.rank_attack import impossibility_attack, sector_support_overlap
+from chslab.rank_attack import impossibility_attack, sector_support
 from chslab.sectors import (
     SectorMixture,
     SectorSpace,
@@ -526,20 +526,17 @@ def test_support_overlap_cuts_relative_to_the_largest_eigenvalue_of_all_blocks()
     space = sector_space(1, 1, 1)
     a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),), normaliser=1)
     b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),), normaliser=1)
-    assert sector_support_overlap(a, b) == (1, 2, 1.0, 0.25)
+    assert sector_support(a) == (1, 1.0)
+    assert sector_support(b) == (2, 1.0)
     with pytest.raises(ValueError, match="sector spaces differ"):
-        sector_support_overlap(a, SectorMixture(sector_space(1, 1, 2), b.blocks, normaliser=1))
+        sector_trace_distance(a, SectorMixture(sector_space(1, 1, 2), b.blocks, normaliser=1))
 
 
-def _dense_support_overlap(a, b) -> tuple[int, int, float, float]:
-    """``sector_support_overlap`` on the full matrices, with the same relative cutoff."""
-    dense_a, dense_b = _sector_dense(a), _sector_dense(b)
-    vals, vecs = np.linalg.eigh(dense_a)
-    vals_b = np.linalg.eigvalsh(dense_b)
+def _dense_support(x) -> tuple[int, float]:
+    """``sector_support`` on the full matrix, with the same relative cutoff."""
+    vals = np.linalg.eigvalsh(_sector_dense(x))
     kept = vals > REL_RANK_CUTOFF * vals.max()
-    pi = vecs[:, kept] @ vecs[:, kept].T
-    rank_b = int((vals_b > REL_RANK_CUTOFF * vals_b.max()).sum())
-    return int(kept.sum()), rank_b, float(vals[kept].sum()), float(np.trace(pi @ dense_b))
+    return int(kept.sum()), float(vals[kept].sum())
 
 
 def test_shared_blocks_count_once_per_sector():
@@ -555,14 +552,15 @@ def test_shared_blocks_count_once_per_sector():
     b = SectorMixture(sectors, tuple(y[i] for y, i in zip(blocks_b, index)), normaliser=1)
     assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
     assert b.trace() == pytest.approx(1.6, abs=ATOL)
-    # rank(a) = 2 + 2*2 + 4*1; Tr(Pi b) = 2*0.25 + 2*0.1 + 4*0.05.
-    rank_a, rank_b, tr_a, tr_b = sector_support_overlap(a, b)
+    # rank(a) = 2 + 2*2 + 4*1, keeping all of a's trace but the 2e-14;
+    # rank(b) = 4 + 6*1, keeping all of b's.
+    (rank_a, tr_a), (rank_b, tr_b) = sector_support(a), sector_support(b)
     assert (rank_a, rank_b) == (10, 10)
     assert type(rank_a) is int and type(rank_b) is int
-    assert tr_a == pytest.approx(1.0, abs=ATOL) and tr_b == pytest.approx(0.9, abs=ATOL)
-    expected = _dense_support_overlap(a, b)
-    assert (rank_a, rank_b) == expected[:2]
-    assert np.allclose((tr_a, tr_b), expected[2:], rtol=0, atol=ATOL)
+    assert tr_a == pytest.approx(1.0, abs=ATOL) and tr_b == pytest.approx(1.6, abs=ATOL)
+    for x, (rank, kept) in ((a, (rank_a, tr_a)), (b, (rank_b, tr_b))):
+        expected = _dense_support(x)
+        assert rank == expected[0] and kept == pytest.approx(expected[1], abs=ATOL)
     dense_td = 0.5 * np.abs(np.linalg.eigvalsh(_sector_dense(a) - _sector_dense(b))).sum()
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
     # The same blocks once each, counted by the sectors that carry them.
@@ -577,8 +575,9 @@ def test_shared_blocks_count_once_per_sector():
         {},
     )
     a, b = SectorMixture(rows, blocks_a, normaliser=1), SectorMixture(rows, blocks_b, normaliser=1)
-    assert sector_support_overlap(a, b)[:2] == (rank_a, rank_b)
-    assert np.allclose(sector_support_overlap(a, b)[2:], (tr_a, tr_b), rtol=0, atol=ATOL)
+    assert (sector_support(a)[0], sector_support(b)[0]) == (rank_a, rank_b)
+    assert sector_support(a)[1] == pytest.approx(tr_a, abs=ATOL)
+    assert sector_support(b)[1] == pytest.approx(tr_b, abs=ATOL)
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
     assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
 
@@ -630,8 +629,9 @@ def test_sector_blocks_repeat_per_shape_group():
 def test_shared_groups_are_solved_once():
     # The lam-free hybrids store each group's one block as a view with row
     # stride 0, so every eigvalsh of a lam-free pair, and of the rank attack's
-    # H8 spectrum, runs on one row per group, not on the 1, 2 and 3 rows. The
-    # results equal the per-row solve on materialised copies bit for bit.
+    # H8 spectrum, runs on one row per group, not on the 1, 2 and 3 rows; the
+    # attack's H1 spectrum differs per row. The results equal the per-row
+    # solve on materialised copies bit for bit.
     params = PrsParams(lam=2, n=6, ell=1, t=2)
     space = relation_classes(6, 2, 3)
     chain = _lam_free_chain(params, space)
@@ -639,7 +639,7 @@ def test_shared_groups_are_solved_once():
     eigvalsh = np.linalg.eigvalsh
 
     def run(route):
-        """The four lam-free distances and the H1/H8 overlap, with the eigvalsh stack sizes."""
+        """The four lam-free distances and the H1 and H8 supports, with the eigvalsh stack sizes."""
         stacks = []
 
         def spy(a):
@@ -649,19 +649,19 @@ def test_shared_groups_are_solved_once():
         with mock.patch.object(np.linalg, "eigvalsh", spy):
             pairs = zip(chain, chain[1:])
             distances = [sector_trace_distance(route(x), route(y)) for x, y in pairs]
-            overlap = sector_support_overlap(h1, route(chain[-1]))
-        return distances, overlap, stacks
+            supports = [sector_support(h1), sector_support(route(chain[-1]))]
+        return distances, supports, stacks
 
     def materialised(mixture):
         blocks = tuple(np.array(block) for block in mixture.blocks)
         return SectorMixture(mixture.space, blocks, mixture.normaliser)
 
-    distances, overlap, stacks = run(lambda mixture: mixture)
-    assert stacks == [1, 1, 1] * 5
+    distances, supports, stacks = run(lambda mixture: mixture)
+    assert stacks == [1, 1, 1] * 4 + [1, 2, 3] + [1, 1, 1]
     reference = run(materialised)
-    assert reference[2] == [1, 2, 3] * 5
-    assert (distances, overlap) == reference[:2]
-    assert all(type(rank) is int for rank in overlap[:2])
+    assert reference[2] == [1, 2, 3] * 6
+    assert (distances, supports) == reference[:2]
+    assert all(type(rank) is int for rank, _ in supports)
 
 
 def _report_states(params):
