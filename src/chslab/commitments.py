@@ -255,6 +255,10 @@ def binding_experiment(
     )
 
 
+# The catalog's names, in the order ``builtin_adversaries`` builds them.
+ADVERSARIES = ("honest-0", "honest-1", "half-angle", "random-rotation")
+
+
 def builtin_adversaries(
     params: CommitmentParams, rng: np.random.Generator
 ) -> dict[str, MaliciousCommitter]:
@@ -274,37 +278,29 @@ def builtin_adversaries(
     q, r = np.linalg.qr(g)
     twist = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar unitary via phase-fixed QR
 
-    return {
-        "honest-0": MaliciousCommitter("honest-0", ((1.0, (psi0,) * p),)),
-        "honest-1": MaliciousCommitter("honest-1", ((1.0, (psi1,) * p),)),
-        "half-angle": MaliciousCommitter(
-            "half-angle", ((half_coeff, (psi0,) * p), (half_coeff, (psi1,) * p))
-        ),
-        "random-rotation": MaliciousCommitter(
-            "random-rotation",
-            ((1.0, (psi0,) * p),),
-            open_r=lambda b: twist if b == 1 else np.eye(dim_r),
-        ),
-    }
+    honest_0, honest_1 = ((1.0, (psi0,) * p),), ((1.0, (psi1,) * p),)
+    half_angle = ((half_coeff, (psi0,) * p), (half_coeff, (psi1,) * p))
+    rotated = (honest_0, lambda b: twist if b == 1 else np.eye(dim_r))  # twists R to open 1
+    catalog = ((honest_0,), (honest_1,), (half_angle,), rotated)
+    return {name: MaliciousCommitter(name, *adv) for name, adv in zip(ADVERSARIES, catalog)}
 
 
 def binding_report(params: dict, seed: int, budgets: Budgets) -> ExperimentReport:
     """The ``commit-binding`` experiment: one catalog adversary against a seeded theta.
 
-    ``params`` holds ``lam``, ``n``, ``p`` and the adversary's name. The sizes
-    and the dense (C, R) copy are checked before the seed's stream samples the
-    shared state, then the catalog's random rotation.
+    ``params`` holds ``lam``, ``n``, ``p`` and the adversary's name, checked with
+    the dense (C, R) copy before the seed's stream samples the shared state,
+    then the catalog's random rotation, drawn whichever adversary runs.
     """
     _check_sizes(params["lam"], params["n"], params["p"])
+    name = params["adversary"]
+    if name not in ADVERSARIES:
+        raise ValueError(f"unknown adversary {name!r}; choose from {sorted(ADVERSARIES)}")
     budgets.check_dense_dim(1 << (2 * params["n"]), "commitment copy on (C, R)")
     rng = rng_for(seed)
     theta = sample_haar(params["n"], rng, budgets)
     cparams = CommitmentParams(lam=params["lam"], n=params["n"], p=params["p"], theta=theta)
-    catalog = builtin_adversaries(cparams, rng)
-    name = params["adversary"]
-    if name not in catalog:
-        raise ValueError(f"unknown adversary {name!r}; choose from {sorted(catalog)}")
-    return binding_experiment(catalog[name], cparams, budgets)
+    return binding_experiment(builtin_adversaries(cparams, rng)[name], cparams, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +336,26 @@ def hiding_distance(
 
     The bit-1 side has maximally mixed C registers for every shared state:
     ``M_t (x) (I/N)^(x)p``, which is ``c = 1 / (C(N+t-1, t) N^p)`` times the
-    projector ``Pi_sym^t (x) I`` of rank ``C(N+t-1, t) N^p``. Permuting the t
-    shared registers keeps an ordering of T in its block, so that projector
-    holds every piece, and the difference of the sides is a sum of orthogonal
-    terms: ``w - c`` on each piece and ``-c`` on the rest of the projector,
+    projector ``Pi_sym^t (x) I`` of rank ``rank = C(N+t-1, t) N^p``. Permuting
+    the t shared registers keeps an ordering of T in its block, so that
+    projector holds every piece, and the difference of the sides is a sum of
+    orthogonal terms, ``w - c`` on each piece and ``-c`` on the rest of it:
 
-        td = (sum |w - c| + c (C(N+t-1, t) N^p - #pieces)) / 2.
+        td = (sum |w - c| + c (rank - #pieces)) / 2.
 
-    The counts ``k_Tb`` come from one ``np.unique`` over the ``N^s`` flat
-    indices, keyed by their sorted registers and committed prefixes, so the
-    dense budget bounds ``N^s``. Every piece is non-negative and symmetric by
-    construction; side 0's unit trace, which holds when the indices reach
-    every type, is the one density check left. The bit-0 side is
-    cross-checked against the multi-key distance with one generated copy per
-    key: the distance between the sector forms of the chain's ends, xi_0 and
-    xi_p, built on one space.
+    The bit-0 side is cross-checked against the multi-key distance with one
+    generated copy per key: the distance between the sector forms of the
+    chain's ends, xi_0 and xi_p, on one space of relation classes. Its
+    sectors of one class agree on which letters share a prefix, so they
+    split alike: ``k_Tb`` is read per class row off the table of orderings
+    that share their committed prefixes, the one xi_0's key folds use (with
+    the committed copies first, which changes no count: M_s is symmetric).
+    The sum is over non-negative exact ints, one correctly rounded division
+    per shape. Every piece is non-negative and symmetric by construction;
+    the rows holding all ``C(N+s-1, s)`` sectors is the one density check.
     """
     from .prsg import PrsParams, _sector_chain, relation_classes
-    from .sectors import arrangements, sector_trace_distance
+    from .sectors import _table, sector_trace_distance
 
     _check_sizes(lam, n, p)
     if t < 0:
@@ -365,23 +363,24 @@ def hiding_distance(
     multikey_params = PrsParams(lam=lam, n=n, ell=1, t=t, p=p)
     N = 1 << n
     size = t + p
-    kept_dim = 1 << (n * size)
-    budgets.check_dense_dim(kept_dim, "hiding_distance")
     space = relation_classes(n, lam, size, budgets)
-    registers = (np.arange(kept_dim)[:, None] >> (n * np.arange(size)[::-1])) & (N - 1)
-    key = 0
-    for x in np.sort(registers, axis=1).T:  # the full type
-        key = key * N + x
-    for x in registers[:, t:].T:  # the committed prefixes
-        key = (key << lam) | (x >> (n - lam))
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    weights = counts / (math.comb(N + size - 1, size) * arrangements(registers[first]))
-    trace = float(weights.sum())
-    if not abs(trace - 1.0) <= ATOL_STRUCTURAL:
-        raise ValueError(f"hiding_distance side 0 has trace {trace}, expected 1")
+    C = math.comb(N + size - 1, size)
+    if sum(sum(group.counts) for group in space.groups) != C:
+        raise RuntimeError("hiding_distance: the relation classes miss or repeat a sector")
     rank = math.comb(N + t - 1, t) * N**p
-    c = 1 / rank
-    td = 0.5 * (float(np.abs(weights - c).sum()) + c * (rank - len(weights)))
+    spread, pieces = 0.0, 0
+    for g, group in enumerate(space.groups):
+        # whether two orderings share the committed prefixes: xi_0's folds, on copies 0..p-1
+        same = np.logical_and.reduce([_table(space, g, "folded", i, i + 1) for i in range(p)])
+        first = ~np.tril(same, -1).any(axis=-1)  # whether an ordering is its piece's first
+        k = same.sum(axis=-1)  # the orderings in its piece, k_Tb
+        scale = C * group.dim  # a piece weighs k / scale
+        # sum |k rank - scale| = rank sum(sign k) - scale sum(sign), over the pieces
+        sign = np.where(k > min(scale // rank, group.dim), 1, -1) * first
+        excess, signs = (x.sum(axis=1).tolist() for x in (sign * k, sign))
+        spread += (rank * group.total(excess) - scale * group.total(signs)) / scale
+        pieces += group.total(first.sum(axis=1).tolist())
+    td = (spread + (rank - pieces)) / (2 * rank)
     td_multikey = sector_trace_distance(
         _sector_chain(0, multikey_params, space), _sector_chain(p, multikey_params, space)
     )

@@ -8,7 +8,8 @@ from hiding_reference import hiding_distance as hiding_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chslab import commitments, prsg
+from chslab import commitments, prsg, sectors
+from chslab.budgets import Budgets
 from chslab.commitments import (
     CommitmentParams,
     MaliciousCommitter,
@@ -21,6 +22,7 @@ from chslab.commitments import (
 )
 from chslab.cli import main
 from chslab.haar import rng_for, sample_haar
+from chslab.prsg import relation_classes
 from chslab.qla import DensityOperator, PureState, fidelity, partial_trace, partial_trace_pure
 
 
@@ -301,7 +303,7 @@ def test_hiding_distance_refuses_bad_sizes_before_any_work(
         raise AssertionError("started the distance for refused sizes")
 
     monkeypatch.setattr(prsg, "relation_classes", no_work)
-    monkeypatch.setattr(np, "unique", no_work)
+    monkeypatch.setattr(sectors, "_table", no_work)
     with pytest.raises(ValueError, match=message):
         hiding_distance(lam, n, p, t=1)
     assert main(["commit-hiding", "--lam", str(lam), "--n", str(n), "--p", str(p)]) == 2
@@ -324,6 +326,23 @@ def test_binding_refuses_an_over_budget_copy_before_any_work(capsys, monkeypatch
     assert captured.err.count("\n") == 1
 
 
+def test_binding_refuses_an_unknown_adversary_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("started the binding experiment for an unknown adversary")
+
+    params = fixed_params()
+    assert tuple(builtin_adversaries(params, rng_for(1))) == commitments.ADVERSARIES
+    monkeypatch.setattr(commitments, "sample_haar", no_work)
+    monkeypatch.setattr(np.linalg, "qr", no_work)
+    assert main(["commit-binding", "--lam", "1", "--n", "2", "--adversary", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "chs-lab commit-binding: unknown adversary 'nope'; "
+        "choose from ['half-angle', 'honest-0', 'honest-1', 'random-rotation']\n"
+    )
+
+
 @pytest.mark.parametrize("lam", [0, -1])
 def test_binding_refuses_lam_below_one(lam, capsys):
     assert main(["commit-binding", "--lam", str(lam), "--n", str(lam + 2)]) == 2
@@ -335,13 +354,18 @@ def test_binding_refuses_lam_below_one(lam, capsys):
 
 
 def test_hiding_distance_keeps_its_moments_real():
-    # The closed form builds no blocks, only arrays over the 2^(n (p + t))
-    # flat indices and their pieces, of p + t registers each: at (2, 3, 1, 2)
-    # 512 indices, and a 196,608-byte bound at 16 words per index and
-    # register. It peaks at ~74 KB (tracemalloc, numpy 2.4). The 4 real
-    # blocks of equal committed prefixes held 4 * 128^2 floats, 524,288
-    # bytes, and building them peaked at ~2.3 times that.
+    # The closed form counts its pieces on the relation classes, off the
+    # tables of orderings that share a register's prefix, and the cross-check
+    # builds one real block per class row: at (2, 3, 1, 2) 19 orderings of 3
+    # registers and 91 block entries, and a 37,888-byte bound at 32 words per
+    # ordering and register and per block entry. It peaks at ~16 KB
+    # (tracemalloc, numpy 2.4), mostly fixed per-array overhead. Counting over
+    # the 512 flat indices peaked at ~74 KB; the 4 real blocks of equal
+    # committed prefixes held 4 * 128^2 floats, 524,288 bytes.
     lam, n, p, t = 2, 3, 1, 2
+    space = relation_classes(n, lam, p + t)
+    orderings = sum(len(group.counts) * group.dim for group in space.groups)
+    entries = sum(len(group.counts) * group.dim**2 for group in space.groups)
     hiding_distance(lam, n, p, t)  # first-call allocations
     tracemalloc.start()
     try:
@@ -349,7 +373,7 @@ def test_hiding_distance_keeps_its_moments_real():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 8 * (p + t) << (n * (p + t))
+    assert peak <= 32 * 8 * (orderings * (p + t) + entries)
 
 
 def test_hiding_distance_crosscheck():
@@ -359,11 +383,46 @@ def test_hiding_distance_crosscheck():
     assert report.quantities["td_hiding"] > 0
 
 
-@pytest.mark.parametrize("point", [(2, 4, 1, 2), (1, 2, 3, 3)])  # n (t + p) = 12
+@pytest.mark.parametrize(
+    "point",
+    [
+        (2, 4, 1, 2),  # n (t + p) = 12, the largest a flat-index count admitted
+        (1, 2, 3, 3),
+        (2, 4, 2, 2),  # past it: the class count is bounded by the space alone
+        (3, 5, 1, 2),
+        (2, 3, 2, 3),
+        (2, 5, 1, 2),
+    ],
+)
 def test_hiding_distance_matches_the_multikey_route_at_the_dense_budget_edge(point):
     report = hiding_distance(*point)
     assert report.quantities["route_difference"] <= 1e-12
     assert report.flags["hiding_matches_multikey"]
+
+
+@pytest.mark.parametrize("p, t", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_hiding_distance_at_large_n_has_its_leading_term(p, t):
+    # At lam = 16, n = 48 the distance is L / 2^(lam + 1) to first order, with
+    # L = C(p + t, 2) - C(t, 2) the register pairs that touch a committed copy,
+    # and the two routes agree to 1e-12 relative.
+    report = hiding_distance(16, 48, p, t, Budgets(max_type_count=10**90))
+    td = report.quantities["td_hiding"]
+    L = math.comb(p + t, 2) - math.comb(t, 2)
+    assert abs(td * 2**17 - L) <= L**2 / 2**16
+    assert report.quantities["route_difference"] <= 1e-12 * td
+    assert report.flags["hiding_matches_multikey"]
+
+
+def test_hiding_distance_refuses_a_space_that_misses_a_sector(monkeypatch):
+    def short(n, lam, size, budgets):
+        space = relation_classes(n, lam, size, budgets)
+        group = space.groups[-1]
+        group = group._replace(counts=(group.counts[0] - 1, *group.counts[1:]))
+        return space._replace(groups=(*space.groups[:-1], group))
+
+    monkeypatch.setattr(prsg, "relation_classes", short)
+    with pytest.raises(RuntimeError, match="the relation classes miss or repeat a sector"):
+        hiding_distance(2, 3, 1, 2)
 
 
 @st.composite

@@ -558,7 +558,7 @@ def test_cli_run_rejects_out_of_range_input_in_one_line(argv, capsys):
     [
         (["prsg-td", "--lam", "1", "--n", "20000"], "exceed enumeration budget 100000"),
         (["impossibility", "--lam", "1", "--n", "20000"], "exceed enumeration budget 100000"),
-        (["commit-hiding", "--lam", "1", "--n", "20000"], "exceeds budget 4096"),
+        (["commit-hiding", "--lam", "1", "--n", "20000"], "exceed enumeration budget 100000"),
         (["typestats", "--lam", "20000"], "N + t - 1 must be below 2**63"),
     ],
 )
