@@ -345,41 +345,35 @@ def hiding_distance(
 
     The bit-0 side is cross-checked against the multi-key distance with one
     generated copy per key: the distance between the sector forms of the
-    chain's ends, xi_0 and xi_p, on one space of relation classes. Its
-    sectors of one class agree on which letters share a prefix, so they
-    split alike: ``k_Tb`` is read per class row off the table of orderings
-    that share their committed prefixes, the one xi_0's key folds use (with
-    the committed copies first, which changes no count: M_s is symmetric).
-    The sum is over non-negative exact ints, one correctly rounded division
-    per shape. Every piece is non-negative and symmetric by construction;
-    the rows holding all ``C(N+s-1, s)`` sectors is the one density check.
+    chain's ends, xi_0 and xi_p, on one space of relation classes. A class's
+    sectors split alike, so the pieces are the ``sectors.key_classes`` of xi_0's
+    key folds on the committed copies, ``k_Tb`` orderings each (committed
+    copies first, which changes no count: M_s is symmetric). The sum is over
+    exact ints, one correctly rounded division per shape; the rows holding all
+    ``C(N+s-1, s)`` sectors is the one density check.
     """
     from .prsg import PrsParams, _sector_chain, relation_classes
-    from .sectors import _table, sector_trace_distance
+    from .sectors import key_classes, sector_trace_distance
 
     _check_sizes(lam, n, p)
     if t < 0:
         raise ValueError(f"need t >= 0 common copies, got t={t}")
     multikey_params = PrsParams(lam=lam, n=n, ell=1, t=t, p=p)
-    N = 1 << n
-    size = t + p
+    N, size = 1 << n, t + p
     space = relation_classes(n, lam, size, budgets)
     C = math.comb(N + size - 1, size)
     if sum(sum(group.counts) for group in space.groups) != C:
         raise RuntimeError("hiding_distance: the relation classes miss or repeat a sector")
     rank = math.comb(N + t - 1, t) * N**p
     spread, pieces = 0.0, 0
-    for g, group in enumerate(space.groups):
-        # whether two orderings share the committed prefixes: xi_0's folds, on copies 0..p-1
-        same = np.logical_and.reduce([_table(space, g, "folded", i, i + 1) for i in range(p)])
-        first = ~np.tril(same, -1).any(axis=-1)  # whether an ordering is its piece's first
-        k = same.sum(axis=-1)  # the orderings in its piece, k_Tb
-        scale = C * group.dim  # a piece weighs k / scale
+    # the pieces: orderings that share the committed prefixes, xi_0's folds on copies 0..p-1
+    classes = key_classes(space, folds=tuple((i, i + 1) for i in range(p)))
+    for group, (rows, k) in zip(space.groups, classes):
+        scale = C * group.dim  # a piece of k_Tb = k orderings weighs k / scale
         # sum |k rank - scale| = rank sum(sign k) - scale sum(sign), over the pieces
-        sign = np.where(k > min(scale // rank, group.dim), 1, -1) * first
-        excess, signs = (x.sum(axis=1).tolist() for x in (sign * k, sign))
-        spread += (rank * group.total(excess) - scale * group.total(signs)) / scale
-        pieces += group.total(first.sum(axis=1).tolist())
+        sign = np.where(k > min(scale // rank, group.dim), 1, -1)
+        spread += (rank * group.total(sign * k, rows) - scale * group.total(sign, rows)) / scale
+        pieces += group.total(rows=rows)
     td = (spread + (rank - pieces)) / (2 * rank)
     td_multikey = sector_trace_distance(
         _sector_chain(0, multikey_params, space), _sector_chain(p, multikey_params, space)

@@ -1,14 +1,13 @@
-"""The rank-projector attack: the paper's matching lower bound, on sector blocks.
+"""The rank-projector attack: the paper's matching lower bound, counted on key classes.
 
 The attack measures the projector Pi onto the support of the real state
 rho0, so it accepts rho0 with probability 1. The ideal state rho1 = M_ell (x)
 M_t is ``Pi_sym^ell (x) Pi_sym^t`` over its rank (Harrow, arXiv:1308.6595).
 Each key phase ``Z_k^(x)ell (x) I`` of rho0 maps ``Sym^(ell+t)`` into
 ``Sym^ell (x) Sym^t``, so rho0's support lies inside rho1's and
-``Tr(Pi rho1) = rank(rho0) / rank(rho1)`` exactly: ``sector_support`` reads
-the ranks off each state's blocks with ``eigvalsh`` alone. Both states are
-the one-key chain's ends, built by ``prsg`` on the space of
-``prsg.relation_classes``, the one name through which every report gets it.
+``Tr(Pi rho1) = rank(rho0) / rank(rho1)`` exactly. Both ranks are counts of
+``sectors.key_classes`` on the space of ``prsg.relation_classes``, the one
+name through which every report gets it: no block is built and none solved.
 """
 
 from __future__ import annotations
@@ -16,33 +15,11 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from . import prsg
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .reporting import ExperimentReport
-from .sectors import SectorMixture
-from .tolerances import ATOL_CHAIN, REL_RANK_CUTOFF
-
-
-def sector_support(x: SectorMixture) -> tuple[int, float]:
-    """The rank of ``x`` as an exact Python int, and the trace it keeps there.
-
-    Eigenvalues count when strictly above ``REL_RANK_CUTOFF`` times the largest
-    over all blocks, as for the whole operator. Each group's blocks are one
-    ``eigvalsh``, and a shared group (row stride 0) is solved once.
-    """
-    vals = [
-        np.linalg.eigvalsh(y) if y.strides[0] else np.linalg.eigvalsh(y[:1]).repeat(len(y), 0)
-        for y in x.blocks
-    ]
-    top = max(float(w.max()) for w in vals)
-    rank, kept_trace = 0, 0.0
-    for group, w, weights in zip(x.space.groups, vals, x.weights()):
-        kept = w > REL_RANK_CUTOFF * top
-        rank += group.total(kept.sum(axis=1).tolist())
-        kept_trace += float(weights @ np.where(kept, w, 0.0).sum(axis=1))
-    return rank, kept_trace
+from .sectors import key_classes
+from .tolerances import ATOL_CHAIN
 
 
 def impossibility_attack(
@@ -50,26 +27,31 @@ def impossibility_attack(
 ) -> ExperimentReport:
     """Distinguish the generator by projecting onto the real state's support.
 
-    rho0 holds the t common copies first and the ell generated copies last;
-    the attack measures the support projector of rho0. Acceptance of rho0 is
-    its kept trace, 1, and acceptance of rho1 is ``rank(rho0) / rank(rho1)``
-    with both ranks measured, one correctly rounded ratio of ints. So
-    ``tr_pi_rho1_le_rank_ratio`` holds with equality whenever the measured
-    rank(rho1) matches its formula.
-
-    rho0 and rho1 are hybrids 1 and 8 with the register groups swapped: one
-    unitary on both, which keeps the ranks and carries Pi along, so the sector
-    blocks of hybrids 1 and 8, the one-key chain's ends xi_0 and xi_1
-    (generated copies first), give the same numbers.
+    rho0 holds the t common copies first and the ell generated copies last.
+    Pi accepts rho0 with its kept trace, 1, and rho1 with ``rank(rho0) /
+    rank(rho1)``, one correctly rounded ratio of ints, so
+    ``tr_pi_rho1_le_rank_ratio`` holds with equality when rank(rho1) matches
+    its formula. Swapping the register groups, one unitary on both, makes
+    them the one-key chain's ends xi_0 and xi_1. On a sector xi_0 weighs every
+    ordering alike, masked to equal prefix XORs of the generated copies, and
+    xi_1 by the multiset of the generated copies, its key: each block is a
+    positive multiple of its key classes' all-ones blocks, and each rank their
+    count. Pi keeps ``w`` per ordering of xi_0, with ``w dim = (ell + t)!`` on
+    every sector, so ``tr_pi_rho0`` is the sectors the classes cover over all
+    ``C(N + ell + t - 1, ell + t)``.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
-    space = prsg.relation_classes(n, lam, ell + t, budgets)
-    rank0_formula = 2**lam * math.comb(2**n + ell + t - 1, ell + t)
+    size = ell + t
+    space = prsg.relation_classes(n, lam, size, budgets)
+    rank0_formula = 2**lam * math.comb(2**n + size - 1, size)
     rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
     if max(rank0_formula, rank1_formula) > sys.float_info.max:
         raise ValueError(f"n={n} is too large: the rank formulas exceed the float range")
-    rank0, tr_rho0 = sector_support(prsg._sector_chain(0, params, space))
-    rank1 = sector_support(prsg._sector_chain(1, params, space))[0]
+    classes = [key_classes(space, folds=((0, ell),)), key_classes(space, sorts=((0, ell),))]
+    rank0, rank1 = (sum(g.total(rows=r) for g, (r, _) in zip(space.groups, c)) for c in classes)
+    scale = math.factorial(size)  # w dim on every sector
+    kept = sum(scale // g.dim * g.total(k, r) for g, (r, k) in zip(space.groups, classes[0]))
+    tr_rho0 = kept / (math.comb(space.N + size - 1, size) * scale)
     tr_rho1 = rank0 / rank1
     quantities = {
         "tr_pi_rho0": tr_rho0,

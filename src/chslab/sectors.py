@@ -29,7 +29,7 @@ the stacks hold ``_STACK`` entries, each group's stack is one ``eigvalsh``.
 The arrays that depend only on the space (multiplicities, key masks) are built
 once per space, in ``SectorSpace.tables``. Every sector on its own, each with
 count 1, is the same structure; the tests build it as the independent
-reference. ``rank_attack`` reads a mixture's rank off its blocks' eigenvalues.
+reference. ``key_classes`` counts a kernel's rank-one pieces with no block.
 """
 
 from __future__ import annotations
@@ -102,9 +102,11 @@ class ShapeGroup(NamedTuple):
         """(rows, size) each row's multiset, one entry per copy."""
         return self.letters[:, np.repeat(np.arange(len(self.shape)), self.shape)]
 
-    def total(self, per_row) -> int:
-        """The exact sum over sectors of an integer given per row (a rank, a mask)."""
-        return sum(c * k for c, k in zip(self.counts, per_row))
+    def total(self, values=None, rows=None) -> int:
+        """The exact sum over sectors of an int per row, or per entry of ``rows`` (1 if none)."""
+        if rows is not None:  # small ints, exact in float64
+            values = np.bincount(rows, values, len(self.counts)).astype(np.int64).tolist()
+        return sum(c * k for c, k in zip(self.counts, values))
 
 
 class SectorSpace(NamedTuple):
@@ -121,28 +123,52 @@ class SectorSpace(NamedTuple):
     tables: dict
 
 
+def _keys(space: SectorSpace, g: int, kind: str, a: int, b: int) -> np.ndarray:
+    """Each ordering's key over the registers ``[a, b)`` of group ``g``, along the last axis.
+
+    ``sorted``: (dim, b - a) its sorted letters; ``folded``: (rows, dim, 1) the
+    XOR of its letters' ``lam``-bit prefixes, ``letter >> space.shift``.
+    """
+    values = space.groups[g].orderings[:, a:b]
+    if kind == "sorted":
+        return np.sort(values, axis=1)
+    letters = np.take(space.groups[g].letters, values, axis=1) >> space.shift
+    return np.bitwise_xor.reduce(letters, axis=-1, keepdims=True)
+
+
 def _table(space: SectorSpace, g: int, kind: str, a: int = 0, b: int = 0):
     """One array that depends only on group ``g`` of ``space``, built once per space.
 
-    Over the registers ``[a, b)``: ``repeats``, each ordering's product of
-    multiplicity factorials there, as floats; ``sorted``, (dim, dim) whether two
-    orderings hold one multiset there; ``folded``, (rows, dim, dim) in C order
-    (each row's block contiguous), whether they share a prefix XOR there.
+    Over the registers ``[a, b)``: ``repeats``, each ordering's product of multiplicity
+    factorials there, as floats; ``sorted`` and ``folded``, whether two orderings share
+    their ``_keys`` there, (dim, dim) and (rows, dim, dim) with each row's block contiguous.
     """
     key = (g, kind, a, b)
     if key not in space.tables:
-        group = space.groups[g]
-        values = group.orderings[:, a:b]
         if kind == "repeats":
+            values = space.groups[g].orderings[:, a:b]
             space.tables[key] = (math.factorial(b - a) // arrangements(values)).astype(float)
         else:  # each ordering's key there, compared along its last axis
-            if kind == "sorted":
-                values = np.sort(values, axis=1)
-            else:
-                letters = np.take(group.letters, values, axis=1) >> space.shift
-                values = np.bitwise_xor.reduce(letters, axis=-1, keepdims=True)
+            values = _keys(space, g, kind, a, b)
             space.tables[key] = (values[..., :, None, :] == values[..., None, :, :]).all(axis=-1)
     return space.tables[key]
+
+
+def key_classes(space: SectorSpace, folds: Ranges = (), sorts: Ranges = ()) -> list:
+    """Per group, ``(rows, sizes)``: the row and size of each class of orderings sharing every key.
+
+    The keys are ``product_mixture``'s; a row's classes are consecutive. A block that
+    weighs a class's orderings alike holds it as one rank-one piece.
+    """
+    classes, ranges = [], [("sorted", r) for r in sorts] + [("folded", r) for r in folds]
+    for g, group in enumerate(space.groups):
+        shape = (len(group.counts), group.dim)
+        columns = [np.arange(shape[0])[:, None, None]]  # each ordering's row, then its keys
+        columns += [_keys(space, g, kind, *r) for kind, r in ranges]
+        table = np.concatenate([np.broadcast_to(c, shape + c.shape[-1:]) for c in columns], -1)
+        unique, sizes = np.unique(table.reshape(-1, table.shape[-1]), axis=0, return_counts=True)
+        classes.append((unique[:, 0], sizes))
+    return classes
 
 
 def subspaces(m: int, max_dim: int) -> Iterator[tuple[int, ...]]:
@@ -310,18 +336,16 @@ def product_mixture(
     register, each holding one type state, so the integer ``w(o)`` is the
     product of the multiplicity factorials in each factor, ``(b - a)! /
     arrangements(o[f])``, and the mixture's normaliser is ``normaliser *
-    prod_f (b - a)!``. The key is the XOR of the ``lam``-bit prefixes
-    (``letter >> space.shift``) over each range of ``folds``, which is what
-    averaging a keyed phase over all keys leaves, and the sorted multiset
-    over each range of ``sorts``. Orderings with a repeated letter in a
-    range of ``distinct``, and rows outside ``admitted`` (per group, a
-    ``(rows,)`` mask; None admits every row), weigh 0.
+    prod_f (b - a)!``. The key is ``_keys``'s prefix XOR over each range of
+    ``folds``, which is what averaging a keyed phase over all keys leaves,
+    and the sorted multiset over each range of ``sorts``. Orderings with a
+    repeated letter in a range of ``distinct``, and rows outside ``admitted``
+    (per group, a ``(rows,)`` mask; None admits every row), weigh 0.
 
-    A row's letters are distinct, so ``w`` and the multiset keys follow
-    from the shape's orderings alone; only the folds read the letters. Each
-    is a ``_table`` of the space, built on its first use. The blocks are
-    read-only; a group whose rows all have one block stores it once, as a
-    view with row stride 0, and the spectral helpers solve it once.
+    A row's letters are distinct, so ``w`` and the multiset keys follow from
+    the shape's orderings alone. Each is a ``_table`` of the space, built on
+    its first use. The blocks are read-only; a group whose rows all have one
+    block stores it once, as a view with row stride 0, solved once.
     """
     blocks = []
     for g, group in enumerate(space.groups):

@@ -13,8 +13,7 @@ ATOL_IDENTITY      1e-10     exact operator identities checked numerically
                              (key-average vs split-average, hybrid equivalences)
 ATOL_CHAIN         1e-9      slack added to exact inequalities (triangle,
                              monotonicity, binding and rank bounds)
-REL_RANK_CUTOFF    1e-10     relative eigenvalue cutoff for supports: inverse
-                             roots, support projectors and sector ranks
+REL_RANK_CUTOFF    1e-10     relative eigenvalue cutoff: supports, inverse roots
 ================== ========= ====================================================
 """
 

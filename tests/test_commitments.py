@@ -1,6 +1,9 @@
+import ast
+import inspect
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,7 +306,7 @@ def test_hiding_distance_refuses_bad_sizes_before_any_work(
         raise AssertionError("started the distance for refused sizes")
 
     monkeypatch.setattr(prsg, "relation_classes", no_work)
-    monkeypatch.setattr(sectors, "_table", no_work)
+    monkeypatch.setattr(sectors, "_keys", no_work)
     with pytest.raises(ValueError, match=message):
         hiding_distance(lam, n, p, t=1)
     assert main(["commit-hiding", "--lam", str(lam), "--n", str(n), "--p", str(p)]) == 2
@@ -354,8 +357,8 @@ def test_binding_refuses_lam_below_one(lam, capsys):
 
 
 def test_hiding_distance_keeps_its_moments_real():
-    # The closed form counts its pieces on the relation classes, off the
-    # tables of orderings that share a register's prefix, and the cross-check
+    # The closed form counts its pieces on the relation classes, one class of
+    # orderings that share their committed prefixes each, and the cross-check
     # builds one real block per class row: at (2, 3, 1, 2) 19 orderings of 3
     # registers and 91 block entries, and a 37,888-byte bound at 32 words per
     # ordering and register and per block entry. It peaks at ~16 KB
@@ -374,6 +377,23 @@ def test_hiding_distance_keeps_its_moments_real():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 8 * (orderings * (p + t) + entries)
+
+
+def test_hiding_distance_counts_its_pieces_as_key_classes():
+    # k_Tb and the piece count come from one key-class count with xi_0's folds
+    # on the committed copies; the pairwise fold tables serve the cross-check.
+    source = inspect.getsource(commitments)
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "sectors"
+        for alias in node.names
+    }
+    assert imported == {"key_classes", "sector_trace_distance"}
+    with mock.patch.object(sectors, "key_classes", wraps=sectors.key_classes) as spy:
+        report = hiding_distance(2, 3, 2, 1)
+    spy.assert_called_once_with(mock.ANY, folds=((0, 1), (1, 2)))
+    assert report.quantities["td_hiding"] == pytest.approx(269 / 960, abs=1e-15)
 
 
 def test_hiding_distance_crosscheck():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sector_reference import hybrid_mixture
 
+from chslab import prsg, sectors
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.ensembles import HybridSpec, generate, hybrid_state
 from chslab.haar import exact_moment, rng_for
@@ -275,12 +276,30 @@ def test_attack_accepts_rho1_with_the_ratio_of_measured_ranks(config, budgets):
 
 
 def test_the_attack_solves_no_eigenvector(monkeypatch):
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("the rank attack computed eigenvectors")
+    # Both ranks are counts of key classes: no block is built and nothing solved.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the rank attack built or solved a block")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_work)
+    for module in (prsg, sectors):
+        monkeypatch.setattr(module, "product_mixture", no_work)
     report = run(ExperimentConfig("impossibility", {"lam": 2, "n": 3, "ell": 1, "t": 2}))
     assert report.quantities["tr_pi_rho1"] == 8 / 9
+    assert report.quantities["tr_pi_rho0"] == 1.0
+    assert all(report.flags.values())
+
+
+def test_attack_at_large_n_counts_the_exact_ranks():
+    # At N = 2^40 both ranks are 71-digit ints, counted on the relation classes.
+    N = 2**40
+    report = impossibility_attack(PrsParams(16, 40, 3, 3), Budgets(max_type_count=10**90))
+    quantities = report.quantities
+    assert quantities["rank_rho0_measured"] == (
+        49071971259879752724948463395295107550165766521933187115830931194118144
+    )
+    assert quantities["rank_rho1_measured"] == math.comb(N + 2, 3) ** 2
+    assert quantities["tr_pi_rho0"] == 1.0
     assert all(report.flags.values())
 
 

@@ -45,14 +45,16 @@ from chslab.hybrids import (
 )
 from chslab.prsg import PrsParams, _sector_chain, multi_key_report
 from chslab.qla import gram_trace_distance, trace_distance
-from chslab.rank_attack import impossibility_attack, sector_support
+from chslab.rank_attack import impossibility_attack
 from chslab.sectors import (
     SectorMixture,
     SectorSpace,
     ShapeGroup,
     _canonical,
     _partitions,
+    _table,
     arrangements,
+    key_classes,
     relation_classes,
     sector_trace_distance,
     shape_orderings,
@@ -520,30 +522,53 @@ def test_block_dimensions_are_checked_against_the_dense_budget(capsys):
     )
 
 
-def test_support_overlap_cuts_relative_to_the_largest_eigenvalue_of_all_blocks():
-    # The second sector's block holds only a tiny eigenvalue: one dense
-    # matrix's relative cutoff drops it, and so must the blocks.
-    space = sector_space(1, 1, 1)
-    a = SectorMixture(space, (np.array([[[1.0]], [[1e-12]]]),), normaliser=1)
-    b = SectorMixture(space, (np.array([[[0.25]], [[0.75]]]),), normaliser=1)
-    assert sector_support(a) == (1, 1.0)
-    assert sector_support(b) == (2, 1.0)
-    with pytest.raises(ValueError, match="sector spaces differ"):
-        sector_trace_distance(a, SectorMixture(sector_space(1, 1, 2), b.blocks, normaliser=1))
-
-
-def _dense_support(x) -> tuple[int, float]:
-    """``sector_support`` on the full matrix, with the same relative cutoff."""
-    vals = np.linalg.eigvalsh(_sector_dense(x))
-    kept = vals > REL_RANK_CUTOFF * vals.max()
-    return int(kept.sum()), float(vals[kept].sum())
+@pytest.mark.parametrize(
+    "lam, n, ell, t",
+    [
+        (1, 1, 2, 0),  # t = 0 and N = s
+        (1, 2, 2, 0),
+        (2, 3, 2, 0),
+        (1, 1, 3, 0),  # t = 0 and N < s
+        (1, 1, 3, 2),  # N < s
+        (1, 1, 2, 3),  # N < s
+        (2, 2, 2, 2),
+        (1, 3, 2, 1),
+        (2, 2, 1, 3),
+    ],
+)
+def test_key_class_counts_are_the_dense_ranks_of_the_chain_ends(lam, n, ell, t):
+    # xi_0 weighs a sector's orderings alike and masks them to equal prefix
+    # XORs of the generated copies; xi_1 weighs them by the multiset of the
+    # generated copies, its key. So each block is a positive multiple of its
+    # key classes' all-ones blocks, and each rank is the classes' count: on
+    # the class rows counted by their sectors, and on every sector alike,
+    # against the full matrix with one relative eigenvalue cutoff.
+    params = PrsParams(lam, n, ell, t)
+    every_sector = sector_space(n, lam, ell + t)
+    keys = ({"folds": ((0, ell),)}, {"sorts": ((0, ell),)})
+    for j, kind, key in zip((0, 1), ("folded", "sorted"), keys):
+        vals = np.linalg.eigvalsh(_sector_dense(_sector_chain(j, params, every_sector)))
+        dense_rank = int((vals > REL_RANK_CUTOFF * vals.max()).sum())
+        for space in (relation_classes(n, lam, ell + t), every_sector):
+            classes = key_classes(space, **key)
+            ranks = [g.total(rows=rows) for g, (rows, _) in zip(space.groups, classes)]
+            assert sum(ranks) == dense_rank and all(type(r) is int for r in ranks), (j, space.N)
+            for g, (group, (rows, sizes)) in enumerate(zip(space.groups, classes)):
+                shape = (len(group.counts), group.dim)
+                # each row's classes are consecutive and hold all its orderings
+                assert np.array_equal(np.unique(rows), np.arange(shape[0]))
+                assert np.all(np.diff(rows) >= 0)
+                assert np.array_equal(np.bincount(rows, sizes), np.full(shape[0], group.dim))
+                # the pairwise masks read the same keys: one distinct mask row per class
+                same = np.broadcast_to(_table(space, g, kind, 0, ell), shape + shape[1:])
+                assert [len(np.unique(m, axis=0)) for m in same] == np.bincount(rows).tolist()
 
 
 def test_shared_blocks_count_once_per_sector():
     # Over 4 letters, shape (2,) has 4 one-dimensional sectors and shape (1, 1)
-    # 6 two-dimensional ones. Several sectors share each block, including the
-    # block whose only eigenvalue falls under the cutoff; a space with one row
-    # per distinct block, counted by its sectors, must give the same numbers.
+    # 6 two-dimensional ones. Several sectors share each block; a space with
+    # one row per distinct block, counted by its sectors, must give the same
+    # traces and distance as the full matrices.
     sectors = sector_space(2, 2, 2)
     index = (np.array([0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 1]))
     blocks_a = (np.array([[[0.1]], [[1e-14]]]), np.array([0.1 * np.eye(2), np.full((2, 2), 0.05)]))
@@ -552,17 +577,10 @@ def test_shared_blocks_count_once_per_sector():
     b = SectorMixture(sectors, tuple(y[i] for y, i in zip(blocks_b, index)), normaliser=1)
     assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
     assert b.trace() == pytest.approx(1.6, abs=ATOL)
-    # rank(a) = 2 + 2*2 + 4*1, keeping all of a's trace but the 2e-14;
-    # rank(b) = 4 + 6*1, keeping all of b's.
-    (rank_a, tr_a), (rank_b, tr_b) = sector_support(a), sector_support(b)
-    assert (rank_a, rank_b) == (10, 10)
-    assert type(rank_a) is int and type(rank_b) is int
-    assert tr_a == pytest.approx(1.0, abs=ATOL) and tr_b == pytest.approx(1.6, abs=ATOL)
-    for x, (rank, kept) in ((a, (rank_a, tr_a)), (b, (rank_b, tr_b))):
-        expected = _dense_support(x)
-        assert rank == expected[0] and kept == pytest.approx(expected[1], abs=ATOL)
     dense_td = 0.5 * np.abs(np.linalg.eigvalsh(_sector_dense(a) - _sector_dense(b))).sum()
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
+    with pytest.raises(ValueError, match="sector spaces differ"):
+        sector_trace_distance(a, SectorMixture(sector_space(1, 1, 2), b.blocks, normaliser=1))
     # The same blocks once each, counted by the sectors that carry them.
     rows = SectorSpace(
         4,
@@ -575,11 +593,9 @@ def test_shared_blocks_count_once_per_sector():
         {},
     )
     a, b = SectorMixture(rows, blocks_a, normaliser=1), SectorMixture(rows, blocks_b, normaliser=1)
-    assert (sector_support(a)[0], sector_support(b)[0]) == (rank_a, rank_b)
-    assert sector_support(a)[1] == pytest.approx(tr_a, abs=ATOL)
-    assert sector_support(b)[1] == pytest.approx(tr_b, abs=ATOL)
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
     assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
+    assert b.trace() == pytest.approx(1.6, abs=ATOL)
 
 
 def test_conditioned_hybrids_keep_equal_key_patterns_with_different_weights_apart():
@@ -628,18 +644,16 @@ def test_sector_blocks_repeat_per_shape_group():
 
 def test_shared_groups_are_solved_once():
     # The lam-free hybrids store each group's one block as a view with row
-    # stride 0, so every eigvalsh of a lam-free pair, and of the rank attack's
-    # H8 spectrum, runs on one row per group, not on the 1, 2 and 3 rows; the
-    # attack's H1 spectrum differs per row. The results equal the per-row
-    # solve on materialised copies bit for bit.
+    # stride 0, so every eigvalsh of a lam-free pair runs on one row per
+    # group, not on the 1, 2 and 3 rows. The results equal the per-row solve
+    # on materialised copies bit for bit.
     params = PrsParams(lam=2, n=6, ell=1, t=2)
     space = relation_classes(6, 2, 3)
     chain = _lam_free_chain(params, space)
-    h1 = _sector_chain(0, params, space)
     eigvalsh = np.linalg.eigvalsh
 
     def run(route):
-        """The four lam-free distances and the H1 and H8 supports, with the eigvalsh stack sizes."""
+        """The four lam-free distances, with the eigvalsh stack sizes."""
         stacks = []
 
         def spy(a):
@@ -649,19 +663,17 @@ def test_shared_groups_are_solved_once():
         with mock.patch.object(np.linalg, "eigvalsh", spy):
             pairs = zip(chain, chain[1:])
             distances = [sector_trace_distance(route(x), route(y)) for x, y in pairs]
-            supports = [sector_support(h1), sector_support(route(chain[-1]))]
-        return distances, supports, stacks
+        return distances, stacks
 
     def materialised(mixture):
         blocks = tuple(np.array(block) for block in mixture.blocks)
         return SectorMixture(mixture.space, blocks, mixture.normaliser)
 
-    distances, supports, stacks = run(lambda mixture: mixture)
-    assert stacks == [1, 1, 1] * 4 + [1, 2, 3] + [1, 1, 1]
+    distances, stacks = run(lambda mixture: mixture)
+    assert stacks == [1, 1, 1] * 4
     reference = run(materialised)
-    assert reference[2] == [1, 2, 3] * 6
-    assert (distances, supports) == reference[:2]
-    assert all(type(rank) is int for rank, _ in supports)
+    assert reference[1] == [1, 2, 3] * 4
+    assert distances == reference[0]
 
 
 def _report_states(params):
