@@ -346,14 +346,15 @@ def hiding_distance(
     The bit-0 side is cross-checked against the multi-key distance with one
     generated copy per key: the distance between the sector forms of the
     chain's ends, xi_0 and xi_p, on one space of relation classes. A class's
-    sectors split alike, so the pieces are the ``sectors.key_classes`` of xi_0's
-    key folds on the committed copies, ``k_Tb`` orderings each (committed
-    copies first, which changes no count: M_s is symmetric). The sum is over
-    exact ints, one correctly rounded division per shape; the rows holding all
-    ``C(N+s-1, s)`` sectors is the one density check.
+    sectors split alike, and xi_0 folds the prefixes of the committed copies
+    (first, which changes no count: M_s is symmetric), so the pieces are the
+    key classes of the xi_0 that the cross-check builds, ``k_Tb`` orderings
+    each. The sum is over exact ints, one correctly rounded division per
+    sector dimension ``d_T``; the rows holding all ``C(N+s-1, s)`` sectors is
+    the one density check.
     """
     from .prsg import PrsParams, _sector_chain, relation_classes
-    from .sectors import key_classes, sector_trace_distance
+    from .sectors import sector_trace_distance
 
     _check_sizes(lam, n, p)
     if t < 0:
@@ -365,19 +366,20 @@ def hiding_distance(
     if sum(sum(group.counts) for group in space.groups) != C:
         raise RuntimeError("hiding_distance: the relation classes miss or repeat a sector")
     rank = math.comb(N + t - 1, t) * N**p
-    spread, pieces = 0.0, 0
-    # the pieces: orderings that share the committed prefixes, xi_0's folds on copies 0..p-1
-    classes = key_classes(space, folds=tuple((i, i + 1) for i in range(p)))
-    for group, (rows, k) in zip(space.groups, classes):
-        scale = C * group.dim  # a piece of k_Tb = k orderings weighs k / scale
+    spread = 0.0
+    # the pieces: xi_0's classes, orderings that share the prefixes of copies 0..p-1
+    xi0 = _sector_chain(0, multikey_params, space)
+    rows, k = xi0.classes()
+    dims = np.bincount(space.entry_rows)[rows]  # the orderings of each piece's sector
+    for dim in np.unique(dims).tolist():
+        scale = C * dim  # a piece of k_Tb = k orderings weighs k / scale
         # sum |k rank - scale| = rank sum(sign k) - scale sum(sign), over the pieces
-        sign = np.where(k > min(scale // rank, group.dim), 1, -1)
-        spread += (rank * group.total(sign * k, rows) - scale * group.total(sign, rows)) / scale
-        pieces += group.total(rows=rows)
-    td = (spread + (rank - pieces)) / (2 * rank)
-    td_multikey = sector_trace_distance(
-        _sector_chain(0, multikey_params, space), _sector_chain(p, multikey_params, space)
-    )
+        on = dims == dim
+        sign = np.where(k[on] > min(scale // rank, dim), 1, -1)
+        total = rank * space.total(sign * k[on], rows[on]) - scale * space.total(sign, rows[on])
+        spread += total / scale
+    td = (spread + (rank - space.total(rows=rows))) / (2 * rank)
+    td_multikey = sector_trace_distance(xi0, _sector_chain(p, multikey_params, space))
     quantities = {
         "td_hiding": td,
         "td_multikey_route": td_multikey,

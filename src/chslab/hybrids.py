@@ -59,8 +59,8 @@ def _empty_hybrid(index: int, p: PrsParams) -> ValueError:
     )
 
 
-def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> list[np.ndarray]:
-    """Per shape group, which rows are ell-fold lam-prefix collision-free.
+def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> np.ndarray:
+    """Which rows of the space are ell-fold lam-prefix collision-free.
 
     The vectorized form of ``is_l_fold_prefix_cf`` over every row at once.
     """
@@ -68,24 +68,21 @@ def _conditioned_sectors(space: SectorSpace, p: PrsParams, budgets: Budgets) -> 
     budgets.check_subset_pairs(
         len(subsets) * len(subsets), f"is_l_fold_prefix_cf(t={space.size}, ell={p.ell})"
     )
-    masks = []
-    for group in space.groups:
-        prefixes = group.elements() >> space.shift
-        folds = np.sort(np.bitwise_xor.reduce(prefixes[:, subsets], axis=-1), axis=1)
-        masks.append(np.all(folds[:, 1:] != folds[:, :-1], axis=1))
-    return masks
+    prefixes = np.concatenate([group.elements() for group in space.groups]) >> space.shift
+    folds = np.sort(np.bitwise_xor.reduce(prefixes[:, subsets], axis=-1), axis=1)
+    return np.all(folds[:, 1:] != folds[:, :-1], axis=1)
 
 
-def _cf_count(space: SectorSpace, cf: list[np.ndarray]) -> int:
+def _cf_count(space: SectorSpace, cf: np.ndarray) -> int:
     """How many sectors are ell-fold lam-prefix collision-free, exactly."""
-    return sum(group.total(mask.tolist()) for group, mask in zip(space.groups, cf))
+    return space.total(cf.tolist())
 
 
 def _sector_hybrid(
     index: int,
     p: PrsParams,
     space: SectorSpace,
-    cf: list[np.ndarray] | None = None,
+    cf: np.ndarray | None = None,
     cf_count: int = 0,
 ) -> SectorMixture:
     """Hybrid ``index`` of 2..7 in sector form; hybrids 2 and 3 need ``cf`` and ``cf_count``.

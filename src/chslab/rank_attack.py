@@ -6,8 +6,9 @@ M_t is ``Pi_sym^ell (x) Pi_sym^t`` over its rank (Harrow, arXiv:1308.6595).
 Each key phase ``Z_k^(x)ell (x) I`` of rho0 maps ``Sym^(ell+t)`` into
 ``Sym^ell (x) Sym^t``, so rho0's support lies inside rho1's and
 ``Tr(Pi rho1) = rank(rho0) / rank(rho1)`` exactly. Both ranks are counts of
-``sectors.key_classes`` on the space of ``prsg.relation_classes``, the one
-name through which every report gets it: no block is built and none solved.
+the key classes of the one-key chain's ends, built by ``prsg._sector_chain``
+on the space of ``prsg.relation_classes``, the one name through which every
+report gets it: nothing is solved.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from . import prsg
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .reporting import ExperimentReport
-from .sectors import key_classes
 from .tolerances import ATOL_CHAIN
 
 
@@ -34,11 +34,11 @@ def impossibility_attack(
     its formula. Swapping the register groups, one unitary on both, makes
     them the one-key chain's ends xi_0 and xi_1. On a sector xi_0 weighs every
     ordering alike, masked to equal prefix XORs of the generated copies, and
-    xi_1 by the multiset of the generated copies, its key: each block is a
-    positive multiple of its key classes' all-ones blocks, and each rank their
-    count. Pi keeps ``w`` per ordering of xi_0, with ``w dim = (ell + t)!`` on
-    every sector, so ``tr_pi_rho0`` is the sectors the classes cover over all
-    ``C(N + ell + t - 1, ell + t)``.
+    xi_1 by the multiset of the generated copies, its key: each is a positive
+    weight on each of its key classes, and each rank their count. Pi keeps
+    xi_0 whole, so ``tr_pi_rho0`` is its weights summed over every sector,
+    over its normaliser. The advantage ``1 - Tr(Pi rho1)`` is ``(rank(rho1) -
+    rank(rho0)) / rank(rho1)``, one correctly rounded ratio of ints.
     """
     lam, n, ell, t = params.lam, params.n, params.ell, params.t
     size = ell + t
@@ -47,16 +47,14 @@ def impossibility_attack(
     rank1_formula = math.comb(2**n + ell - 1, ell) * math.comb(2**n + t - 1, t)
     if max(rank0_formula, rank1_formula) > sys.float_info.max:
         raise ValueError(f"n={n} is too large: the rank formulas exceed the float range")
-    classes = [key_classes(space, folds=((0, ell),)), key_classes(space, sorts=((0, ell),))]
-    rank0, rank1 = (sum(g.total(rows=r) for g, (r, _) in zip(space.groups, c)) for c in classes)
-    scale = math.factorial(size)  # w dim on every sector
-    kept = sum(scale // g.dim * g.total(k, r) for g, (r, k) in zip(space.groups, classes[0]))
-    tr_rho0 = kept / (math.comb(space.N + size - 1, size) * scale)
+    xi0, xi1 = (prsg._sector_chain(j, params, space) for j in (0, 1))
+    rank0, rank1 = (space.total(rows=xi.classes()[0]) for xi in (xi0, xi1))
+    kept = space.total(xi0.weights, space.entry_rows)
     tr_rho1 = rank0 / rank1
     quantities = {
-        "tr_pi_rho0": tr_rho0,
+        "tr_pi_rho0": kept / xi0.normaliser,
         "tr_pi_rho1": tr_rho1,
-        "advantage": 1.0 - tr_rho1,
+        "advantage": (rank1 - rank0) / rank1,
         "rank_rho0_measured": rank0,
         "rank_rho1_measured": rank1,
     }
@@ -66,7 +64,7 @@ def impossibility_attack(
         "rank_ratio": rank0 / rank1_formula,
     }
     flags = {
-        "tr_pi_rho0_is_one": abs(tr_rho0 - 1.0) <= ATOL_CHAIN,
+        "tr_pi_rho0_is_one": abs(quantities["tr_pi_rho0"] - 1.0) <= ATOL_CHAIN,
         "tr_pi_rho1_le_rank_ratio": tr_rho1 <= rank0 / rank1_formula + ATOL_CHAIN,
         "rank_rho0_le_formula": rank0 <= rank0_formula,
         "rank_rho1_matches_formula": rank1 == rank1_formula,

@@ -1,4 +1,4 @@
-"""Mixtures stored as one real block per relation class of sectors.
+"""Mixtures stored as integer class weights on the relation classes of sectors.
 
 When every register has the same width, a type state lives on the orderings
 of one multiset of register values, its *sector*. Every state of the security
@@ -20,16 +20,18 @@ each class one representative row over a reduced width, weighted by the exact
 number of sectors it stands for. The cost depends on ``lam`` and the shape,
 not on ``n``, and a space never has more rows than sectors.
 
-A mixture is an exact integer normaliser over integer kernels that depend on
-neither ``n`` nor ``lam``: ``Pi_sym`` of each type factor in the basis of
-orderings (Harrow, arXiv:1308.6595), masked by the keys. ``trace_distances``
-stacks a report's difference blocks by group, formed from the kernels before
-any rounding, one per row or one for a group whose rows share a block; once
-the stacks hold ``_STACK`` entries, each group's stack is one ``eigvalsh``.
-The arrays that depend only on the space (multiplicities, key masks) are built
-once per space, in ``SectorSpace.tables``. Every sector on its own, each with
-count 1, is the same structure; the tests build it as the independent
-reference. ``key_classes`` counts a kernel's rank-one pieces with no block.
+A mixture is an exact integer normaliser over kernels that depend on neither
+``n`` nor ``lam``: ``Pi_sym`` of each type factor in the basis of orderings
+(Harrow, arXiv:1308.6595), masked by the keys, so each row's kernel is
+``sum_k w_k 1_k 1_k^T`` over its key classes k. A mixture is stored on the
+space's entries, one per ordering of each row: the entry's class label and
+its integer weight. A row's rank is its count of classes of positive weight
+(``SectorMixture.classes``). ``trace_distances`` forms each pair on the
+common refinement of its two partitions, one matrix per row of the size of
+its class count; once they hold ``_STACK`` entries, the matrices of each size
+are one ``eigvalsh``. Every sector on its own, each with count 1, is the same
+structure; the tests build it, and the dense kernels, as the independent
+references.
 """
 
 from __future__ import annotations
@@ -102,73 +104,39 @@ class ShapeGroup(NamedTuple):
         """(rows, size) each row's multiset, one entry per copy."""
         return self.letters[:, np.repeat(np.arange(len(self.shape)), self.shape)]
 
-    def total(self, values=None, rows=None) -> int:
-        """The exact sum over sectors of an int per row, or per entry of ``rows`` (1 if none)."""
-        if rows is not None:  # small ints, exact in float64
-            values = np.bincount(rows, values, len(self.counts)).astype(np.int64).tolist()
-        return sum(c * k for c, k in zip(self.counts, values))
-
 
 class SectorSpace(NamedTuple):
     """Every sector of ``size`` registers over ``N`` letters, by shape group.
 
-    A letter's ``lam``-bit prefix is ``letter >> shift``. ``tables`` starts
-    empty and holds the arrays ``_table`` builds once for the space.
+    A letter's ``lam``-bit prefix is ``letter >> shift``. The rows of every
+    group, in order, stand for ``counts`` sectors each. An entry is one
+    ordering of one row: ``entry_rows`` holds its row and ``in_order`` its
+    letters, position by position; a row's entries are consecutive, in the
+    order of its group's orderings. ``build`` fills these three from the groups.
     """
 
     N: int
     size: int
     shift: int
     groups: tuple[ShapeGroup, ...]
-    tables: dict
+    counts: tuple[int, ...]
+    entry_rows: np.ndarray  # (entries,)
+    in_order: np.ndarray  # (entries, size)
 
+    @classmethod
+    def build(cls, N: int, size: int, shift: int, groups: Iterable[ShapeGroup]) -> SectorSpace:
+        groups = tuple(groups)
+        dims = [g.dim for g in groups for _ in g.counts]
+        in_order = [g.letters[:, g.orderings].reshape(-1, size) for g in groups]
+        rows = np.arange(len(dims)).repeat(dims)
+        counts = tuple(c for g in groups for c in g.counts)
+        return cls(N, size, shift, groups, counts, rows, np.concatenate(in_order))
 
-def _keys(space: SectorSpace, g: int, kind: str, a: int, b: int) -> np.ndarray:
-    """Each ordering's key over the registers ``[a, b)`` of group ``g``, along the last axis.
-
-    ``sorted``: (dim, b - a) its sorted letters; ``folded``: (rows, dim, 1) the
-    XOR of its letters' ``lam``-bit prefixes, ``letter >> space.shift``.
-    """
-    values = space.groups[g].orderings[:, a:b]
-    if kind == "sorted":
-        return np.sort(values, axis=1)
-    letters = np.take(space.groups[g].letters, values, axis=1) >> space.shift
-    return np.bitwise_xor.reduce(letters, axis=-1, keepdims=True)
-
-
-def _table(space: SectorSpace, g: int, kind: str, a: int = 0, b: int = 0):
-    """One array that depends only on group ``g`` of ``space``, built once per space.
-
-    Over the registers ``[a, b)``: ``repeats``, each ordering's product of multiplicity
-    factorials there, as floats; ``sorted`` and ``folded``, whether two orderings share
-    their ``_keys`` there, (dim, dim) and (rows, dim, dim) with each row's block contiguous.
-    """
-    key = (g, kind, a, b)
-    if key not in space.tables:
-        if kind == "repeats":
-            values = space.groups[g].orderings[:, a:b]
-            space.tables[key] = (math.factorial(b - a) // arrangements(values)).astype(float)
-        else:  # each ordering's key there, compared along its last axis
-            values = _keys(space, g, kind, a, b)
-            space.tables[key] = (values[..., :, None, :] == values[..., None, :, :]).all(axis=-1)
-    return space.tables[key]
-
-
-def key_classes(space: SectorSpace, folds: Ranges = (), sorts: Ranges = ()) -> list:
-    """Per group, ``(rows, sizes)``: the row and size of each class of orderings sharing every key.
-
-    The keys are ``product_mixture``'s; a row's classes are consecutive. A block that
-    weighs a class's orderings alike holds it as one rank-one piece.
-    """
-    classes, ranges = [], [("sorted", r) for r in sorts] + [("folded", r) for r in folds]
-    for g, group in enumerate(space.groups):
-        shape = (len(group.counts), group.dim)
-        columns = [np.arange(shape[0])[:, None, None]]  # each ordering's row, then its keys
-        columns += [_keys(space, g, kind, *r) for kind, r in ranges]
-        table = np.concatenate([np.broadcast_to(c, shape + c.shape[-1:]) for c in columns], -1)
-        unique, sizes = np.unique(table.reshape(-1, table.shape[-1]), axis=0, return_counts=True)
-        classes.append((unique[:, 0], sizes))
-    return classes
+    def total(self, values=None, rows=None) -> int:
+        """The exact sum over sectors of an int per row, or per entry of ``rows`` (1 if none)."""
+        if rows is not None:  # small ints, exact in float64
+            values = np.bincount(rows, values, len(self.counts)).astype(np.int64).tolist()
+        return sum(c * k for c, k in zip(self.counts, values))
 
 
 def subspaces(m: int, max_dim: int) -> Iterator[tuple[int, ...]]:
@@ -219,8 +187,8 @@ def _class_group(
 ) -> ShapeGroup:
     """The relation classes of one shape of at most ``2^n`` parts.
 
-    The shape is checked against the dense budget: each of its rows becomes a
-    dense block with one row and column per distinct ordering.
+    The shape's count of distinct orderings is checked against the dense
+    budget: each of its rows holds one entry per ordering.
 
     For the difference relations V, letter 1 has prefix 0 and letter i + 1 the
     i-th column of V's annihilator basis, so the prefixes span k dimensions.
@@ -278,8 +246,8 @@ def relation_classes(
     """Every sector of ``size`` registers of ``n`` bits, by relation class of ``lam``-bit prefixes.
 
     The C(2^n + size - 1, size) sectors are checked against the
-    type-enumeration budget, as if each were built, and every shape's block
-    dimension against the dense budget before any block is built. Letters are
+    type-enumeration budget, as if each were built, and every shape's count of
+    orderings against the dense budget before any entry is built. Letters are
     at most ``lam + bit_length(size - 1)`` bits wide whatever ``n``.
 
     Every mixture the reports build here (xi_j, hybrids 2 to 7, the multi-key
@@ -296,28 +264,47 @@ def relation_classes(
         )
     shift = (size - 1).bit_length()
     groups = tuple(_class_group(n, lam, shape, shift, budgets) for shape in _partitions(size, N))
-    return SectorSpace(N, size, shift, groups, {})
+    return SectorSpace.build(N, size, shift, groups)
 
 
 class SectorMixture(NamedTuple):
-    """A mixture by shape group: row c's ``(d, d)`` block is ``blocks[g][c] / normaliser``.
+    """A mixture over the entries of its space: each entry's class label and integer weight.
 
-    The kernels' integer entries, at most ``s!`` on ``s`` registers, are exact
-    in float64 while ``s <= 18``, past any block that fits in memory: at
-    ``s = 19`` two letters already have C(19, 9) = 92,378 orderings.
+    Row c's block is ``sum_k w_k 1_k 1_k^T / normaliser`` over its classes k,
+    the entries of row c that share a label, each of weight ``w_k``, an int of
+    at most ``s!`` on ``s`` registers. A row's labels follow those of the rows
+    before it.
     """
 
     space: SectorSpace
-    blocks: tuple[np.ndarray, ...]
+    labels: np.ndarray
+    weights: np.ndarray
     normaliser: int
 
-    def weights(self) -> list[np.ndarray]:
-        """Per group, each row's sectors over the normaliser, one correctly rounded ratio."""
-        return [np.array([c / self.normaliser for c in g.counts]) for g in self.space.groups]
+    def row_weights(self) -> np.ndarray:
+        """Each row's sectors over the normaliser, one correctly rounded ratio."""
+        return np.array([c / self.normaliser for c in self.space.counts])
 
-    def trace(self) -> float:
-        traces = (np.trace(block, axis1=1, axis2=2) for block in self.blocks)
-        return float(sum(w @ tr for w, tr in zip(self.weights(), traces)))
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, sizes)``: the row and size of each class, by label.
+
+        A block holds each class of positive weight as one rank-one piece.
+        """
+        sizes = np.bincount(self.labels)
+        rows = np.empty_like(sizes)
+        rows[self.labels] = self.space.entry_rows
+        return rows, sizes
+
+
+def _runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries sorted by ``keys``, the first major, and where each run of equal keys starts."""
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for key in keys:
+        key = key[order]
+        starts[1:] |= key[1:] != key[:-1]
+    return order, starts
 
 
 def product_mixture(
@@ -327,94 +314,105 @@ def product_mixture(
     folds: Ranges = (),
     sorts: Ranges = (),
     distinct: Ranges = (),
-    admitted: list[np.ndarray] | None = None,
+    admitted: np.ndarray | None = None,
 ) -> SectorMixture:
-    """A mixture of products of type states, as kernels ``w(o) * [key(o) == key(o')]``.
+    """A mixture of products of type states: on each row, the kernel ``w(o) * [key(o) == key(o')]``.
 
     Over orderings ``o, o'`` of every row, with register ranges ``(a, b)``
     for ``[a, b)``. The ``factors`` are consecutive ranges covering every
     register, each holding one type state, so the integer ``w(o)`` is the
     product of the multiplicity factorials in each factor, ``(b - a)! /
     arrangements(o[f])``, and the mixture's normaliser is ``normaliser *
-    prod_f (b - a)!``. The key is ``_keys``'s prefix XOR over each range of
-    ``folds``, which is what averaging a keyed phase over all keys leaves,
-    and the sorted multiset over each range of ``sorts``. Orderings with a
-    repeated letter in a range of ``distinct``, and rows outside ``admitted``
-    (per group, a ``(rows,)`` mask; None admits every row), weigh 0.
+    prod_f (b - a)!``. The key is the XOR of the letters' ``lam``-bit
+    prefixes over each range of ``folds``, which is what averaging a keyed
+    phase over all keys leaves, and the sorted multiset over each range of
+    ``sorts``. Orderings with a repeated letter in a range of ``distinct``,
+    and rows outside ``admitted`` (a ``(rows,)`` mask; None admits every
+    row), weigh 0.
 
-    A row's letters are distinct, so ``w`` and the multiset keys follow from
-    the shape's orderings alone. Each is a ``_table`` of the space, built on
-    its first use. The blocks are read-only; a group whose rows all have one
-    block stores it once, as a view with row stride 0, solved once.
+    The entries of a row that share every key are one class, labelled in
+    order of row and keys. Each factor's multiset follows from the row and
+    the keys, so ``w`` is constant on a class.
     """
-    blocks = []
-    for g, group in enumerate(space.groups):
-        repeats = {r: _table(space, g, "repeats", *r) for r in {*factors, *distinct}}
-        weight = math.prod([repeats[f] for f in factors] + [repeats[r] == 1 for r in distinct])
-        same = True  # whether two orderings share every key, in an admitted row
-        for kind, ranges in (("sorted", sorts), ("folded", folds)):
-            for r in ranges:
-                same = same & _table(space, g, kind, *r)
-        if admitted is not None:
-            same = same & admitted[g][:, None, None]
-        block = same * np.reshape(weight, (-1, 1))  # row o of a block weighs w(o)
-        block.flags.writeable = False
-        if block.ndim == 2:  # every row's block: one read-only view with row stride 0
-            shape = (len(group.counts), group.dim, group.dim)
-            block = np.ndarray(shape, block.dtype, block, 0, (0, *block.strides))
-        blocks.append(block)
+    letters = space.in_order
+    ranges = {*factors, *distinct}
+    repeats = {(a, b): math.factorial(b - a) // arrangements(letters[:, a:b]) for a, b in ranges}
+    weights = math.prod([repeats[f] for f in factors] + [repeats[r] == 1 for r in distinct])
+    if admitted is not None:
+        weights = weights * admitted[space.entry_rows]
+    keys = [space.entry_rows]
+    for a, b in sorts:
+        keys += list(np.sort(letters[:, a:b], axis=1).T)
+    keys += [np.bitwise_xor.reduce(letters[:, a:b] >> space.shift, axis=1) for a, b in folds]
+    order, starts = _runs(keys)
+    labels = np.empty_like(order)
+    labels[order] = np.cumsum(starts) - 1
     scale = math.prod(math.factorial(b - a) for a, b in factors)
-    return SectorMixture(space, tuple(blocks), normaliser * scale)
+    return SectorMixture(space, labels, weights, normaliser * scale)
 
 
 def _check_same_space(x: SectorSpace, y: SectorSpace) -> None:
-    if x is not y and not (
-        x[:3] == y[:3]
-        and len(x.groups) == len(y.groups)
-        and all(
-            g.counts == h.counts and np.array_equal(g.letters, h.letters)
-            for g, h in zip(x.groups, y.groups)
-        )
-    ):
+    same = x[:3] == y[:3] and x.counts == y.counts and np.array_equal(x.in_order, y.in_order)
+    if x is not y and not same:
         raise ValueError(f"sector spaces differ: (N, size) = {x[:2]} vs {y[:2]}")
 
 
-def _difference(x: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
-    """``(x - y) - delta * y``, exact up to the product; one row for a shared group."""
-    if not (x.strides[0] or y.strides[0]):  # both one shared block (row stride 0)
-        x, y = x[:1], y[:1]
-    diff = x - y
-    step = max(1, _STACK // diff.shape[-1] ** 2)  # the product in slices of _STACK entries
-    for i in range(0, len(diff) if delta else 0, step):
-        diff[i : i + step] -= delta * y[i : i + step]
-    return diff
+def _gram(a: SectorMixture, b: SectorMixture, delta: float) -> np.ndarray:
+    """``(K_a - K_b) - delta K_b`` as one ``R x R`` matrix per row.
+
+    Both kernels are sums of ``w 1_k 1_k^T`` over their classes k, so on a
+    row their difference lives in the span of the indicators of the classes
+    r of the common refinement, orthogonal with squared norms ``|r|``. In
+    that basis it is ``sqrt|r| ((A - B) - delta B) sqrt|r'|``, with
+    ``A[r, r']`` the weight of ``r`` when ``r, r'`` share a class of ``a``
+    (``B`` alike) and ``A - B`` exact in ints; rows with fewer than the most
+    classes ``R`` are padded with zeros.
+    """
+    order, starts = _runs([a.labels, b.labels])
+    first = order[starts]
+    row = a.space.entry_rows[first]
+    position = np.arange(len(first)) - np.searchsorted(row, row)
+    shape = (len(a.space.counts), int(position.max()) + 1)
+    classes = np.full((2, *shape), -1)
+    classes[:, row, position] = a.labels[first], b.labels[first]
+    kernels = np.zeros((2, *shape), dtype=np.int64)
+    kernels[:, row, position] = a.weights[first], b.weights[first]
+    kernels = (classes[..., :, None] == classes[..., None, :]) * kernels[..., :, None]
+    sizes = np.zeros(shape)
+    sizes[row, position] = np.diff(np.append(np.flatnonzero(starts), len(order)))
+    gram = (kernels[0] - kernels[1]).astype(float)
+    if delta:
+        gram -= delta * kernels[1]
+    gram *= np.sqrt(sizes[:, :, None] * sizes[:, None, :])
+    return gram
 
 
 def trace_distances(pairs: Iterable[tuple[SectorMixture, SectorMixture]]) -> list[float]:
     """Half the trace norm of ``a - b`` for each pair ``(a, b)`` of mixtures on one space.
 
-    Each difference block is ``(K_a - K_b) - delta K_b`` on kernels ``K``, with
-    ``delta = (Z_a - Z_b) / Z_b`` rounded once from the normalisers ``Z``. The
-    pairs are read one at a time and none is kept: each leaves its difference
-    blocks, one per row of each group or one for a group where both mixtures
-    share a block (row stride 0). Once they hold ``_STACK`` entries, each
-    group's blocks are solved by one ``eigvalsh``, and each pair's norms are
-    weighted by ``a``'s rows and summed group by group, in order, so a
-    distance does not depend on the pairs solved with it.
+    Each difference is ``(K_a - K_b) - delta K_b`` on kernels ``K``, with
+    ``delta = (Z_a - Z_b) / Z_b`` rounded once from the normalisers ``Z``,
+    written by ``_gram`` as one matrix per row on the classes of the two
+    mixtures' common refinement. The pairs are read one at a time and none
+    is kept: each leaves its matrices. Once they hold ``_STACK`` entries, the
+    matrices of each size are solved by one ``eigvalsh``, and each pair's
+    norms are weighted by ``a``'s rows, so a distance does not depend on the
+    pairs solved with it.
     """
     space, batch, distances = None, [], []
 
     def solve() -> None:
-        norms = [  # a stack of one array is solved without a copy
-            np.abs(np.linalg.eigvalsh(s[0] if len(s) == 1 else np.concatenate(s))).sum(axis=1)
-            for s in zip(*(diffs for _, diffs in batch))
-        ]
-        for weights, diffs in batch:
-            total = 0.0
-            for g, (w, d) in enumerate(zip(weights, diffs)):  # a shared block counts per row
-                total += float(w @ norms[g][: len(d)].repeat(len(w) // len(d)))
-                norms[g] = norms[g][len(d) :]
-            distances.append(0.5 * total)
+        stacks: dict[int, list[np.ndarray]] = {}
+        for _, gram in batch:
+            stacks.setdefault(gram.shape[-1], []).append(gram)
+        norms = {  # a stack of one array is solved without a copy
+            size: np.abs(np.linalg.eigvalsh(s[0] if len(s) == 1 else np.concatenate(s))).sum(axis=1)
+            for size, s in stacks.items()
+        }
+        for weights, gram in batch:
+            size = gram.shape[-1]
+            distances.append(0.5 * float(weights @ norms[size][: len(weights)]))
+            norms[size] = norms[size][len(weights) :]
         batch.clear()
 
     for a, b in pairs:
@@ -422,9 +420,9 @@ def trace_distances(pairs: Iterable[tuple[SectorMixture, SectorMixture]]) -> lis
         for mixture in (a, b):
             _check_same_space(space, mixture.space)
         delta = (a.normaliser - b.normaliser) / b.normaliser
-        batch.append((a.weights(), [_difference(x, y, delta) for x, y in zip(a.blocks, b.blocks)]))
+        batch.append((a.row_weights(), _gram(a, b, delta)))
         del a, b, mixture  # so the iterable can free this pair while it builds the next
-        if sum(d.size for _, diffs in batch for d in diffs) >= _STACK:
+        if sum(gram.size for _, gram in batch) >= _STACK:
             solve()
     solve()
     return distances

@@ -1,8 +1,11 @@
 """Every sector on its own: the reference that the relation classes are checked against.
 
-``partitions`` is the recursive shape walk and ``pairwise_trace_distance``
-the one-pair, one-``eigvalsh``-per-group distance: the references that
-``sectors._partitions`` and ``sectors.trace_distances`` must match exactly.
+``partitions`` is the recursive shape walk, the reference that
+``sectors._partitions`` must match exactly. ``kernels`` expands a mixture's
+class labels and weights into each row's dense ``(dim, dim)`` kernel
+``w(o) [label(o) == label(o')]``; ``trace`` and ``pairwise_trace_distance``
+(one pair, one ``eigvalsh`` per group) read those kernels, the references
+for the class Grams of ``sectors.trace_distances``.
 
 ``sector_space`` has the signature of ``sectors.relation_classes`` and builds
 the same ``SectorSpace``, but with one row per sector, its real ``n``-bit
@@ -43,23 +46,36 @@ def partitions(size: int, max_parts: int, largest: int | None = None):
             yield (head,) + tail
 
 
+def kernels(mixture: SectorMixture) -> list[np.ndarray]:
+    """Per group, each row's ``(dim, dim)`` kernel ``w(o) [label(o) == label(o')]``, as floats."""
+    out, start = [], 0
+    for group in mixture.space.groups:
+        shape = (len(group.counts), group.dim)
+        stop = start + shape[0] * shape[1]
+        labels = mixture.labels[start:stop].reshape(shape)
+        weights = mixture.weights[start:stop].reshape(shape).astype(float)
+        out.append((labels[:, :, None] == labels[:, None, :]) * weights[:, :, None])
+        start = stop
+    return out
+
+
+def trace(mixture: SectorMixture) -> float:
+    """The mixture's trace: each row's kernel trace weighted by its sectors over the normaliser."""
+    traces = np.concatenate([np.trace(kernel, axis1=1, axis2=2) for kernel in kernels(mixture)])
+    return float(mixture.row_weights() @ traces)
+
+
 def pairwise_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
-    """Half the trace norm of ``a - b``, one ``eigvalsh`` per group of this pair alone.
+    """Half the trace norm of ``a - b`` on the dense kernels, one ``eigvalsh`` per group.
 
     Each row's difference is ``((K_a - K_b) - delta K_b) / Z_a`` for kernels
     ``K``, normalisers ``Z`` and ``delta = (Z_a - Z_b) / Z_b``, its norm
     weighted by the row's count over ``Z_a``.
     """
     delta = (a.normaliser - b.normaliser) / b.normaliser
-    total = 0.0
-    for group, x, y in zip(a.space.groups, a.blocks, b.blocks):
-        if x.strides[0] or y.strides[0]:
-            norms = np.abs(np.linalg.eigvalsh((x - y) - delta * y)).sum(axis=1)
-        else:  # both one shared block (row stride 0): solve it once, a copy per row
-            diff = (x[:1] - y[:1]) - delta * y[:1]
-            norms = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1).repeat(len(x))
-        total += float(np.array([count / a.normaliser for count in group.counts]) @ norms)
-    return 0.5 * total
+    differences = ((x - y) - delta * y for x, y in zip(kernels(a), kernels(b)))
+    norms = [np.abs(np.linalg.eigvalsh(d)).sum(axis=1) for d in differences]
+    return 0.5 * float(a.row_weights() @ np.concatenate(norms))
 
 
 def _shape_group(N: int, shape: tuple[int, ...]) -> ShapeGroup:
@@ -81,7 +97,7 @@ def sector_space(n: int, lam: int, size: int, budgets: Budgets = DEFAULT_BUDGETS
     N = 1 << n
     budgets.check_type_count(math.comb(N + size - 1, size), f"type enumeration (size {size})")
     groups = tuple(_shape_group(N, shape) for shape in _partitions(size, N))
-    return SectorSpace(N, size, n - lam, groups, {})
+    return SectorSpace.build(N, size, n - lam, groups)
 
 
 def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> SectorMixture:
@@ -91,7 +107,7 @@ def hybrid_mixture(spec: HybridSpec, budgets: Budgets = DEFAULT_BUDGETS) -> Sect
     if spec.index in (1, 8):
         return prsg._sector_chain(int(spec.index == 8), p, space)
     cf = hybrids._conditioned_sectors(space, p, budgets) if spec.index in (2, 3) else None
-    cf_count = hybrids._cf_count(space, cf) if cf else 0
+    cf_count = hybrids._cf_count(space, cf) if cf is not None else 0
     return hybrids._sector_hybrid(spec.index, p, space, cf, cf_count)
 
 

@@ -306,7 +306,7 @@ def test_hiding_distance_refuses_bad_sizes_before_any_work(
         raise AssertionError("started the distance for refused sizes")
 
     monkeypatch.setattr(prsg, "relation_classes", no_work)
-    monkeypatch.setattr(sectors, "_keys", no_work)
+    monkeypatch.setattr(prsg, "product_mixture", no_work)
     with pytest.raises(ValueError, match=message):
         hiding_distance(lam, n, p, t=1)
     assert main(["commit-hiding", "--lam", str(lam), "--n", str(n), "--p", str(p)]) == 2
@@ -359,12 +359,13 @@ def test_binding_refuses_lam_below_one(lam, capsys):
 def test_hiding_distance_keeps_its_moments_real():
     # The closed form counts its pieces on the relation classes, one class of
     # orderings that share their committed prefixes each, and the cross-check
-    # builds one real block per class row: at (2, 3, 1, 2) 19 orderings of 3
-    # registers and 91 block entries, and a 37,888-byte bound at 32 words per
-    # ordering and register and per block entry. It peaks at ~16 KB
-    # (tracemalloc, numpy 2.4), mostly fixed per-array overhead. Counting over
-    # the 512 flat indices peaked at ~74 KB; the 4 real blocks of equal
-    # committed prefixes held 4 * 128^2 floats, 524,288 bytes.
+    # solves one class Gram per class row: at (2, 3, 1, 2) 19 orderings of 3
+    # registers and 91 entries of dense blocks of orderings, and a
+    # 37,888-byte bound at 32 words per ordering and register and per such
+    # entry. It peaks at ~16 KB (tracemalloc, numpy 2.4), mostly fixed
+    # per-array overhead. Counting over the 512 flat indices peaked at ~74 KB;
+    # the 4 real blocks of equal committed prefixes held 4 * 128^2 floats,
+    # 524,288 bytes.
     lam, n, p, t = 2, 3, 1, 2
     space = relation_classes(n, lam, p + t)
     orderings = sum(len(group.counts) * group.dim for group in space.groups)
@@ -380,8 +381,9 @@ def test_hiding_distance_keeps_its_moments_real():
 
 
 def test_hiding_distance_counts_its_pieces_as_key_classes():
-    # k_Tb and the piece count come from one key-class count with xi_0's folds
-    # on the committed copies; the pairwise fold tables serve the cross-check.
+    # k_Tb and the piece count are the classes of the cross-check's own xi_0,
+    # whose folds are the committed copies' prefixes: the report builds two
+    # states, xi_0 and xi_p, and folds the committed copies once.
     source = inspect.getsource(commitments)
     imported = {
         alias.name
@@ -389,10 +391,10 @@ def test_hiding_distance_counts_its_pieces_as_key_classes():
         if isinstance(node, ast.ImportFrom) and node.module == "sectors"
         for alias in node.names
     }
-    assert imported == {"key_classes", "sector_trace_distance"}
-    with mock.patch.object(sectors, "key_classes", wraps=sectors.key_classes) as spy:
+    assert imported == {"sector_trace_distance"}
+    with mock.patch.object(prsg, "product_mixture", wraps=sectors.product_mixture) as spy:
         report = hiding_distance(2, 3, 2, 1)
-    spy.assert_called_once_with(mock.ANY, folds=((0, 1), (1, 2)))
+    assert [call.kwargs["folds"] for call in spy.call_args_list] == [((0, 1), (1, 2)), ()]
     assert report.quantities["td_hiding"] == pytest.approx(269 / 960, abs=1e-15)
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sector_reference import hybrid_mixture
 
-from chslab import prsg, sectors
 from chslab.budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from chslab.ensembles import HybridSpec, generate, hybrid_state
 from chslab.haar import exact_moment, rng_for
@@ -222,9 +221,8 @@ def test_one_key_routes_ignore_the_key_count(lam, n, ell, t):
     for index in range(1, 9):
         x, y = (hybrid_mixture(HybridSpec(index, params)) for params in (one, three))
         assert x.normaliser == y.normaliser
-        assert [(b.shape, b.tobytes()) for b in x.blocks] == [
-            (b.shape, b.tobytes()) for b in y.blocks
-        ]
+        assert x.labels.tobytes() == y.labels.tobytes()
+        assert x.weights.tobytes() == y.weights.tobytes()
 
 
 def test_multikey_chain_monotonicity():
@@ -269,21 +267,20 @@ def test_attack_accepts_rho1_with_the_ratio_of_measured_ranks(config, budgets):
     # rho0's support lies inside rho1's, where rho1 is maximally mixed, so
     # Tr(Pi rho1) is rank(rho0) / rank(rho1): one correctly rounded ratio of
     # ints. At (2, 3, 1, 2) that is 256/288 = 8/9, and at (3, 3, 2, 0) 36/36.
+    # The advantage is (rank1 - rank0) / rank1, one more such ratio.
     quantities = impossibility_attack(PrsParams(*config), budgets).quantities
-    ratio = quantities["rank_rho0_measured"] / quantities["rank_rho1_measured"]
-    assert quantities["tr_pi_rho1"] == ratio
-    assert quantities["advantage"] == 1 - ratio
+    rank0, rank1 = quantities["rank_rho0_measured"], quantities["rank_rho1_measured"]
+    assert quantities["tr_pi_rho1"] == rank0 / rank1
+    assert quantities["advantage"] == (rank1 - rank0) / rank1
 
 
 def test_the_attack_solves_no_eigenvector(monkeypatch):
-    # Both ranks are counts of key classes: no block is built and nothing solved.
+    # Both ranks are counts of the chain ends' key classes: nothing is solved.
     def no_work(*args, **kwargs):
-        raise AssertionError("the rank attack built or solved a block")
+        raise AssertionError("the rank attack solved an eigenproblem")
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, no_work)
-    for module in (prsg, sectors):
-        monkeypatch.setattr(module, "product_mixture", no_work)
     report = run(ExperimentConfig("impossibility", {"lam": 2, "n": 3, "ell": 1, "t": 2}))
     assert report.quantities["tr_pi_rho1"] == 8 / 9
     assert report.quantities["tr_pi_rho0"] == 1.0
@@ -301,6 +298,40 @@ def test_attack_at_large_n_counts_the_exact_ranks():
     assert quantities["rank_rho1_measured"] == math.comb(N + 2, 3) ** 2
     assert quantities["tr_pi_rho0"] == 1.0
     assert all(report.flags.values())
+
+
+@pytest.mark.parametrize("config", [(64, 94, 1, 2), (32, 62, 3, 3)])
+def test_attack_advantage_is_one_rounding_below_the_distance(config):
+    # Rounding rank0 / rank1 first and subtracting it from 1 cancels: that
+    # read 0.0 at (64, 94, 1, 2), where the exact advantage is 5.42e-20, and
+    # 2.2118911147e-09 at (32, 62, 3, 3), above td_real_ideal = 2.2118911130e-09,
+    # which the Helstrom bound forbids.
+    params, budgets = PrsParams(*config), Budgets(max_type_count=10**120)
+    quantities = impossibility_attack(params, budgets).quantities
+    rank0, rank1 = quantities["rank_rho0_measured"], quantities["rank_rho1_measured"]
+    assert quantities["advantage"] == float(Fraction(rank1 - rank0, rank1)) > 0
+    td = single_key_report(params, budgets).quantities["td_real_ideal"]
+    assert quantities["advantage"] <= td
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lam=st.integers(1, 3),
+    n_extra=st.integers(0, 2),
+    ell=st.integers(1, 3),
+    t=st.integers(1, 3),
+)
+def test_real_ideal_distance_is_symmetric_and_bounds_the_attack(lam, n_extra, ell, t):
+    # Pi_sym is invariant under Z_k on every register, so keying the ell
+    # generated copies leaves the state of keying the t common copies, up to
+    # the order of the register groups: the distance is symmetric in (ell, t).
+    # By Helstrom, no measurement, the rank attack's included, beats it.
+    budgets = Budgets(max_type_count=10**12)
+    params = PrsParams(lam, lam + n_extra, ell, t)
+    td = single_key_report(params, budgets).quantities["td_real_ideal"]
+    swapped = single_key_report(PrsParams(lam, lam + n_extra, t, ell), budgets)
+    assert abs(td - swapped.quantities["td_real_ideal"]) <= 1e-12
+    assert impossibility_attack(params, budgets).quantities["advantage"] <= td + ATOL_CHAIN
 
 
 def test_impossibility_attack_budget():

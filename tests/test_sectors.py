@@ -24,11 +24,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sector_reference import (
     hybrid_mixture,
+    kernels,
     multikey_mixture,
     multikey_xi,
     pairwise_trace_distance,
     partitions,
     sector_space,
+    trace,
 )
 
 from chslab import prsg, runner, sectors
@@ -49,12 +51,9 @@ from chslab.rank_attack import impossibility_attack
 from chslab.sectors import (
     SectorMixture,
     SectorSpace,
-    ShapeGroup,
     _canonical,
     _partitions,
-    _table,
     arrangements,
-    key_classes,
     relation_classes,
     sector_trace_distance,
     shape_orderings,
@@ -81,7 +80,7 @@ def _sector_dense(mixture) -> np.ndarray:
     N, size = mixture.space.N, mixture.space.size
     dense = np.zeros((N**size, N**size))
     radix = N ** np.arange(size - 1, -1, -1)
-    for group, block in zip(mixture.space.groups, mixture.blocks):
+    for group, block in zip(mixture.space.groups, kernels(mixture)):
         flat = group.letters[:, group.orderings] @ radix  # (count, dim)
         dense[flat[:, :, None], flat[:, None, :]] = block / mixture.normaliser
     return dense
@@ -180,6 +179,7 @@ def test_sector_gram_and_dense_routes_agree(n, lam_offset, ell, t, mask, data):
         assert by_sector == pytest.approx(gram_trace_distance(ensemble[i], ensemble[j]), abs=ATOL)
         assert by_sector == pytest.approx(trace_distance(ensemble[i], ensemble[j]), abs=1e-10)
         assert sector_trace_distance(classes[i], classes[j]) == pytest.approx(by_sector, abs=ATOL)
+        assert pairwise_trace_distance(sector[i], sector[j]) == pytest.approx(by_sector, abs=ATOL)
     report = single_key_report(params)
     assert (report.quantities["td_h1_h2"] is not None) == chain
     if chain:
@@ -281,7 +281,7 @@ def test_sector_counts_cover_every_type(N, size):
     for lam in range(1, n + 1):
         classes = relation_classes(n, lam, size)
         assert [g.shape for g in classes.groups] == [g.shape for g in space.groups]
-        assert sum(group.total([1] * len(group.counts)) for group in classes.groups) == types
+        assert sum(classes.counts) == sum(sum(g.counts) for g in classes.groups) == types
     for group in space.groups + classes.groups:
         assert group.dim == math.factorial(size) // math.prod(
             math.factorial(m) for m in group.shape
@@ -349,7 +349,7 @@ def test_canonical_relations_ignore_translation_and_change_of_basis(prefixes, sh
 def test_class_counts_are_exact(n, lam, size):
     types = math.comb((1 << n) + size - 1, size)
     space = relation_classes(n, lam, size, Budgets(max_type_count=types))
-    assert sum(group.total([1] * len(group.counts)) for group in space.groups) == types
+    assert sum(space.counts) == sum(sum(group.counts) for group in space.groups) == types
     for group in space.groups:
         # Every row stands for at least one sector, so no space has more rows
         # than sectors, and no empty class can set a global eigenvalue cutoff.
@@ -402,7 +402,7 @@ def test_reports_stay_normalised_at_large_n(lam, n, ell, t):
             assert 0.0 <= value <= 1.0, key
     assert all(report.flags.values())
     for index in (1, 4, 5, 6, 7, 8) if ell == 2 else range(1, 9):
-        assert hybrid_mixture(HybridSpec(index, params), budgets).trace() == pytest.approx(
+        assert trace(hybrid_mixture(HybridSpec(index, params), budgets)) == pytest.approx(
             1.0, abs=ATOL
         )
     attack = impossibility_attack(params, budgets)
@@ -417,7 +417,7 @@ def test_reports_stay_normalised_at_large_n(lam, n, ell, t):
         assert all(chain.flags.values())
         for j in range(3):
             mixture = multikey_mixture(j, PrsParams(lam=lam, n=n, ell=ell, t=t, p=2), budgets)
-            assert mixture.trace() == pytest.approx(1.0, abs=ATOL)
+            assert trace(mixture) == pytest.approx(1.0, abs=ATOL)
 
 
 @pytest.mark.parametrize(
@@ -432,11 +432,12 @@ def test_every_mixture_has_unit_trace(lam, n, ell, t, p):
         except ValueError as err:
             assert "empty conditioned set" in str(err)
             continue
-        assert mixture.trace() == pytest.approx(1.0, abs=ATOL)
-        for block in mixture.blocks:
+        assert trace(mixture) == pytest.approx(1.0, abs=ATOL)
+        # w is constant on each class, so every kernel is symmetric
+        for block in kernels(mixture):
             assert np.array_equal(block, block.transpose(0, 2, 1))
     for j in range(params.p + 1):
-        assert multikey_mixture(j, params).trace() == pytest.approx(1.0, abs=ATOL)
+        assert trace(multikey_mixture(j, params)) == pytest.approx(1.0, abs=ATOL)
 
 
 @pytest.mark.parametrize(
@@ -461,9 +462,8 @@ def test_real_and_ideal_hybrids_are_the_one_key_chain_ends(lam, n, ell, t):
         hybrid = hybrid_mixture(HybridSpec(index, params), budgets)
         chain = multikey_mixture(j, params, budgets)
         assert hybrid.normaliser == chain.normaliser
-        assert len(hybrid.blocks) == len(chain.blocks)
-        for x, y in zip(hybrid.blocks, chain.blocks):
-            assert (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+        for x, y in ((hybrid.labels, chain.labels), (hybrid.weights, chain.weights)):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 def test_every_report_gets_its_space_through_prsg():
@@ -545,57 +545,63 @@ def test_key_class_counts_are_the_dense_ranks_of_the_chain_ends(lam, n, ell, t):
     # against the full matrix with one relative eigenvalue cutoff.
     params = PrsParams(lam, n, ell, t)
     every_sector = sector_space(n, lam, ell + t)
-    keys = ({"folds": ((0, ell),)}, {"sorts": ((0, ell),)})
-    for j, kind, key in zip((0, 1), ("folded", "sorted"), keys):
+    for j in (0, 1):
         vals = np.linalg.eigvalsh(_sector_dense(_sector_chain(j, params, every_sector)))
         dense_rank = int((vals > REL_RANK_CUTOFF * vals.max()).sum())
         for space in (relation_classes(n, lam, ell + t), every_sector):
-            classes = key_classes(space, **key)
-            ranks = [g.total(rows=rows) for g, (rows, _) in zip(space.groups, classes)]
-            assert sum(ranks) == dense_rank and all(type(r) is int for r in ranks), (j, space.N)
-            for g, (group, (rows, sizes)) in enumerate(zip(space.groups, classes)):
-                shape = (len(group.counts), group.dim)
-                # each row's classes are consecutive and hold all its orderings
-                assert np.array_equal(np.unique(rows), np.arange(shape[0]))
-                assert np.all(np.diff(rows) >= 0)
-                assert np.array_equal(np.bincount(rows, sizes), np.full(shape[0], group.dim))
-                # the pairwise masks read the same keys: one distinct mask row per class
-                same = np.broadcast_to(_table(space, g, kind, 0, ell), shape + shape[1:])
-                assert [len(np.unique(m, axis=0)) for m in same] == np.bincount(rows).tolist()
+            mixture = _sector_chain(j, params, space)
+            rows, sizes = mixture.classes()
+            rank = space.total(rows=rows)
+            assert rank == dense_rank and type(rank) is int, (j, space.N)
+            # each row's classes are consecutive and hold all its orderings
+            dims = [group.dim for group in space.groups for _ in group.counts]
+            assert np.array_equal(np.unique(rows), np.arange(len(dims)))
+            assert np.all(np.diff(rows) >= 0)
+            assert np.array_equal(np.bincount(rows, sizes), dims)
+            # the dense kernel has one distinct row per class
+            distinct = [len(np.unique(k, axis=0)) for kernel in kernels(mixture) for k in kernel]
+            assert distinct == np.bincount(rows).tolist()
 
 
 def test_shared_blocks_count_once_per_sector():
     # Over 4 letters, shape (2,) has 4 one-dimensional sectors and shape (1, 1)
     # 6 two-dimensional ones. Several sectors share each block; a space with
     # one row per distinct block, counted by its sectors, must give the same
-    # traces and distance as the full matrices.
+    # traces and distance as the full matrices. Per row: class labels, then
+    # integer weights; a (1, 1) row of labels (0, 1) is a diagonal block, one
+    # of (0, 0) an all-ones block. a has a weight of 1 over a normaliser of 10^14.
     sectors = sector_space(2, 2, 2)
     index = (np.array([0, 1, 1, 0]), np.array([0, 1, 1, 1, 0, 1]))
-    blocks_a = (np.array([[[0.1]], [[1e-14]]]), np.array([0.1 * np.eye(2), np.full((2, 2), 0.05)]))
-    blocks_b = (np.array([[[0.25]]] * 2), np.array([[[0.1, 0.0], [0.0, 0.0]]] * 2))
-    a = SectorMixture(sectors, tuple(x[i] for x, i in zip(blocks_a, index)), normaliser=1)
-    b = SectorMixture(sectors, tuple(y[i] for y, i in zip(blocks_b, index)), normaliser=1)
-    assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
-    assert b.trace() == pytest.approx(1.6, abs=ATOL)
+    a_rows = (([[0], [0]], [[10**13], [1]]), ([[0, 1], [0, 0]], [[10**13] * 2, [5 * 10**12] * 2]))
+    b_rows = (([[0], [0]], [[25], [25]]), ([[0, 1], [0, 1]], [[10, 0], [10, 0]]))
+
+    def mixture(space, rows, index, normaliser):
+        """The rows' labels and weights at ``index``, labels offset past the rows before."""
+        label, weight = (
+            np.concatenate([np.array(r[k])[i].reshape(-1) for r, i in zip(rows, index)])
+            for k in (0, 1)
+        )
+        return SectorMixture(space, label + 2 * space.entry_rows, weight, normaliser)
+
+    a = mixture(sectors, a_rows, index, 10**14)
+    b = mixture(sectors, b_rows, index, 100)
+    assert trace(a) == pytest.approx(1.0 + 2e-14, abs=ATOL)
+    assert trace(b) == pytest.approx(1.6, abs=ATOL)
     dense_td = 0.5 * np.abs(np.linalg.eigvalsh(_sector_dense(a) - _sector_dense(b))).sum()
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
+    assert pairwise_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
     with pytest.raises(ValueError, match="sector spaces differ"):
-        sector_trace_distance(a, SectorMixture(sector_space(1, 1, 2), b.blocks, normaliser=1))
+        other = (np.arange(2), np.arange(1))  # 2 and 1 rows over 2 letters
+        sector_trace_distance(a, mixture(sector_space(1, 1, 2), b_rows, other, 100))
     # The same blocks once each, counted by the sectors that carry them.
-    rows = SectorSpace(
-        4,
-        2,
-        0,
-        tuple(
-            ShapeGroup(g.shape, g.letters[:2], shape_orderings(g.shape), counts)
-            for g, counts in zip(sectors.groups, [(2, 2), (2, 4)])
-        ),
-        {},
-    )
-    a, b = SectorMixture(rows, blocks_a, normaliser=1), SectorMixture(rows, blocks_b, normaliser=1)
+    counts = [(2, 2), (2, 4)]
+    groups = (g._replace(letters=g.letters[:2], counts=c) for g, c in zip(sectors.groups, counts))
+    rows = SectorSpace.build(4, 2, 0, groups)
+    once = (np.arange(2), np.arange(2))
+    a, b = mixture(rows, a_rows, once, 10**14), mixture(rows, b_rows, once, 100)
     assert sector_trace_distance(a, b) == pytest.approx(dense_td, abs=ATOL)
-    assert a.trace() == pytest.approx(1.0 + 2e-14, abs=ATOL)
-    assert b.trace() == pytest.approx(1.6, abs=ATOL)
+    assert trace(a) == pytest.approx(1.0 + 2e-14, abs=ATOL)
+    assert trace(b) == pytest.approx(1.6, abs=ATOL)
 
 
 def test_conditioned_hybrids_keep_equal_key_patterns_with_different_weights_apart():
@@ -605,13 +611,14 @@ def test_conditioned_hybrids_keep_equal_key_patterns_with_different_weights_apar
     params = PrsParams(lam=2, n=3, ell=1, t=2)
     for space in (relation_classes(3, 2, 3), sector_space(3, 2, 3)):
         cf = _conditioned_sectors(space, params, DEFAULT_BUDGETS)
-        assert not cf[2].all() and cf[2].any()
+        distinct = cf[-len(space.groups[2].counts) :]  # the rows of shape (1, 1, 1)
+        assert not distinct.all() and distinct.any()
         count = _cf_count(space, cf)
         mixtures = {index: _sector_hybrid(index, params, space, cf, count) for index in (2, 3)}
         for mixture in mixtures.values():
-            for mask, blocks in zip(cf, mixture.blocks):
-                assert np.array_equal(np.trace(blocks, axis1=1, axis2=2) > 0, mask)
-            assert mixture.trace() == pytest.approx(1.0, abs=ATOL)
+            traces = [np.trace(blocks, axis1=1, axis2=2) for blocks in kernels(mixture)]
+            assert np.array_equal(np.concatenate(traces) > 0, cf)
+            assert trace(mixture) == pytest.approx(1.0, abs=ATOL)
     for index, mixture in mixtures.items():
         dense = hybrid_state(HybridSpec(index, params)).to_dense()
         assert np.abs(_sector_dense(mixture) - dense).max() < ATOL
@@ -632,48 +639,14 @@ def test_sector_blocks_repeat_per_shape_group():
     params = PrsParams(lam=2, n=6, ell=1, t=2)
     space = relation_classes(6, 2, 3)
     assert [len(group.counts) for group in space.groups] == [1, 2, 3]
-    assert [group.total([1] * len(group.counts)) for group in space.groups] == [64, 64 * 63, 41664]
+    assert [sum(group.counts) for group in space.groups] == [64, 64 * 63, 41664]
 
     def distinct(mixture):
-        return [len(np.unique(block, axis=0)) for block in mixture.blocks]
+        return [len(np.unique(block, axis=0)) for block in kernels(mixture)]
 
     assert distinct(_sector_chain(0, params, space)) == [1, 2, 3]
     for mixture in _lam_free_chain(params, space):
         assert distinct(mixture) == [1, 1, 1]
-
-
-def test_shared_groups_are_solved_once():
-    # The lam-free hybrids store each group's one block as a view with row
-    # stride 0, so every eigvalsh of a lam-free pair runs on one row per
-    # group, not on the 1, 2 and 3 rows. The results equal the per-row solve
-    # on materialised copies bit for bit.
-    params = PrsParams(lam=2, n=6, ell=1, t=2)
-    space = relation_classes(6, 2, 3)
-    chain = _lam_free_chain(params, space)
-    eigvalsh = np.linalg.eigvalsh
-
-    def run(route):
-        """The four lam-free distances, with the eigvalsh stack sizes."""
-        stacks = []
-
-        def spy(a):
-            stacks.append(a.shape[0])
-            return eigvalsh(a)
-
-        with mock.patch.object(np.linalg, "eigvalsh", spy):
-            pairs = zip(chain, chain[1:])
-            distances = [sector_trace_distance(route(x), route(y)) for x, y in pairs]
-        return distances, stacks
-
-    def materialised(mixture):
-        blocks = tuple(np.array(block) for block in mixture.blocks)
-        return SectorMixture(mixture.space, blocks, mixture.normaliser)
-
-    distances, stacks = run(lambda mixture: mixture)
-    assert stacks == [1, 1, 1] * 4
-    reference = run(materialised)
-    assert reference[1] == [1, 2, 3] * 4
-    assert distances == reference[0]
 
 
 def _report_states(params):
@@ -691,17 +664,15 @@ def _report_states(params):
 
 
 def test_kernels_are_integers_that_do_not_depend_on_n():
-    # A mixture is an exact int normaliser over integer kernels: the same
-    # blocks at n = lam + 5 and n = lam + 40, state by state.
+    # A mixture is an exact int normaliser over integer class weights: the
+    # same labels and weights at n = lam + 5 and n = lam + 40, state by state.
     lam = 2
     near, far = (_report_states(PrsParams(lam, lam + extra, 1, 2)) for extra in (5, 40))
     assert len(near) == len(far)
     for x, y in zip(near, far):
         assert type(x.normaliser) is int and type(y.normaliser) is int
-        assert len(x.blocks) == len(y.blocks)
-        for a, b in zip(x.blocks, y.blocks):
-            assert (a.shape, a.strides[0], a.tobytes()) == (b.shape, b.strides[0], b.tobytes())
-            assert np.array_equal(a, np.round(a))
+        for a, b in ((x.labels, y.labels), (x.weights, y.weights)):
+            assert a.dtype == np.int64 and (a.shape, a.tobytes()) == (b.shape, b.tobytes())
 
 
 def test_the_normaliser_refusal_keeps_every_row_weight_normal():
@@ -711,7 +682,7 @@ def test_the_normaliser_refusal_keeps_every_row_weight_normal():
     space = relation_classes(340, 8, 3, budgets)
     real = _sector_chain(0, PrsParams(8, 340, 1, 2), space)
     assert real.normaliser <= sectors.MAX_NORMALISER
-    assert all((weights >= sys.float_info.min).all() for weights in real.weights())
+    assert (real.row_weights() >= sys.float_info.min).all()
     message = "n=341 is too large for 3 registers: the mixture weights would fall below"
     with pytest.raises(ValueError, match=message):
         relation_classes(341, 8, 3, budgets)
@@ -727,29 +698,29 @@ def test_the_normaliser_refusal_keeps_every_row_weight_normal():
     stack=st.sampled_from([1, 5, 40, 300, sectors._STACK]),
 )
 def test_batched_distances_equal_the_per_pair_loop(lam, n_extra, ell, t, picks, stack):
-    # Pairs of per-row states (xi_0, H2, H3) and shared ones (row stride 0),
-    # stacked with a constant small enough that stacks are solved mid-stream:
-    # every distance is the one-pair loop's, bit for bit. A large n gives row
-    # counts that floats round.
+    # Pairs of the report's states (xi_0, xi_1, H2 to H7), stacked with a
+    # constant small enough that stacks are solved mid-stream: every distance
+    # is the one-pair call's, bit for bit, and the dense kernels' to 1e-12. A
+    # large n gives row counts that floats round.
     states = _report_states(PrsParams(lam=lam, n=lam + n_extra, ell=ell, t=t))
     pairs = [(states[i % len(states)], states[j % len(states)]) for i, j in picks]
     with mock.patch.object(sectors, "_STACK", stack):
         batched = trace_distances(iter(pairs))
-    assert batched == [pairwise_trace_distance(a, b) for a, b in pairs]
     assert [sector_trace_distance(a, b) for a, b in pairs] == batched
+    dense = [pairwise_trace_distance(a, b) for a, b in pairs]
+    assert batched == pytest.approx(dense, abs=ATOL)
 
 
-def test_a_report_solves_each_shape_group_once():
-    # prsg-td (2, 5, 1, 2): eight pairs on groups of 1, 2 and 3 rows fit one
-    # stack, so the report makes one eigvalsh per group. The four pairs with
-    # a per-row state (xi_0, H2, H3) stack a block per row, the four lam-free
-    # pairs one each. A constant of one entry solves every pair on its own,
-    # with the same report.
+def test_a_report_solves_each_class_count_once():
+    # prsg-td (2, 5, 1, 2): each of the eight pairs leaves one matrix per row
+    # of the space (groups of 1, 2 and 3 rows), as large as its most classes
+    # on a row. That is 3 for every pair, so the report makes one eigvalsh.
+    # A constant of one entry solves every pair on its own, with the same report.
     params = PrsParams(lam=2, n=5, ell=1, t=2)
     eigvalsh = np.linalg.eigvalsh
     with mock.patch.object(np.linalg, "eigvalsh", wraps=eigvalsh) as spy:
         report = single_key_report(params)
-    assert [call.args[0].shape[0] for call in spy.call_args_list] == [8, 4 * 2 + 4, 4 * 3 + 4]
+    assert [call.args[0].shape for call in spy.call_args_list] == [(8 * 6, 3, 3)]
     with mock.patch.object(sectors, "_STACK", 1):
         assert single_key_report(params).to_json() == report.to_json()
 
@@ -821,18 +792,6 @@ def test_each_chain_report_builds_one_space_and_solves_once(experiment, params):
         runner.run(runner.ExperimentConfig(experiment, params, seed=1))
     assert spaces.call_count == 1 and len(rounds) == 1
     assert solved_inside and all(solved_inside)
-
-
-def test_shape_tables_are_built_once_per_space():
-    params = PrsParams(lam=2, n=5, ell=1, t=2)
-    space = relation_classes(5, 2, 3)
-    with mock.patch.object(sectors, "arrangements", wraps=arrangements) as spy:
-        first = _sector_chain(0, params, space)
-        built = spy.call_count
-        again = _sector_chain(0, params, space)
-    assert built == len(space.groups) and spy.call_count == built
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(first.blocks, again.blocks))
-    assert all(not block.flags.writeable for block in first.blocks)
 
 
 def test_streamed_single_key_report_holds_few_states():
