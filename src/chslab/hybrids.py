@@ -4,9 +4,8 @@ Hybrids 2 to 7 are each one call of ``sectors.product_mixture`` on the
 relation classes of ``ell + t`` registers; hybrids 1 and 8 are the one-key
 chain's ends xi_0 and xi_1, built by ``prsg._sector_chain``. Hybrids 2 and 3
 average over the ell-fold lam-prefix collision-free types only, the rows
-``_conditioned_sectors`` admits. ``single_key_report`` hands the chain to
-``sectors.trace_distances`` as a generator of pairs, so it builds each state
-when it is needed and holds at most two.
+``_conditioned_sectors`` admits. ``single_key_report`` builds the chain as a
+list and makes one ``sectors.sector_trace_distance`` call per pair.
 
 Only ``prsg-td`` (and its alias ``hybrid-scan``) runs this chain, so the
 runner loads this module for those alone: a ``multikey-td``, ``impossibility``
@@ -23,9 +22,9 @@ import numpy as np
 
 from . import prsg
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .prsg import PrsParams, _chain_pairs, _sector_chain
+from .prsg import PrsParams, _sector_chain
 from .reporting import ExperimentReport
-from .sectors import SectorMixture, SectorSpace, product_mixture, trace_distances
+from .sectors import SectorMixture, SectorSpace, product_mixture, sector_trace_distance
 from .tolerances import ATOL_CHAIN, ATOL_IDENTITY
 
 
@@ -133,9 +132,10 @@ def single_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> 
     cf = _conditioned_sectors(space, params, budgets)
     cf_count = _cf_count(space, cf)
     empty = [i for i in range(2, 8) if _hybrid_size(i, params, cf_count) == 0]
-    chain = (_sector_hybrid(j, params, space, cf, cf_count) for j in range(2, 8) if not empty)
-    pairs = _chain_pairs(_sector_chain(0, params, space), chain, _sector_chain(1, params, space))
-    quantities["td_real_ideal"], *steps = trace_distances(pairs)
+    middle = [] if empty else [_sector_hybrid(j, params, space, cf, cf_count) for j in range(2, 8)]
+    chain = [_sector_chain(0, params, space), *middle, _sector_chain(1, params, space)]
+    steps = [sector_trace_distance(a, b) for a, b in zip(chain, chain[1:])] if middle else []
+    quantities["td_real_ideal"] = sector_trace_distance(chain[0], chain[-1])
     # keep the quantity schema stable: without a chain its fields exist but are empty
     for (i, j), step in zip(_CONSECUTIVE, steps or [None] * len(_CONSECUTIVE)):
         quantities[f"td_h{i}_h{j}"] = step

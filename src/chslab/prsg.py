@@ -14,11 +14,10 @@ xi_0 is the p-key real state and xi_p the ideal one. Each xi_j is one call of
 (``sectors.relation_classes``), so the cost does not grow with ``n``: which
 register ranges hold one type state, which are keyed (their prefixes
 folded) or independent (their multisets sorted), and the exact member count.
-``multi_key_report`` (``multikey-td``) hands its chain, then link j's
-single-key pair (``M_ell^(x)j`` tensored with the one-key chain ends) on the
-chain's own space, to one ``sectors.trace_distances`` call as a generator of
-pairs, so it builds one space and each state when it is needed and holds at
-most two.
+``multi_key_report`` (``multikey-td``) builds one space and its chain as a
+list, then solves each link, the chain's ends, and link j's single-key pair
+(``M_ell^(x)j`` tensored with the one-key chain ends) on the chain's own
+space, one ``sectors.sector_trace_distance`` call per pair.
 
 With one key, xi_0 and xi_1 are hybrids 1 and 8, the real and ideal states of
 one key. The layers built on them are loaded on their own: the single-key
@@ -41,7 +40,7 @@ from .sectors import (
     SectorSpace,
     product_mixture,
     relation_classes,
-    trace_distances,
+    sector_trace_distance,
 )
 from .tolerances import ATOL_CHAIN
 
@@ -96,21 +95,6 @@ def _sector_chain(j: int, p: PrsParams, space: SectorSpace) -> SectorMixture:
     return product_mixture(space, normaliser, factors, folds=groups[j:], sorts=groups[:j])
 
 
-def _chain_pairs(first: SectorMixture, middle, last: SectorMixture):
-    """The chain's ends ``(first, last)``, then, if ``middle`` has a state, its links.
-
-    The links join ``first``, the states of ``middle`` (built as they are
-    read) and ``last``; no state is held past its last pair.
-    """
-    yield first, last
-    linked = False
-    for state in middle:
-        yield first, state
-        first, linked = state, True
-    if linked:
-        yield first, last
-
-
 def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> ExperimentReport:
     """Chain between the p-key real state and fully independent ideal state.
 
@@ -123,26 +107,20 @@ def multi_key_report(params: PrsParams, budgets: Budgets = DEFAULT_BUDGETS) -> E
     Link j's single-key distance is taken on the chain's own space, between
     ``M_ell^(x)j`` tensored with each of the one-key chain ends on the
     (p - j) ell + t registers left: tensoring both sides with one density
-    operator keeps their trace distance. Those pairs are solved with the
-    chain, in one call; link p - 1's pair is the chain's last link itself, so
-    its value is reported for both, and with one key that link is the
-    chain's ends.
+    operator keeps their trace distance. Link p - 1's pair is the chain's
+    last link itself, so its value is reported for both, and with one key
+    that link is the chain's ends.
     """
     lam, n, ell, t, p = params.lam, params.n, params.ell, params.t, params.p
     space = relation_classes(n, lam, p * ell + t, budgets)
-
-    def pairs():
-        chain = (_sector_chain(j, params, space) for j in range(1, p))
-        yield from _chain_pairs(
-            _sector_chain(0, params, space), chain, _sector_chain(p, params, space)
-        )
-        for j in range(p - 1):
-            one_key = replace(params, t=(p - j - 1) * ell + t)
-            yield _sector_chain(j, one_key, space), _sector_chain(j + 1, one_key, space)
-
-    td_total, *distances = trace_distances(pairs())
-    links = distances[:p] or [td_total]  # one key: the chain's one link is its ends
-    singles = distances[p:] + links[-1:]  # link p - 1's pair is the chain's last link
+    chain = [_sector_chain(j, params, space) for j in range(p + 1)]
+    links = [sector_trace_distance(a, b) for a, b in zip(chain, chain[1:])]
+    td_total = sector_trace_distance(chain[0], chain[-1]) if p > 1 else links[0]
+    one_keys = [replace(params, t=(p - j - 1) * ell + t) for j in range(p - 1)]
+    singles = [
+        sector_trace_distance(_sector_chain(j, k, space), _sector_chain(j + 1, k, space))
+        for j, k in enumerate(one_keys)
+    ] + links[-1:]  # link p - 1's pair is the chain's last link
     quantities: dict[str, float] = {}
     flags: dict[str, bool] = {}
     step_sum = 0.0

@@ -26,12 +26,11 @@ A mixture is an exact integer normaliser over kernels that depend on neither
 ``sum_k w_k 1_k 1_k^T`` over its key classes k. A mixture is stored on the
 space's entries, one per ordering of each row: the entry's class label and
 its integer weight. A row's rank is its count of classes of positive weight
-(``SectorMixture.classes``). ``trace_distances`` forms each pair on the
+(``SectorMixture.classes``). ``sector_trace_distance`` forms a pair on the
 common refinement of its two partitions, one matrix per row of the size of
-its class count; once they hold ``_STACK`` entries, the matrices of each size
-are one ``eigvalsh``. Every sector on its own, each with count 1, is the same
-structure; the tests build it, and the dense kernels, as the independent
-references.
+its class count, and solves them with one ``eigvalsh``. Every sector on its
+own, each with count 1, is the same structure; the tests build it, and the
+dense kernels, as the independent references.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from .states import distinct_orderings
 # The largest normaliser whose reciprocal is a normal float: 2**1022.
 MAX_NORMALISER = int(1 / sys.float_info.min)
 Ranges = tuple[tuple[int, int], ...]  # register ranges (a, b) for [a, b)
-# Difference-block entries gathered from pairs before each group's stack is solved.
-_STACK = 1 << 15
 
 
 def _partitions(size: int, max_parts: int) -> Iterator[tuple[int, ...]]:
@@ -352,8 +349,9 @@ def product_mixture(
 
 
 def _check_same_space(x: SectorSpace, y: SectorSpace) -> None:
-    same = x[:3] == y[:3] and x.counts == y.counts and np.array_equal(x.in_order, y.in_order)
-    if x is not y and not same:
+    if x is y:
+        return
+    if not (x[:3] == y[:3] and x.counts == y.counts and np.array_equal(x.in_order, y.in_order)):
         raise ValueError(f"sector spaces differ: (N, size) = {x[:2]} vs {y[:2]}")
 
 
@@ -387,50 +385,19 @@ def _gram(a: SectorMixture, b: SectorMixture, delta: float) -> np.ndarray:
     return gram
 
 
-def trace_distances(pairs: Iterable[tuple[SectorMixture, SectorMixture]]) -> list[float]:
-    """Half the trace norm of ``a - b`` for each pair ``(a, b)`` of mixtures on one space.
+def sector_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
+    """Half the trace norm of ``a - b``, two mixtures on one space.
 
-    Each difference is ``(K_a - K_b) - delta K_b`` on kernels ``K``, with
+    The difference is ``(K_a - K_b) - delta K_b`` on kernels ``K``, with
     ``delta = (Z_a - Z_b) / Z_b`` rounded once from the normalisers ``Z``,
     written by ``_gram`` as one matrix per row on the classes of the two
-    mixtures' common refinement. The pairs are read one at a time and none
-    is kept: each leaves its matrices. Once they hold ``_STACK`` entries, the
-    matrices of each size are solved by one ``eigvalsh``, and each pair's
-    norms are weighted by ``a``'s rows, so a distance does not depend on the
-    pairs solved with it.
+    mixtures' common refinement. One ``eigvalsh`` solves them, and each row's
+    norm is weighted by ``a``'s rows.
     """
-    space, batch, distances = None, [], []
-
-    def solve() -> None:
-        stacks: dict[int, list[np.ndarray]] = {}
-        for _, gram in batch:
-            stacks.setdefault(gram.shape[-1], []).append(gram)
-        norms = {  # a stack of one array is solved without a copy
-            size: np.abs(np.linalg.eigvalsh(s[0] if len(s) == 1 else np.concatenate(s))).sum(axis=1)
-            for size, s in stacks.items()
-        }
-        for weights, gram in batch:
-            size = gram.shape[-1]
-            distances.append(0.5 * float(weights @ norms[size][: len(weights)]))
-            norms[size] = norms[size][len(weights) :]
-        batch.clear()
-
-    for a, b in pairs:
-        space = space or a.space
-        for mixture in (a, b):
-            _check_same_space(space, mixture.space)
-        delta = (a.normaliser - b.normaliser) / b.normaliser
-        batch.append((a.row_weights(), _gram(a, b, delta)))
-        del a, b, mixture  # so the iterable can free this pair while it builds the next
-        if sum(gram.size for _, gram in batch) >= _STACK:
-            solve()
-    solve()
-    return distances
-
-
-def sector_trace_distance(a: SectorMixture, b: SectorMixture) -> float:
-    """Half the trace norm of ``a - b``: ``trace_distances`` of the one pair."""
-    return trace_distances([(a, b)])[0]
+    _check_same_space(a.space, b.space)
+    delta = (a.normaliser - b.normaliser) / b.normaliser
+    norms = np.abs(np.linalg.eigvalsh(_gram(a, b, delta))).sum(axis=1)
+    return 0.5 * float(a.row_weights() @ norms)
 
 
 def arrangements(values: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@
 class labels and weights into each row's dense ``(dim, dim)`` kernel
 ``w(o) [label(o) == label(o')]``; ``trace`` and ``pairwise_trace_distance``
 (one pair, one ``eigvalsh`` per group) read those kernels, the references
-for the class Grams of ``sectors.trace_distances``.
+for the class Grams of ``sectors.sector_trace_distance``.
 
 ``sector_space`` has the signature of ``sectors.relation_classes`` and builds
 the same ``SectorSpace``, but with one row per sector, its real ``n``-bit

@@ -58,7 +58,6 @@ from chslab.sectors import (
     sector_trace_distance,
     shape_orderings,
     subspaces,
-    trace_distances,
 )
 from chslab.tolerances import REL_RANK_CUTOFF
 
@@ -695,50 +694,51 @@ def test_the_normaliser_refusal_keeps_every_row_weight_normal():
     ell=st.integers(1, 2),
     t=st.integers(0, 2),
     picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=10),
-    stack=st.sampled_from([1, 5, 40, 300, sectors._STACK]),
 )
-def test_batched_distances_equal_the_per_pair_loop(lam, n_extra, ell, t, picks, stack):
-    # Pairs of the report's states (xi_0, xi_1, H2 to H7), stacked with a
-    # constant small enough that stacks are solved mid-stream: every distance
-    # is the one-pair call's, bit for bit, and the dense kernels' to 1e-12. A
-    # large n gives row counts that floats round.
+def test_pair_distances_equal_the_dense_kernels(lam, n_extra, ell, t, picks):
+    # Pairs of the report's states (xi_0, xi_1, H2 to H7): every distance is
+    # the dense kernels' to 1e-12. A large n gives row counts that floats round.
     states = _report_states(PrsParams(lam=lam, n=lam + n_extra, ell=ell, t=t))
     pairs = [(states[i % len(states)], states[j % len(states)]) for i, j in picks]
-    with mock.patch.object(sectors, "_STACK", stack):
-        batched = trace_distances(iter(pairs))
-    assert [sector_trace_distance(a, b) for a, b in pairs] == batched
+    distances = [sector_trace_distance(a, b) for a, b in pairs]
     dense = [pairwise_trace_distance(a, b) for a, b in pairs]
-    assert batched == pytest.approx(dense, abs=ATOL)
+    assert distances == pytest.approx(dense, abs=ATOL)
 
 
-def test_a_report_solves_each_class_count_once():
-    # prsg-td (2, 5, 1, 2): each of the eight pairs leaves one matrix per row
-    # of the space (groups of 1, 2 and 3 rows), as large as its most classes
-    # on a row. That is 3 for every pair, so the report makes one eigvalsh.
-    # A constant of one entry solves every pair on its own, with the same report.
+def test_a_pair_on_one_space_compares_no_entries():
+    # Two mixtures on one space object are on the same space without a look
+    # at its entries; an equal space built apart is compared entry by entry.
+    params = PrsParams(lam=2, n=3, ell=1, t=2)
+    space = relation_classes(3, 2, 3)
+    a, b = _sector_chain(0, params, space), _sector_chain(1, params, space)
+    twin = _sector_chain(1, params, relation_classes(3, 2, 3))
+    with mock.patch.object(np, "array_equal", wraps=np.array_equal) as compared:
+        distance = sector_trace_distance(a, b)
+        assert compared.call_count == 0
+        assert sector_trace_distance(a, twin) == distance
+        assert compared.call_count == 1
+
+
+def test_a_report_solves_each_pair_once():
+    # prsg-td (2, 5, 1, 2): the ends and the seven links are eight pairs, each
+    # solved by one eigvalsh on one matrix per row of the space (groups of 1,
+    # 2 and 3 rows), as large as its most classes on a row, 3 for every pair.
     params = PrsParams(lam=2, n=5, ell=1, t=2)
-    eigvalsh = np.linalg.eigvalsh
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=eigvalsh) as spy:
-        report = single_key_report(params)
-    assert [call.args[0].shape for call in spy.call_args_list] == [(8 * 6, 3, 3)]
-    with mock.patch.object(sectors, "_STACK", 1):
-        assert single_key_report(params).to_json() == report.to_json()
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        single_key_report(params)
+    assert [call.args[0].shape for call in spy.call_args_list] == [(6, 3, 3)] * 8
 
 
 @pytest.mark.parametrize("p, ell", [(1, 1), (2, 1), (3, 1), (2, 2), (1, 2), (3, 2)])
 def test_first_single_key_link_is_solved_with_the_chain(p, ell):
     # Every link's single-key pair, M_ell^(x)j tensored with the one-key chain
-    # ends, lies on the chain's own space, so the report solves it with the
-    # chain in one round. Each distance is checked against the one-key ends
-    # on their own (p - j) ell + t registers; link p - 1's pair is the
-    # chain's last link, reported once for both.
+    # ends, lies on the chain's own space, so the report solves it there.
+    # Each distance is checked against the one-key ends on their own
+    # (p - j) ell + t registers; link p - 1's pair is the chain's last link,
+    # reported once for both.
     for t in range(7 - p * ell):
         params = PrsParams(lam=1, n=2, ell=ell, t=t, p=p)
-        rounds = mock.Mock(wraps=trace_distances)
-        with mock.patch.object(prsg, "trace_distances", rounds):
-            with mock.patch.object(sectors, "trace_distances", rounds):
-                report = multi_key_report(params)
-        assert rounds.call_count == 1
+        report = multi_key_report(params)
         for j in range(p):
             one_key = replace(params, t=(p - j - 1) * ell + t)
             space = relation_classes(params.n, params.lam, (p - j) * ell + t)
@@ -762,16 +762,18 @@ def test_first_single_key_link_is_solved_with_the_chain(p, ell):
     ],
 )
 def test_each_chain_report_builds_one_space_and_solves_once(experiment, params):
-    # A commit-hiding report's own distance is in closed form, so it solves
-    # nothing outside its cross-check's one trace_distances call.
+    # Every eigen-solve runs inside sector_trace_distance, once per pair:
+    # multikey-td solves its one link at p = 1, and its p links, its ends and
+    # p - 1 single-key pairs at p >= 2. A commit-hiding report's own distance
+    # is in closed form, so it solves nothing outside its cross-check's one pair.
     spaces = mock.Mock(wraps=relation_classes)
-    rounds, inside, solved_inside = [], [], []
+    pairs, inside, solved_inside = [], [], []
 
-    def counted_rounds(pairs):
-        rounds.append(pairs)
+    def counted_distance(a, b):
+        pairs.append((a, b))
         inside.append(True)
         try:
-            return trace_distances(pairs)
+            return sector_trace_distance(a, b)
         finally:
             inside.pop()
 
@@ -785,20 +787,23 @@ def test_each_chain_report_builds_one_space_and_solves_once(experiment, params):
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(prsg, "relation_classes", spaces))
         for module in (prsg, sectors):
-            stack.enter_context(mock.patch.object(module, "trace_distances", counted_rounds))
+            stack.enter_context(mock.patch.object(module, "sector_trace_distance", counted_distance))
         for name in ("eigvalsh", "eigh", "cholesky"):
             solver = counted(getattr(np.linalg, name))
             stack.enter_context(mock.patch.object(np.linalg, name, solver))
         runner.run(runner.ExperimentConfig(experiment, params, seed=1))
-    assert spaces.call_count == 1 and len(rounds) == 1
+    p = params["p"]
+    assert spaces.call_count == 1
+    assert len(pairs) == (1 if experiment == "commit-hiding" or p == 1 else 2 * p)
     assert solved_inside and all(solved_inside)
 
 
 def test_streamed_single_key_report_holds_few_states():
-    # The report reads its pairs as it builds them and stacks only their
-    # differences. At this point one state is 1.25 MiB; the route that solved
-    # one pair per call peaked at 5_181_105 bytes (tracemalloc, numpy 2.4),
-    # holding xi_0, xi_1 and two chain states at once.
+    # The report holds its whole chain, 16 bytes per entry a state, and one
+    # pair's Grams at a time: about 0.55 MB at this point. When one state was
+    # a 1.25 MiB kernel, the route that solved one pair per call peaked at
+    # 5_181_105 bytes (tracemalloc, numpy 2.4), holding xi_0, xi_1 and two
+    # chain states at once.
     parent_peak = 5_181_105
     params = PrsParams(lam=8, n=30, ell=2, t=3)
     budgets = Budgets(max_type_count=10**90)
